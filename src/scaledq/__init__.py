@@ -34,7 +34,6 @@ from .ops import (
     ShapeError,
     attention,
     conv2d,
-    depthwise_conv2d,
     factorized_attention,
     gelu,
     gelu_map,

@@ -11,14 +11,18 @@ keeps trials independent yet byte-reproducible.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Sequence
 
 from .core import (
     GELU_SERIES_CUBED,
     GELU_SERIES_LINEAR,
+    ONE,
+    ZERO,
     RangeError,
     SaturationCounter,
     ScaleConfig,
@@ -33,7 +37,6 @@ from .ops import (
     QTensor,
     ShapeError,
     conv2d,
-    depthwise_conv2d,
     gelu_map,
     linear,
     layer_norm,
@@ -50,7 +53,93 @@ class UsageError(ValueError):
 CSV_HEADER = ("operator,B,I,O,K,H,W,trials,mse,max_abs_err,saturations,"
               "bits_per_element,reduction_factor")
 
-OPERATORS = ("conv2d", "depthwise-conv2d", "linear", "layer-norm", "softmax", "gelu")
+INPUT_LOW, INPUT_HIGH = 0.0, 1.0
+WEIGHT_LOW, WEIGHT_HIGH = -1.0, 1.0
+# Largest tensor a bench row or ``save-tensor`` may build; checked on the
+# dimensions before anything is allocated.
+MAX_ELEMENTS = 1 << 24
+
+
+@dataclass(frozen=True)
+class _Operator:
+    """One bench operator.
+
+    ``input_shape(spec)`` is the shape of the input tensor;
+    ``operands(spec, cfg, rng, x)`` draws the rest of the quantized
+    arguments around ``x``; ``quantized(args, cfg, sat, variant)`` runs the
+    integer op on them and ``fp64(fargs)`` its FP64 mirror on the same
+    arguments with every tensor dequantized.  The ops are looked up by name
+    at call time, so patching a module attribute reaches them.
+    """
+
+    input_shape: Callable[["ExperimentSpec"], tuple[int, ...]]
+    operands: Callable[..., tuple]
+    quantized: Callable[..., QTensor]
+    fp64: Callable[[tuple], FTensor]
+
+
+def _random_tensor(rng: random.Random, shape: tuple[int, ...], cfg: ScaleConfig,
+                   low: float = WEIGHT_LOW, high: float = WEIGHT_HIGH) -> QTensor:
+    """Quantized uniform draws, in the weight range unless told otherwise."""
+    span = high - low
+    return _qtensor(shape, [low + span * rng.random() for _ in range(math.prod(shape))], cfg)
+
+
+def _conv(depthwise: bool) -> _Operator:
+    def operands(spec, cfg, rng, x):
+        w_ch = 1 if depthwise else spec.i
+        w = _random_tensor(rng, (spec.o, w_ch, spec.k, spec.k), cfg)
+        bias = _random_tensor(rng, (spec.o,), cfg)
+        return x, w, bias, ConvSpec(spec.i, spec.o, spec.k, depthwise=depthwise)
+    return _Operator(lambda s: (s.b, s.i, s.h, s.w), operands,
+                     lambda a, cfg, sat, v: conv2d(*a, cfg, sat),
+                     lambda f: ref.ref_conv2d(*f))
+
+
+def _linear_operands(spec, cfg, rng, x):
+    if spec.weight_mode == "identity":
+        return x, _identity_weight(spec.o, spec.i), QTensor((spec.o,), (ZERO,) * spec.o)
+    w = _random_tensor(rng, (spec.o, spec.i), cfg)
+    return x, w, _random_tensor(rng, (spec.o,), cfg)
+
+
+def _unit_norm_operands(spec, cfg, rng, x):
+    n = x.size
+    gamma = QTensor((n,), (quantize(1.0, cfg),) * n)
+    return x, LayerNormParams(gamma, QTensor((n,), (ZERO,) * n), ScaledInt(1, cfg.scale_max))
+
+
+def _flat_input(s):
+    return (s.h * s.w,)
+
+
+def _input_only(spec, cfg, rng, x):
+    return (x,)
+
+
+_OPERATORS = {
+    "conv2d": _conv(depthwise=False),
+    "depthwise-conv2d": _conv(depthwise=True),
+    "linear": _Operator(
+        lambda s: (s.h * s.w, s.i), _linear_operands,
+        lambda a, cfg, sat, v: linear(*a, cfg, sat),
+        lambda f: ref.ref_linear(*f)),
+    "layer-norm": _Operator(
+        _flat_input, _unit_norm_operands,
+        lambda a, cfg, sat, v: layer_norm(*a, cfg, sat),
+        lambda f: ref.ref_layer_norm(f[0], [1.0] * f[0].size, [0.0] * f[0].size,
+                                     dequantize(f[1].eps))),
+    "softmax": _Operator(
+        _flat_input, _input_only,
+        lambda a, cfg, sat, v: softmax_tensor(*a, cfg, sat),
+        lambda f: FTensor(f[0].shape, tuple(ref.ref_softmax_series(f[0].data)))),
+    "gelu": _Operator(
+        _flat_input, _input_only,
+        lambda a, cfg, sat, v: gelu_map(*a, cfg, sat, v),
+        lambda f: FTensor(f[0].shape, tuple(ref.ref_gelu_exact(v) for v in f[0].data))),
+}
+
+OPERATORS = tuple(_OPERATORS)
 
 
 @dataclass(frozen=True)
@@ -66,10 +155,6 @@ class ExperimentSpec:
     w: int = 16
     trials: int = 25
     seed: int = 0
-    input_low: float = 0.0
-    input_high: float = 1.0
-    weight_low: float = -1.0
-    weight_high: float = 1.0
     weight_mode: str = "random"
     label: str = ""
 
@@ -78,6 +163,10 @@ class ExperimentSpec:
             raise UsageError(f"unknown operator {self.operator!r}; choose from {OPERATORS}")
         if min(self.b, self.i, self.o, self.k, self.h, self.w) < 1:
             raise UsageError("all dimensions must be positive")
+        # Bounds every tensor any operator builds from these dimensions.
+        if max(self.b * max(self.i, self.o) * self.h * self.w,
+               self.o * self.i * self.k * self.k) > MAX_ELEMENTS:
+            raise UsageError(f"dimensions give a tensor above {MAX_ELEMENTS} elements")
         if self.trials < 1:
             raise UsageError("trials must be >= 1")
         if self.weight_mode not in ("random", "identity"):
@@ -130,114 +219,15 @@ def _trial_seed(seed: int, trial: int) -> int:
     return seed * 1_000_003 + trial
 
 
-def _rand_floats(rng: random.Random, n: int, low: float, high: float) -> list[float]:
-    span = high - low
-    return [low + span * rng.random() for _ in range(n)]
-
-
-def _quantize_all(values: list[float], cfg: ScaleConfig) -> list[ScaledInt]:
-    return [quantize(v, cfg) for v in values]
-
-
-def _qtensor(shape: tuple[int, ...], values: list[float], cfg: ScaleConfig) -> QTensor:
-    return QTensor(shape, tuple(_quantize_all(values, cfg)))
+def _qtensor(shape: tuple[int, ...], values: Sequence[float], cfg: ScaleConfig) -> QTensor:
+    return QTensor(shape, tuple(quantize(v, cfg) for v in values))
 
 
 def _identity_weight(out_f: int, in_f: int) -> QTensor:
     if out_f != in_f:
         raise UsageError("identity weights need matching input/output sizes")
-    one = ScaledInt(1, 0)
-    zero = ScaledInt(0)
     return QTensor((out_f, in_f),
-                   tuple(one if r == c else zero for r in range(out_f) for c in range(in_f)))
-
-
-def _run_trial(spec: ExperimentSpec, cfg: ScaleConfig, rng: random.Random,
-               sat: SaturationCounter, fixed_input: FTensor | None,
-               gelu_variant: str | None) -> tuple[QTensor, FTensor]:
-    op = spec.operator
-    if op in ("conv2d", "depthwise-conv2d"):
-        depthwise = op == "depthwise-conv2d"
-        cspec = ConvSpec(spec.i, spec.o, spec.k, depthwise=depthwise)
-        in_shape = (spec.b, spec.i, spec.h, spec.w)
-        w_ch = 1 if depthwise else spec.i
-        w_shape = (spec.o, w_ch, spec.k, spec.k)
-        if fixed_input is not None:
-            if fixed_input.shape != in_shape:
-                raise UsageError(f"input file shape {fixed_input.shape} != {in_shape}")
-            x = _qtensor(in_shape, list(fixed_input.data), cfg)
-        else:
-            x = _qtensor(in_shape, _rand_floats(rng, _count(in_shape),
-                                                spec.input_low, spec.input_high), cfg)
-        w = _qtensor(w_shape, _rand_floats(rng, _count(w_shape),
-                                           spec.weight_low, spec.weight_high), cfg)
-        bias = _qtensor((spec.o,), _rand_floats(rng, spec.o,
-                                                spec.weight_low, spec.weight_high), cfg)
-        fn = depthwise_conv2d if depthwise else conv2d
-        q_out = fn(x, w, bias, cspec, cfg, sat)
-        f_out = ref.ref_conv2d(ref.dequantize_tensor(x), ref.dequantize_tensor(w),
-                               ref.dequantize_tensor(bias), cspec)
-        return q_out, f_out
-
-    if op == "linear":
-        rows = spec.h * spec.w
-        in_shape = (rows, spec.i)
-        if fixed_input is not None:
-            if fixed_input.shape != in_shape:
-                raise UsageError(f"input file shape {fixed_input.shape} != {in_shape}")
-            x = _qtensor(in_shape, list(fixed_input.data), cfg)
-        else:
-            x = _qtensor(in_shape, _rand_floats(rng, rows * spec.i,
-                                                spec.input_low, spec.input_high), cfg)
-        if spec.weight_mode == "identity":
-            w = _identity_weight(spec.o, spec.i)
-            bias = QTensor((spec.o,), (ScaledInt(0),) * spec.o)
-        else:
-            w = _qtensor((spec.o, spec.i), _rand_floats(rng, spec.o * spec.i,
-                                                        spec.weight_low, spec.weight_high), cfg)
-            bias = _qtensor((spec.o,), _rand_floats(rng, spec.o,
-                                                    spec.weight_low, spec.weight_high), cfg)
-        q_out = linear(x, w, bias, cfg, sat)
-        f_out = ref.ref_linear(ref.dequantize_tensor(x), ref.dequantize_tensor(w),
-                               ref.dequantize_tensor(bias))
-        return q_out, f_out
-
-    n = spec.h * spec.w
-    if fixed_input is not None:
-        if _count(fixed_input.shape) != n:
-            raise UsageError(f"input file has {_count(fixed_input.shape)} elements, need {n}")
-        values = list(fixed_input.data)
-    else:
-        values = _rand_floats(rng, n, spec.input_low, spec.input_high)
-    x = _qtensor((n,), values, cfg)
-    xd = ref.dequantize_tensor(x)
-
-    if op == "layer-norm":
-        gamma = QTensor((n,), tuple(quantize(1.0, cfg) for _ in range(n)))
-        beta = QTensor((n,), (ScaledInt(0),) * n)
-        params = LayerNormParams(gamma, beta, ScaledInt(1, cfg.scale_max))
-        q_out = layer_norm(x, params, cfg, sat)
-        f_out = ref.ref_layer_norm(xd, [1.0] * n, [0.0] * n,
-                                   dequantize(params.eps))
-        return q_out, f_out
-
-    if op == "softmax":
-        q_out = softmax_tensor(x, cfg, sat)
-        return q_out, FTensor((n,), tuple(ref.ref_softmax_series(xd.data)))
-
-    if op == "gelu":
-        variant = gelu_variant or cfg.gelu_variant
-        q_out = gelu_map(x, cfg, sat, variant)
-        return q_out, FTensor((n,), tuple(ref.ref_gelu_exact(v) for v in xd.data))
-
-    raise UsageError(f"unknown operator {op!r}")
-
-
-def _count(shape: tuple[int, ...]) -> int:
-    n = 1
-    for d in shape:
-        n *= d
-    return n
+                   tuple(ONE if r == c else ZERO for r in range(out_f) for c in range(in_f)))
 
 
 def run_bench(spec: ExperimentSpec, cfg: ScaleConfig,
@@ -245,21 +235,30 @@ def run_bench(spec: ExperimentSpec, cfg: ScaleConfig,
               gelu_variant: str | None = None) -> BenchReport:
     """Run one experiment, pooling squared error over all trials."""
     start = time.perf_counter()
+    op = _OPERATORS[spec.operator]
+    shape = op.input_shape(spec)
+    # Elementwise rows take the file's elements in order, whatever its shape.
+    if fixed_input is not None:
+        if fixed_input.shape != shape and (len(shape) > 1 or fixed_input.size != shape[0]):
+            raise UsageError(f"input file shape {fixed_input.shape} does not fit {shape}")
+        fixed = _qtensor(shape, fixed_input.data, cfg)
+    variant = gelu_variant or cfg.gelu_variant
     sat = SaturationCounter()
     sq_sum = 0.0
     count = 0
     worst = 0.0
     for t in range(spec.trials):
         rng = random.Random(_trial_seed(spec.seed, t))
-        q_out, f_out = _run_trial(spec, cfg, rng, sat, fixed_input, gelu_variant)
-        if q_out.shape != f_out.shape:
-            raise ShapeError("quantized and reference outputs disagree on shape")
-        for qe, fe in zip(q_out.data, f_out.data):
-            diff = dequantize(qe) - fe
+        x = fixed if fixed_input is not None else _random_tensor(
+            rng, shape, cfg, INPUT_LOW, INPUT_HIGH)
+        args = op.operands(spec, cfg, rng, x)
+        q_out = op.quantized(args, cfg, sat, variant)
+        f_out = op.fp64(tuple(ref.dequantize_tensor(a) if isinstance(a, QTensor) else a
+                              for a in args))
+        for diff in ref.errors(q_out, f_out):
             sq_sum += diff * diff
-            if abs(diff) > worst:
-                worst = abs(diff)
-        count += len(f_out.data)
+            worst = max(worst, abs(diff))
+        count += f_out.size
     return BenchReport(
         spec=spec,
         mse=sq_sum / count,
@@ -316,17 +315,6 @@ class DivSweepReport:
                f"{self.max_rel_err!r},{self.mean_rel_err!r},"
                f"{self.worst_dividend},{self.worst_divisor}")
         return header + "\n" + row + "\n"
-
-    def as_dict(self) -> dict:
-        return {
-            "pairs": self.pairs,
-            "exact": self.exact,
-            "divisible_inexact": self.divisible_inexact,
-            "max_rel_err": self.max_rel_err,
-            "mean_rel_err": self.mean_rel_err,
-            "worst_dividend": self.worst_dividend,
-            "worst_divisor": self.worst_divisor,
-        }
 
 
 def _to_fraction(q: ScaledInt) -> Fraction:
@@ -387,27 +375,35 @@ def save_tensor(path: str, tensor: FTensor | QTensor) -> None:
 
 
 def load_tensor(path: str, cfg: ScaleConfig) -> FTensor | QTensor:
+    """Read a tensor file.  Malformed contents raise ``UsageError``; a scaled
+    entry outside the configured format raises ``RangeError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         shape = tuple(int(d) for d in payload["shape"])
         kind = payload["kind"]
-        data = payload["data"]
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        if kind == "f64":
+            elements = tuple(float(v) for v in payload["data"])
+        elif kind == "scaled":
+            pairs = [(int(value), int(scale)) for value, scale in payload["data"]]
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot read tensor file {path}: {exc}") from exc
     if kind == "f64":
-        return FTensor(shape, tuple(float(v) for v in data))
-    if kind == "scaled":
-        elements = []
-        for pair in data:
-            value, scale = int(pair[0]), int(pair[1])
+        tensor_type = FTensor
+    elif kind == "scaled":
+        for value, scale in pairs:
             if abs(value) > cfg.max_magnitude:
                 raise RangeError(f"stored integer {value} exceeds +/-{cfg.max_magnitude}")
             if not cfg.scale_min <= scale <= cfg.scale_max:
                 raise RangeError(f"scale {scale} outside [{cfg.scale_min}, {cfg.scale_max}]")
-            elements.append(ScaledInt.from_signed(value, scale))
-        return QTensor(shape, tuple(elements))
-    raise UsageError(f"unknown tensor kind {kind!r}")
+        tensor_type = QTensor
+        elements = tuple(ScaledInt.from_signed(value, scale) for value, scale in pairs)
+    else:
+        raise UsageError(f"unknown tensor kind {kind!r}")
+    try:
+        return tensor_type(shape, elements)
+    except ShapeError as exc:
+        raise UsageError(f"bad tensor file {path}: {exc}") from exc
 
 
 def memory_report(cfg: ScaleConfig) -> dict:

@@ -13,7 +13,9 @@ error in supplied data.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 
 from .core import (
@@ -30,6 +32,7 @@ from .newton import newton_inv_sqrt
 from .ops import ShapeError, gelu
 from .bench import (
     CSV_HEADER,
+    MAX_ELEMENTS,
     ExperimentSpec,
     OPERATORS,
     UsageError,
@@ -63,30 +66,29 @@ def _add_config_flags(p: argparse.ArgumentParser):
 
 
 def _build_config(args) -> tuple[ScaleConfig, int]:
+    defaults = {f.name: f.default for f in dataclasses.fields(ScaleConfig)}
+    defaults["seed"] = 0
     values = {}
-    seed = 0
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+                values = json.load(fh)
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(raw, dict):
+        if not isinstance(values, dict):
             raise UsageError("config file must hold a JSON object")
-        seed = int(raw.pop("seed", 0))
-        for key in ("p_bits", "scale_bits", "div_t_max", "newton_iters", "gelu_variant"):
-            if key in raw:
-                values[key] = raw.pop(key)
-        if raw:
-            raise UsageError(f"unknown config keys: {sorted(raw)}")
-    for attr, key in (("p_bits", "p_bits"), ("scale_bits", "scale_bits"),
-                      ("div_t_max", "div_t_max"), ("newton_iters", "newton_iters"),
-                      ("gelu_variant", "gelu_variant")):
-        flag = getattr(args, attr, None)
+        unknown = sorted(set(values) - set(defaults))
+        if unknown:
+            raise UsageError(f"unknown config keys: {unknown}")
+        for key, value in values.items():
+            if type(value) is not type(defaults[key]):
+                raise UsageError(f"config key {key} must be "
+                                 f"{type(defaults[key]).__name__}, got {value!r}")
+    for key in defaults:
+        flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
+    seed = values.pop("seed", 0)
     try:
         return ScaleConfig(**values), seed
     except ValueError as exc:
@@ -215,7 +217,7 @@ def _cmd_div_sweep(args, out) -> int:
     cfg, _ = _build_config(args)
     report = div_sweep(cfg)
     if args.as_json:
-        out.write(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
+        out.write(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n")
     else:
         out.write(report.csv())
     return 0
@@ -274,9 +276,9 @@ def _cmd_save_tensor(args, out) -> int:
         raise UsageError(f"bad shape {args.shape!r}") from exc
     if any(d < 1 for d in shape):
         raise UsageError("shape dims must be positive")
-    n = 1
-    for d in shape:
-        n *= d
+    n = math.prod(shape)
+    if n > MAX_ELEMENTS:
+        raise UsageError(f"shape {shape} has {n} elements, above {MAX_ELEMENTS}")
     rng = _random.Random(seed)
     span = args.high - args.low
     data = tuple(args.low + span * rng.random() for _ in range(n))

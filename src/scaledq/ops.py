@@ -9,8 +9,9 @@ normalize the single wide result once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     ONE,
@@ -44,22 +45,9 @@ class QTensor:
     data: tuple[ScaledInt, ...]
 
     def __post_init__(self):
-        n = 1
-        for d in self.shape:
-            n *= d
+        n = math.prod(self.shape)
         if n != len(self.data):
             raise ShapeError(f"shape {self.shape} needs {n} elements, got {len(self.data)}")
-
-    @classmethod
-    def build(cls, shape: Sequence[int], elements: Iterable[ScaledInt]) -> "QTensor":
-        return cls(tuple(shape), tuple(elements))
-
-    @classmethod
-    def filled(cls, shape: Sequence[int], element: ScaledInt) -> "QTensor":
-        n = 1
-        for d in shape:
-            n *= d
-        return cls(tuple(shape), (element,) * n)
 
     @property
     def size(self) -> int:
@@ -205,21 +193,6 @@ def conv2d(
                         acc = scale_add(acc, bias.data[o], cfg, sat)
                     out.append(acc)
     return QTensor((batch, out_ch, h_out, w_out), tuple(out))
-
-
-def depthwise_conv2d(
-    x: QTensor,
-    weight: QTensor,
-    bias: QTensor | None,
-    spec: ConvSpec,
-    cfg: ScaleConfig,
-    sat: SaturationCounter | None = None,
-) -> QTensor:
-    """Grouped convolution with one filter per input channel."""
-    if not spec.depthwise:
-        spec = ConvSpec(spec.in_channels, spec.out_channels, spec.kernel,
-                        spec.stride, spec.padding, depthwise=True)
-    return conv2d(x, weight, bias, spec, cfg, sat)
 
 
 def linear(

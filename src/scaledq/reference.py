@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import GELU_SERIES_CUBED, GELU_SERIES_CUBED_CORRECTED, GELU_SERIES_LINEAR, dequantize
 from .ops import ConvSpec, QTensor, ShapeError
@@ -30,15 +30,9 @@ class FTensor:
     data: tuple[float, ...]
 
     def __post_init__(self):
-        n = 1
-        for d in self.shape:
-            n *= d
+        n = math.prod(self.shape)
         if n != len(self.data):
             raise ShapeError(f"shape {self.shape} needs {n} elements, got {len(self.data)}")
-
-    @classmethod
-    def build(cls, shape: Sequence[int], values: Sequence[float]) -> "FTensor":
-        return cls(tuple(shape), tuple(float(v) for v in values))
 
     @property
     def size(self) -> int:
@@ -85,14 +79,6 @@ def ref_conv2d(x: FTensor, weight: FTensor, bias: FTensor | None,
                         acc += bias.data[o]
                     out.append(acc)
     return FTensor((batch, out_ch, h_out, w_out), tuple(out))
-
-
-def ref_depthwise_conv2d(x: FTensor, weight: FTensor, bias: FTensor | None,
-                         spec: ConvSpec) -> FTensor:
-    if not spec.depthwise:
-        spec = ConvSpec(spec.in_channels, spec.out_channels, spec.kernel,
-                        spec.stride, spec.padding, depthwise=True)
-    return ref_conv2d(x, weight, bias, spec)
 
 
 def ref_linear(x: FTensor, weight: FTensor, bias: FTensor | None) -> FTensor:
@@ -211,24 +197,25 @@ def ref_factorized_attention(q: FTensor, k: FTensor, v: FTensor, d_m: int) -> FT
     return ref_matmul(q_scaled, context)
 
 
+def errors(quantized: QTensor, reference: FTensor) -> Iterator[float]:
+    """Signed error of each dequantized element against the reference, in
+    row-major order; the one place quantized outputs are scored."""
+    if quantized.shape != reference.shape:
+        raise ShapeError(f"shape mismatch: {quantized.shape} vs {reference.shape}")
+    return (dequantize(qe) - re for qe, re in zip(quantized.data, reference.data))
+
+
 def mse(quantized: QTensor, reference: FTensor) -> float:
     """Mean squared error between dequantized outputs and the reference,
     averaged over every element."""
-    if quantized.shape != reference.shape:
-        raise ShapeError(f"shape mismatch: {quantized.shape} vs {reference.shape}")
     total = 0.0
-    for qe, re in zip(quantized.data, reference.data):
-        diff = dequantize(qe) - re
+    for diff in errors(quantized, reference):
         total += diff * diff
-    return total / len(reference.data)
+    return total / reference.size
 
 
 def max_abs_error(quantized: QTensor, reference: FTensor) -> float:
-    if quantized.shape != reference.shape:
-        raise ShapeError(f"shape mismatch: {quantized.shape} vs {reference.shape}")
     worst = 0.0
-    for qe, re in zip(quantized.data, reference.data):
-        diff = abs(dequantize(qe) - re)
-        if diff > worst:
-            worst = diff
+    for diff in errors(quantized, reference):
+        worst = max(worst, abs(diff))
     return worst

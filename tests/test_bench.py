@@ -1,5 +1,6 @@
 """Harness tests: experiment plumbing, reports, tensor files, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -20,6 +21,7 @@ from scaledq.bench import (
     save_tensor,
     suite_specs,
 )
+from scaledq.cli import main
 
 CFG = ScaleConfig()
 
@@ -34,6 +36,16 @@ class TestExperimentSpec:
             ExperimentSpec("conv2d", h=0)
         with pytest.raises(UsageError):
             ExperimentSpec("conv2d", trials=0)
+
+    @pytest.mark.parametrize("dims", [dict(h=100000, w=100000),
+                                      dict(b=4096, i=4096, h=2, w=2),
+                                      dict(i=4096, o=4096, k=2)])
+    def test_oversized_dims_rejected(self, dims):
+        with pytest.raises(UsageError, match="elements"):
+            ExperimentSpec("conv2d", **dims)
+
+    def test_full_size_image_accepted(self):
+        ExperimentSpec("conv2d", i=3, o=9, k=3, h=224, w=224)
 
 
 class TestRunBench:
@@ -148,6 +160,41 @@ class TestTensorFiles:
             load_tensor(str(p), CFG)
         with pytest.raises(UsageError):
             load_tensor(str(tmp_path / "missing.json"), CFG)
+
+    @pytest.mark.parametrize("payload", [
+        {"shape": [2], "kind": "scaled", "data": [1, 2]},
+        {"shape": [1], "kind": "scaled", "data": [[1, 2, 3]]},
+        {"shape": [1], "kind": "scaled", "data": [["a", 0]]},
+        {"shape": [2], "kind": "f64", "data": [0.5, "x"]},
+        {"shape": [1], "kind": "f64", "data": [None]},
+        {"shape": [2, 2], "kind": "f64", "data": [0.5, 1.0]},
+        {"shape": [3], "kind": "scaled", "data": [[1, 0]]},
+        {"shape": [1], "kind": "complex", "data": [1]},
+    ])
+    def test_bad_contents_are_usage_errors(self, tmp_path, payload):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(payload))
+        with pytest.raises(UsageError):
+            load_tensor(str(p), CFG)
+
+
+# SHA-256 of CLI reports, pinned so a refactor that changes any byte fails.
+GOLDEN = [
+    (("bench", "suite", "--trials", "3", "--height", "8"),
+     "6d213d3a56264113701f16c8b1e6627aea76b66a3e0214a189d36c31e5fcc9c6"),
+    (("div-sweep",),
+     "105aef91e8579d92e89f9cedb3c01764404fae44d42c2a5b18c85153ce3cf286"),
+    (("div-sweep", "--json"),
+     "feb5d0a9c1b7cfe6a469657e415dcac1bd22f6cf0085a635affc493e2309e881"),
+    (("info",),
+     "308a12afe3748b81e3e310775f72399b5ba0a75a2dddeb02fba8ce05b6cd5d37"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_report_bytes(capsys, argv, digest):
+    assert main(list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestMemoryReport:

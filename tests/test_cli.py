@@ -53,6 +53,16 @@ class TestInfo:
         assert code == 1
         assert "bogus" in err
 
+    @pytest.mark.parametrize("raw", [{"p_bits": "8"}, {"seed": "x"}, {"seed": 1.5},
+                                     {"newton_iters": True}, {"gelu_variant": 3},
+                                     {"p_bits": 1}])
+    def test_bad_config_value_one_line(self, capsys, tmp_path, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "info", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("scaledq: error:") and err.count("\n") == 1
+
 
 class TestInvsqrt:
     def test_trace_output(self, capsys):
@@ -132,6 +142,25 @@ class TestBench:
                                "--trials", "2", "--input-file", str(path))
         assert code == 0
 
+    @pytest.mark.parametrize("payload", [
+        {"shape": [2, 2], "kind": "scaled", "data": [1, 2]},
+        {"shape": [2, 2], "kind": "f64", "data": [0.1, 0.2, "x", 0.4]},
+        {"shape": [2, 2], "kind": "f64", "data": [0.1, 0.2, 0.3]},
+    ])
+    def test_bad_input_file_exit_1(self, capsys, tmp_path, payload):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, "bench", "softmax", "--height", "2",
+                               "--width", "2", "--trials", "1", "--input-file", str(path))
+        assert code == 1
+        assert err.startswith("scaledq: error:") and err.count("\n") == 1
+
+    def test_oversized_dims_exit_1(self, capsys):
+        code, _, err = run_cli(capsys, "bench", "softmax", "--height", "100000",
+                               "--width", "100000")
+        assert code == 1
+        assert "elements" in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.csv"
         code, out, _ = run_cli(capsys, "bench", "softmax", "--height", "2",
@@ -206,3 +235,11 @@ class TestSaveTensor:
         code, _, _ = run_cli(capsys, "save-tensor", str(tmp_path / "x.json"),
                              "--shape", "2,x")
         assert code == 1
+
+    def test_oversized_shape_rejected_before_allocation(self, capsys, tmp_path):
+        path = tmp_path / "x.json"
+        code, _, err = run_cli(capsys, "save-tensor", str(path),
+                               "--shape", "100000,100000,100000")
+        assert code == 1
+        assert "elements" in err
+        assert not path.exists()

@@ -21,7 +21,6 @@ from scaledq.ops import (
     ShapeError,
     attention,
     conv2d,
-    depthwise_conv2d,
     factorized_attention,
     gelu,
     gelu_map,
@@ -131,13 +130,13 @@ class TestDepthwise:
         w = qt((1, 1, 1, 1), [0.7])
         b = qt((1,), [0.1])
         a = conv2d(x, w, b, ConvSpec(1, 1, 1), CFG)
-        d = depthwise_conv2d(x, w, b, ConvSpec(1, 1, 1, depthwise=True), CFG)
+        d = conv2d(x, w, b, ConvSpec(1, 1, 1, depthwise=True), CFG)
         assert a.data == d.data
 
     def test_identity_taps_passthrough(self):
         x = qt((1, 3, 2, 2), [0.1 * i for i in range(12)])
         w = QTensor((3, 1, 1, 1), (ScaledInt(1, 0),) * 3)
-        out = depthwise_conv2d(x, w, None, ConvSpec(3, 3, 1, depthwise=True), CFG)
+        out = conv2d(x, w, None, ConvSpec(3, 3, 1, depthwise=True), CFG)
         assert out.data == x.data
 
     @pytest.mark.parametrize("out_ch,limit", [(3, 2.8e-4), (9, 5.9e-2)])
@@ -147,9 +146,9 @@ class TestDepthwise:
         w = qt((out_ch, 1, 1, 1), [rng.uniform(-1, 1) for _ in range(out_ch)])
         b = qt((out_ch,), [rng.uniform(-1, 1) for _ in range(out_ch)])
         spec = ConvSpec(3, out_ch, 1, depthwise=True)
-        got = depthwise_conv2d(x, w, b, spec, CFG)
-        want = ref.ref_depthwise_conv2d(ref.dequantize_tensor(x), ref.dequantize_tensor(w),
-                                        ref.dequantize_tensor(b), spec)
+        got = conv2d(x, w, b, spec, CFG)
+        want = ref.ref_conv2d(ref.dequantize_tensor(x), ref.dequantize_tensor(w),
+                              ref.dequantize_tensor(b), spec)
         assert ref.mse(got, want) <= limit
 
 
