@@ -188,6 +188,24 @@ GOLDEN = [
      "feb5d0a9c1b7cfe6a469657e415dcac1bd22f6cf0085a635affc493e2309e881"),
     (("info",),
      "308a12afe3748b81e3e310775f72399b5ba0a75a2dddeb02fba8ce05b6cd5d37"),
+    (("info", "--json"),
+     "7c0cc6bf55bb83e2e8eab5e366475576ee6be4d76fe4e7597577df7c6c6d1666"),
+    (("bench", "linear", "--height", "4", "--width", "4", "--trials", "2"),
+     "591151b880f91db55e3ffc849f1ed9c72e61194617e15f48186cf0f3e3020931"),
+    (("bench", "conv2d", "--kernel", "3", "--height", "6", "--width", "6", "--trials", "2"),
+     "cbb07d0c610810d845118d381e38766d384292b46a09ae4f386e7a3669f8ead2"),
+    (("quantize", "15.25"),
+     "2ec3293994e4caad0d11c79a1935b6735f26b9a7ed3431971319f5f2a3efaf6d"),
+    (("quantize", "-0.3", "--json"),
+     "0011c9d52198f82acc13823e1a587e7a2b0f7f55eaef6847d525dab8c0708fa3"),
+    (("invsqrt", "15.25", "--int", "122", "--scale", "3", "--iters", "8"),
+     "70968e5af1b1521adff1119fe2c1a25132710facd6abaac392ebd8c267b3523c"),
+    (("invsqrt", "15.25", "--int", "122", "--scale", "3", "--iters", "8", "--json"),
+     "c6faa91bc4aea2ba6a3d9ef9daaa0f22c2e90baeccce32edd98f648a0116ec9e"),
+    (("gelu-curve",),
+     "4d0ea3dc40daad853d4d61c7ac2cfae50564e885d93bdce343464c1b20c1c827"),
+    (("gelu-curve", "--variant", "series-cubed", "--steps", "9"),
+     "79a2bae29b0e8cbafe7073e9518e682bedbef79de9a014f84f89b0ecb7a595ce"),
 ]
 
 
@@ -195,6 +213,17 @@ GOLDEN = [
 def test_golden_report_bytes(capsys, argv, digest):
     assert main(list(argv)) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("operator", ["linear", "suite"])
+def test_bench_json_keys_are_csv_columns_plus_wall_time(capsys, operator):
+    argv = ["bench", operator, "--height", "2", "--trials", "1"]
+    assert main(argv) == 0
+    header = capsys.readouterr().out.splitlines()[0].split(",")
+    assert main(argv + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    for row in payload if isinstance(payload, list) else [payload]:
+        assert sorted(row) == sorted(header + ["wall_time_s"])
 
 
 class TestMemoryReport:
