@@ -10,13 +10,14 @@ keeps trials independent yet byte-reproducible.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     GELU_SERIES_CUBED,
@@ -49,9 +50,6 @@ from .reference import FTensor
 class UsageError(ValueError):
     """Bad experiment description or file contents."""
 
-
-CSV_HEADER = ("operator,B,I,O,K,H,W,trials,mse,max_abs_err,saturations,"
-              "bits_per_element,reduction_factor")
 
 INPUT_LOW, INPUT_HIGH = 0.0, 1.0
 WEIGHT_LOW, WEIGHT_HIGH = -1.0, 1.0
@@ -190,13 +188,8 @@ class BenchReport:
     def operator_label(self) -> str:
         return self.spec.label or self.spec.operator
 
-    def csv_row(self) -> str:
-        s = self.spec
-        return (f"{self.operator_label},{s.b},{s.i},{s.o},{s.k},{s.h},{s.w},"
-                f"{s.trials},{self.mse!r},{self.max_abs_err!r},{self.saturations},"
-                f"{self.bits_per_element},{self.reduction_factor!r}")
-
-    def as_dict(self) -> dict:
+    def row(self) -> dict:
+        """The CSV columns, in order."""
         s = self.spec
         return {
             "operator": self.operator_label,
@@ -207,12 +200,21 @@ class BenchReport:
             "saturations": self.saturations,
             "bits_per_element": self.bits_per_element,
             "reduction_factor": self.reduction_factor,
-            "wall_time_s": self.wall_time_s,
         }
 
 
+def to_csv(rows: Iterable[dict]) -> Iterator[str]:
+    """CSV lines, lazily: a header of the first row's keys, then one line per
+    row.  ``str`` of a float is its shortest round-trip ``repr``, so every
+    report is byte-reproducible."""
+    for n, row in enumerate(rows):
+        if n == 0:
+            yield ",".join(row) + "\n"
+        yield ",".join(map(str, row.values())) + "\n"
+
+
 def reports_to_csv(reports: list[BenchReport]) -> str:
-    return "\n".join([CSV_HEADER] + [r.csv_row() for r in reports]) + "\n"
+    return "".join(to_csv(r.row() for r in reports))
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -308,14 +310,6 @@ class DivSweepReport:
     worst_dividend: int
     worst_divisor: int
 
-    def csv(self) -> str:
-        header = ("pairs,exact,divisible_inexact,max_rel_err,mean_rel_err,"
-                  "worst_dividend,worst_divisor")
-        row = (f"{self.pairs},{self.exact},{self.divisible_inexact},"
-               f"{self.max_rel_err!r},{self.mean_rel_err!r},"
-               f"{self.worst_dividend},{self.worst_divisor}")
-        return header + "\n" + row + "\n"
-
 
 def _to_fraction(q: ScaledInt) -> Fraction:
     mag = Fraction(q.magnitude, 1 << q.scale) if q.scale >= 0 else Fraction(q.magnitude << -q.scale)
@@ -324,8 +318,12 @@ def _to_fraction(q: ScaledInt) -> Fraction:
 
 def div_sweep(cfg: ScaleConfig) -> DivSweepReport:
     """Exhaustive quotient check over every magnitude pair at scale 0,
-    scored with exact rational arithmetic."""
+    scored with exact rational arithmetic.  Refused above ``MAX_ELEMENTS``
+    pairs, before the first division."""
     top = cfg.max_magnitude
+    if top * top > MAX_ELEMENTS:
+        raise UsageError(f"p_bits={cfg.p_bits} gives {top * top} division pairs, "
+                         f"above {MAX_ELEMENTS}")
     worst = Fraction(0)
     worst_pair = (1, 1)
     total = Fraction(0)
@@ -375,23 +373,34 @@ def save_tensor(path: str, tensor: FTensor | QTensor) -> None:
 
 
 def load_tensor(path: str, cfg: ScaleConfig) -> FTensor | QTensor:
-    """Read a tensor file.  Malformed contents raise ``UsageError``; a scaled
-    entry outside the configured format raises ``RangeError``."""
+    """Read a tensor file.  Malformed contents, including a shape dim or a
+    scaled pair that is not a JSON integer and an f64 entry that is not a
+    JSON number, raise ``UsageError``; a scaled entry outside the configured
+    format raises ``RangeError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        shape = tuple(int(d) for d in payload["shape"])
+        shape = tuple(payload["shape"])
         kind = payload["kind"]
-        if kind == "f64":
-            elements = tuple(float(v) for v in payload["data"])
-        elif kind == "scaled":
-            pairs = [(int(value), int(scale)) for value, scale in payload["data"]]
+        data = tuple(payload["data"])
+        if kind == "scaled":
+            pairs = [(value, scale) for value, scale in data]
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot read tensor file {path}: {exc}") from exc
+    # Exact JSON types, converting nothing: ``type(v) is int`` refuses
+    # floats, strings and bools alike.
+    if any(type(d) is not int for d in shape):
+        raise UsageError(f"bad tensor file {path}: shape {list(shape)} must hold integers")
     if kind == "f64":
+        if any(type(v) not in (int, float) for v in data):
+            raise UsageError(f"bad tensor file {path}: f64 data must be numbers")
         tensor_type = FTensor
+        elements = tuple(float(v) for v in data)
     elif kind == "scaled":
         for value, scale in pairs:
+            if type(value) is not int or type(scale) is not int:
+                raise UsageError(f"bad tensor file {path}: scaled entry "
+                                 f"{[value, scale]} is not two integers")
             if abs(value) > cfg.max_magnitude:
                 raise RangeError(f"stored integer {value} exceeds +/-{cfg.max_magnitude}")
             if not cfg.scale_min <= scale <= cfg.scale_max:
@@ -407,12 +416,5 @@ def load_tensor(path: str, cfg: ScaleConfig) -> FTensor | QTensor:
 
 
 def memory_report(cfg: ScaleConfig) -> dict:
-    return {
-        "p_bits": cfg.p_bits,
-        "scale_bits": cfg.scale_bits,
-        "div_t_max": cfg.div_t_max,
-        "newton_iters": cfg.newton_iters,
-        "gelu_variant": cfg.gelu_variant,
-        "bits_per_element": cfg.bits_per_element,
-        "reduction_factor": cfg.reduction_factor,
-    }
+    return {**dataclasses.asdict(cfg), "bits_per_element": cfg.bits_per_element,
+            "reduction_factor": cfg.reduction_factor}

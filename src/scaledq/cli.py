@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 import sys
+from typing import Iterable
 
 from .core import (
     DivisionByZero,
@@ -31,7 +32,6 @@ from .core import (
 from .newton import newton_inv_sqrt
 from .ops import ShapeError, gelu
 from .bench import (
-    CSV_HEADER,
     MAX_ELEMENTS,
     ExperimentSpec,
     OPERATORS,
@@ -39,12 +39,12 @@ from .bench import (
     div_sweep,
     load_tensor,
     memory_report,
-    reports_to_csv,
     run_bench,
     run_suite,
     save_tensor,
+    to_csv,
 )
-from .reference import FTensor, ref_gelu_exact, ref_newton_inv_sqrt
+from .reference import FTensor, dequantize_tensor, ref_gelu_exact, ref_newton_inv_sqrt
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,14 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="run one MSE experiment (or 'suite' for all rows)",
                        parents=[], add_help=True)
     b.add_argument("operator", choices=OPERATORS + ("suite",))
-    b.add_argument("--batch", type=int, default=1)
-    b.add_argument("--in-channels", type=int, default=3)
-    b.add_argument("--out-channels", type=int, default=3)
-    b.add_argument("--kernel", type=int, default=1)
-    b.add_argument("--height", type=int, default=16)
-    b.add_argument("--width", type=int, default=16)
-    b.add_argument("--trials", type=int, default=25)
-    b.add_argument("--weight-mode", choices=("random", "identity"), default="random")
+    b.add_argument("--batch", type=int)
+    b.add_argument("--in-channels", type=int)
+    b.add_argument("--out-channels", type=int)
+    b.add_argument("--kernel", type=int)
+    b.add_argument("--height", type=int)
+    b.add_argument("--width", type=int)
+    b.add_argument("--trials", type=int)
+    b.add_argument("--weight-mode", choices=("random", "identity"))
     b.add_argument("--input-file", help="fixed input tensor (JSON), reused every trial")
     b.add_argument("--json", action="store_true", dest="as_json")
     b.add_argument("--out", help="write report to this path instead of stdout")
@@ -156,34 +156,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(args, out, rows: Iterable[dict], doc) -> int:
+    """Write ``rows`` as CSV, or ``doc`` as JSON under ``--json``; to
+    ``--out`` where the subcommand has it, else to ``out``.  CSV is written
+    as the rows come, so a generator of rows is never held whole."""
+    if getattr(args, "as_json", False):
+        lines = [json.dumps(doc, indent=2, sort_keys=True) + "\n"]
+    else:
+        lines = to_csv(rows)
+    if getattr(args, "out", None):
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+    else:
+        out.writelines(lines)
+    return 0
+
+
+# bench flag dest -> the ExperimentSpec field it sets.  These flags have no
+# argparse default, so an unset one leaves the spec's default and
+# ``bench suite`` can tell which ones were given.
+_SPEC_FIELDS = {"batch": "b", "in_channels": "i", "out_channels": "o", "kernel": "k",
+                "height": "h", "width": "w", "trials": "trials", "weight_mode": "weight_mode"}
+
+
 def _cmd_bench(args, out) -> int:
     cfg, seed = _build_config(args)
+    given = [d for d in (*_SPEC_FIELDS, "input_file") if getattr(args, d) is not None]
     if args.operator == "suite":
-        reports = run_suite(cfg, seed=seed, trials=args.trials,
-                            side=args.height)
-        text = (json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True) + "\n"
-                if args.as_json else reports_to_csv(reports))
+        ignored = ["--" + d.replace("_", "-") for d in given if d not in ("height", "trials")]
+        if ignored:
+            raise UsageError(f"bench suite takes only --height and --trials, "
+                             f"not {', '.join(ignored)}")
+        sizes = {"side": args.height, "trials": args.trials}
+        reports = run_suite(cfg, seed=seed, **{k: v for k, v in sizes.items() if v is not None})
     else:
-        spec = ExperimentSpec(
-            args.operator, b=args.batch, i=args.in_channels, o=args.out_channels,
-            k=args.kernel, h=args.height, w=args.width, trials=args.trials,
-            seed=seed, weight_mode=args.weight_mode)
+        spec = ExperimentSpec(args.operator, seed=seed,
+                              **{_SPEC_FIELDS[d]: getattr(args, d) for d in given
+                                 if d in _SPEC_FIELDS})
         fixed = None
         if args.input_file:
-            loaded = load_tensor(args.input_file, cfg)
-            if not isinstance(loaded, FTensor):
-                from .reference import dequantize_tensor
-                loaded = dequantize_tensor(loaded)
-            fixed = loaded
-        report = run_bench(spec, cfg, fixed_input=fixed)
-        text = (json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
-                if args.as_json else CSV_HEADER + "\n" + report.csv_row() + "\n")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
-    return 0
+            fixed = load_tensor(args.input_file, cfg)
+            if not isinstance(fixed, FTensor):
+                fixed = dequantize_tensor(fixed)
+        reports = [run_bench(spec, cfg, fixed_input=fixed)]
+    rows = [r.row() for r in reports]
+    docs = [{**row, "wall_time_s": r.wall_time_s} for row, r in zip(rows, reports)]
+    return _emit(args, out, rows, docs if args.operator == "suite" else docs[0])
 
 
 def _cmd_invsqrt(args, out) -> int:
@@ -200,43 +218,25 @@ def _cmd_invsqrt(args, out) -> int:
     iters = args.iters if args.iters is not None else cfg.newton_iters
     final, trace = newton_inv_sqrt(x, y0, iters, cfg)
     _, fp_seq = ref_newton_inv_sqrt(args.value, dequantize(y0), iters)
-    if args.as_json:
-        rows = [{"iteration": j, "fp64": fp_seq[j], "int": y.magnitude,
-                 "scale": y.scale, "quantized": dequantize(y)}
-                for j, y in trace.entries]
-        out.write(json.dumps({"rows": rows, "final": dequantize(final)},
-                             indent=2, sort_keys=True) + "\n")
-    else:
-        out.write("iteration,fp64,int,scale,quantized\n")
-        for j, y in trace.entries:
-            out.write(f"{j},{fp_seq[j]!r},{y.magnitude},{y.scale},{dequantize(y)!r}\n")
-    return 0
+    rows = [{"iteration": j, "fp64": fp_seq[j], "int": y.magnitude,
+             "scale": y.scale, "quantized": dequantize(y)}
+            for j, y in trace.entries]
+    return _emit(args, out, rows, {"rows": rows, "final": dequantize(final)})
 
 
 def _cmd_div_sweep(args, out) -> int:
     cfg, _ = _build_config(args)
-    report = div_sweep(cfg)
-    if args.as_json:
-        out.write(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n")
-    else:
-        out.write(report.csv())
-    return 0
+    row = dataclasses.asdict(div_sweep(cfg))
+    return _emit(args, out, [row], row)
 
 
 def _cmd_quantize(args, out) -> int:
     cfg, _ = _build_config(args)
     q = quantize(args.value, cfg)
     back = dequantize(q)
-    if args.as_json:
-        out.write(json.dumps({"value": args.value, "int": q.signed_magnitude,
-                              "scale": q.scale, "dequantized": back,
-                              "abs_err": abs(back - args.value)},
-                             indent=2, sort_keys=True) + "\n")
-    else:
-        out.write("value,int,scale,dequantized,abs_err\n")
-        out.write(f"{args.value!r},{q.signed_magnitude},{q.scale},{back!r},"
-                  f"{abs(back - args.value)!r}\n")
-    return 0
+    row = {"value": args.value, "int": q.signed_magnitude, "scale": q.scale,
+           "dequantized": back, "abs_err": abs(back - args.value)}
+    return _emit(args, out, [row], row)
 
 
 def _cmd_gelu_curve(args, out) -> int:
@@ -245,25 +245,16 @@ def _cmd_gelu_curve(args, out) -> int:
         raise UsageError("need at least 2 steps")
     variant = args.variant or cfg.gelu_variant
     step = (args.stop - args.start) / (args.steps - 1)
-    out.write("x,quantized,exact\n")
-    for i in range(args.steps):
-        x = args.start + step * i
-        q = dequantize(gelu(quantize(x, cfg), cfg, variant=variant))
-        out.write(f"{x!r},{q!r},{ref_gelu_exact(x)!r}\n")
-    return 0
+    xs = (args.start + step * i for i in range(args.steps))
+    rows = ({"x": x, "quantized": dequantize(gelu(quantize(x, cfg), cfg, variant=variant)),
+             "exact": ref_gelu_exact(x)} for x in xs)
+    return _emit(args, out, rows, None)
 
 
 def _cmd_info(args, out) -> int:
     cfg, _ = _build_config(args)
     report = memory_report(cfg)
-    if args.as_json:
-        out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        keys = list(report)
-        out.write(",".join(keys) + "\n")
-        out.write(",".join(repr(report[k]) if isinstance(report[k], float)
-                           else str(report[k]) for k in keys) + "\n")
-    return 0
+    return _emit(args, out, [report], report)
 
 
 def _cmd_save_tensor(args, out) -> int:

@@ -53,9 +53,6 @@ class QTensor:
     def size(self) -> int:
         return len(self.data)
 
-    def at(self, *idx: int) -> ScaledInt:
-        return self.data[flat_index(self.shape, idx)]
-
 
 @dataclass(frozen=True)
 class ConvSpec:
@@ -87,17 +84,6 @@ class LayerNormParams:
     def __post_init__(self):
         if self.gamma.shape != self.beta.shape or len(self.gamma.shape) != 1:
             raise ShapeError("gamma and beta must be matching 1-D tensors")
-
-
-def flat_index(shape: tuple[int, ...], idx: tuple[int, ...]) -> int:
-    if len(shape) != len(idx):
-        raise ShapeError(f"index {idx} does not match shape {shape}")
-    flat = 0
-    for dim, i in zip(shape, idx):
-        if not 0 <= i < dim:
-            raise ShapeError(f"index {idx} out of bounds for shape {shape}")
-        flat = flat * dim + i
-    return flat
 
 
 def sum_aligned(

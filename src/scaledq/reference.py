@@ -38,12 +38,6 @@ class FTensor:
     def size(self) -> int:
         return len(self.data)
 
-    def at(self, *idx: int) -> float:
-        flat = 0
-        for dim, i in zip(self.shape, idx):
-            flat = flat * dim + i
-        return self.data[flat]
-
 
 def dequantize_tensor(q: QTensor) -> FTensor:
     return FTensor(q.shape, tuple(dequantize(e) for e in q.data))
@@ -73,8 +67,8 @@ def ref_conv2d(x: FTensor, weight: FTensor, bias: FTensor | None,
                                 iw = ow * spec.stride - spec.padding + kx
                                 if not 0 <= iw < width:
                                     continue
-                                acc += (x.at(b, i, ih, iw)
-                                        * weight.at(o, ci, ky, kx))
+                                acc += (x.data[((b * in_ch + i) * height + ih) * width + iw]
+                                        * weight.data[((o * w_ch + ci) * k + ky) * k + kx])
                     if bias is not None:
                         acc += bias.data[o]
                     out.append(acc)

@@ -9,7 +9,6 @@ from scaledq.core import RangeError, ScaleConfig, ScaledInt
 from scaledq.ops import QTensor
 from scaledq.reference import FTensor
 from scaledq.bench import (
-    CSV_HEADER,
     ExperimentSpec,
     UsageError,
     div_sweep,
@@ -24,6 +23,8 @@ from scaledq.bench import (
 from scaledq.cli import main
 
 CFG = ScaleConfig()
+CSV_HEADER = ("operator,B,I,O,K,H,W,trials,mse,max_abs_err,saturations,"
+              "bits_per_element,reduction_factor")
 
 
 class TestExperimentSpec:
@@ -60,7 +61,7 @@ class TestRunBench:
         spec = ExperimentSpec("conv2d", i=2, o=2, h=6, w=6, trials=3, seed=11)
         a = run_bench(spec, CFG)
         b = run_bench(spec, CFG)
-        assert a.csv_row() == b.csv_row()
+        assert reports_to_csv([a]) == reports_to_csv([b])
 
     def test_different_seed_differs(self):
         s1 = ExperimentSpec("conv2d", i=2, o=2, h=6, w=6, trials=3, seed=1)
@@ -78,11 +79,10 @@ class TestRunBench:
 
     def test_report_row_fields(self):
         spec = ExperimentSpec("softmax", i=1, o=1, h=2, w=2, trials=2)
-        row = run_bench(spec, CFG).csv_row()
-        fields = row.split(",")
-        assert len(fields) == len(CSV_HEADER.split(","))
-        assert fields[0] == "softmax"
-        assert int(fields[7]) == 2
+        row = run_bench(spec, CFG).row()
+        assert list(row) == CSV_HEADER.split(",")
+        assert row["operator"] == "softmax"
+        assert row["trials"] == 2
 
     def test_gelu_variant_label(self):
         spec = ExperimentSpec("gelu", h=2, w=2, trials=1, label="gelu[series-linear]")
@@ -116,6 +116,10 @@ class TestDivSweep:
         assert report.pairs == 15 * 15
         assert report.divisible_inexact == 0
         assert report.max_rel_err <= 2 ** -2  # 4-bit magnitudes are coarse
+
+    def test_refused_above_max_elements(self):
+        with pytest.raises(UsageError, match="pairs"):
+            div_sweep(ScaleConfig(p_bits=13))
 
 
 class TestTensorFiles:
@@ -170,6 +174,15 @@ class TestTensorFiles:
         {"shape": [2, 2], "kind": "f64", "data": [0.5, 1.0]},
         {"shape": [3], "kind": "scaled", "data": [[1, 0]]},
         {"shape": [1], "kind": "complex", "data": [1]},
+        {"shape": [1], "kind": "scaled", "data": [[1.5, 0]]},
+        {"shape": [1], "kind": "scaled", "data": [["7", 0]]},
+        {"shape": [1], "kind": "scaled", "data": [[1, 0.0]]},
+        {"shape": [1], "kind": "scaled", "data": [[True, 0]]},
+        {"shape": [2.5], "kind": "f64", "data": [0.5, 1.0]},
+        {"shape": [True], "kind": "f64", "data": [0.5]},
+        {"shape": [1], "kind": "f64", "data": ["0.5"]},
+        {"shape": [1], "kind": "f64", "data": [True]},
+        {"shape": [1], "kind": "f64", "data": 0.5},
     ])
     def test_bad_contents_are_usage_errors(self, tmp_path, payload):
         p = tmp_path / "bad.json"

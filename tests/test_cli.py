@@ -178,6 +178,14 @@ class TestBench:
         assert lines[11].split(",")[0] == "gelu[series-cubed]"
         assert lines[12].split(",")[0] == "gelu[series-linear]"
 
+    def test_suite_refuses_flags_it_ignores(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "suite", "--input-file", "/nonexistent.json",
+                                 "--kernel", "3", "--width", "99", "--trials", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("scaledq: error:")
+        assert err.endswith("not --kernel, --width, --input-file\n")
+
 
 class TestQuantizeCmd:
     def test_encoding_shown(self, capsys):
@@ -219,6 +227,12 @@ class TestDivSweepCmd:
         values = dict(zip(header.split(","), row.split(",")))
         assert values["pairs"] == "225"
         assert values["divisible_inexact"] == "0"
+
+    def test_oversized_sweep_refused_at_once(self, capsys):
+        code, out, err = run_cli(capsys, "div-sweep", "--p-bits", "16")
+        assert code == 1
+        assert out == ""
+        assert "pairs" in err
 
 
 class TestSaveTensor:

@@ -56,10 +56,6 @@ class TestQTensor:
         with pytest.raises(ShapeError):
             QTensor((2, 2), (ZERO,) * 3)
 
-    def test_at(self):
-        t = qt((2, 3), [1, 2, 3, 4, 5, 6])
-        assert dequantize(t.at(1, 2)) == 6.0
-
     def test_conv_spec_validation(self):
         with pytest.raises(ShapeError):
             ConvSpec(3, 4, 1, depthwise=True)
@@ -197,7 +193,7 @@ class TestMatmul:
         a = qt((2, 3), [1, 2, 3, 4, 5, 6])
         t = transpose(a)
         assert t.shape == (3, 2)
-        assert t.at(2, 1) == a.at(1, 2)
+        assert t.data[2 * 2 + 1] == a.data[1 * 3 + 2]
         assert transpose(t).data == a.data
 
     def test_shape_mismatch(self):
