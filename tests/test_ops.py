@@ -1,5 +1,7 @@
 """Tensor operator tests against independent FP64 oracles."""
 
+import hashlib
+import math
 import random
 
 import pytest
@@ -8,11 +10,13 @@ from scaledq.core import (
     GELU_SERIES_CUBED,
     GELU_SERIES_CUBED_CORRECTED,
     GELU_SERIES_LINEAR,
+    SaturationCounter,
     ScaleConfig,
     ScaledInt,
     ZERO,
     dequantize,
     quantize,
+    scale_mul,
 )
 from scaledq.ops import (
     ConvSpec,
@@ -398,3 +402,77 @@ class TestSumAligned:
 
     def test_empty_is_zero(self):
         assert sum_aligned([], CFG) == ZERO
+
+
+def rand_tensor(rng, shape, cfg=CFG, zero_share=0.15):
+    """Seeded elements over the whole format: any magnitude, any scale,
+    either sign, with about ``zero_share`` of them zero."""
+    data = []
+    for _ in range(math.prod(shape)):
+        if rng.random() < zero_share:
+            data.append(ZERO)
+        else:
+            data.append(ScaledInt(rng.randint(1, cfg.max_magnitude),
+                                  rng.randint(cfg.scale_min, cfg.scale_max),
+                                  rng.random() < 0.5))
+    return QTensor(tuple(shape), tuple(data))
+
+
+def tensor_digest(t: QTensor) -> str:
+    body = ";".join(f"{e.signed_magnitude},{e.scale}" for e in t.data)
+    return hashlib.sha256(f"{t.shape}|{body}".encode()).hexdigest()
+
+
+def _pinned_cases():
+    rng = random.Random(2024)
+    x = rand_tensor(rng, (1, 3, 7, 7))
+    w_dense = rand_tensor(rng, (4, 3, 3, 3))
+    w_depth = rand_tensor(rng, (6, 1, 3, 3))
+    b4, b6 = rand_tensor(rng, (4,)), rand_tensor(rng, (6,))
+    rows, w_lin, b_lin = rand_tensor(rng, (5, 8)), rand_tensor(rng, (6, 8)), rand_tensor(rng, (6,))
+    a, b = rand_tensor(rng, (4, 6)), rand_tensor(rng, (6, 5))
+    q, k, v = (rand_tensor(rng, (4, 6)) for _ in range(3))
+    return {
+        "conv2d-dense": lambda sat: conv2d(
+            x, w_dense, b4, ConvSpec(3, 4, 3, stride=2, padding=2), CFG, sat),
+        "conv2d-depthwise": lambda sat: conv2d(
+            x, w_depth, b6, ConvSpec(3, 6, 3, stride=2, padding=2, depthwise=True), CFG, sat),
+        "linear-bias": lambda sat: linear(rows, w_lin, b_lin, CFG, sat),
+        "linear": lambda sat: linear(rows, w_lin, None, CFG, sat),
+        "matmul": lambda sat: matmul(a, b, CFG, sat),
+        "attention": lambda sat: attention(q, k, v, 6, CFG, sat),
+        "factorized-attention": lambda sat: factorized_attention(q, k, v, 6, CFG, sat),
+    }
+
+
+# SHA-256 of each output and its floor-saturation count, taken from the
+# scalar scale_mul/sum_aligned/scale_add composition these operators had
+# before they shared a fused multiply-accumulate kernel.
+PINNED = {
+    "attention": ("2925ec9d814a7c8fc002a6319a7dff8523e6d6f1058d270bbeb85dc7b8023698", 35),
+    "conv2d-dense": ("302c3d1305173a90feee1cc8a5b40af023fd69901ddbd4746030db1d18a8f5eb", 477),
+    "conv2d-depthwise": ("35d3e770c1b4ae88b2f93151c1c0592a97150bd23d7f3e9587a7d331847c2a36", 179),
+    "factorized-attention": ("8cda0c10bf5b4e0593b58f8303a4f5bfd5a6449cf6a9432526f0e4cc56033239", 26),
+    "linear": ("4a98805a2669ba12db4d6832f4a6efd037920f4a2ca87ec0b945a2e0dc16046c", 66),
+    "linear-bias": ("ab443c36932b987c8481dd6175674cb919f478f1d1256c681bac2f0cf0ff495f", 69),
+    "matmul": ("3ab68d92f9b55579c2c17277c6fe609cecad6174d3800a6c53cad2b1c63ba8f4", 21),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_operator_bytes(name):
+    sat = SaturationCounter()
+    out = _pinned_cases()[name](sat)
+    assert (tensor_digest(out), sat.count) == PINNED[name]
+
+
+def test_pinned_inputs_reach_both_range_edges():
+    """The pinned inputs saturate at the scale floor and flush to zero at the
+    scale ceiling, so the pins cover both edges of ``handle_overflow``."""
+    rng = random.Random(2024)
+    x, w = rand_tensor(rng, (1, 3, 7, 7)), rand_tensor(rng, (4, 3, 3, 3))
+    sat = SaturationCounter()
+    products = [scale_mul(a, b, CFG, sat) for a in x.data for b in w.data
+                if a.magnitude and b.magnitude]
+    assert sat.count > 0
+    assert any(p.is_zero() for p in products)
