@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 GELU_SERIES_LINEAR = "series-linear"
 GELU_SERIES_CUBED = "series-cubed"
@@ -60,15 +61,15 @@ class ScaleConfig:
         if self.gelu_variant not in GELU_VARIANTS:
             raise ValueError(f"gelu_variant must be one of {GELU_VARIANTS}")
 
-    @property
+    @cached_property
     def max_magnitude(self) -> int:
         return (1 << self.p_bits) - 1
 
-    @property
+    @cached_property
     def scale_min(self) -> int:
         return -(1 << (self.scale_bits - 1))
 
-    @property
+    @cached_property
     def scale_max(self) -> int:
         return (1 << (self.scale_bits - 1)) - 1
 
@@ -175,6 +176,45 @@ def quantize(value: float, cfg: ScaleConfig = DEFAULT_CONFIG) -> ScaledInt:
     return ScaledInt(magnitude, scale, value < 0)
 
 
+def fit(
+    magnitude: int,
+    scale: int,
+    cfg: ScaleConfig = DEFAULT_CONFIG,
+    sat: SaturationCounter | None = None,
+) -> tuple[int, int]:
+    """Fit a wide unsigned ``(magnitude, scale)`` back into the stored format.
+
+    Oversized magnitudes keep their P most significant bits and the scale
+    drops by the number of truncated bits.  A scale above the ceiling is
+    resolved by truncating the magnitude toward zero; a scale below the
+    floor shifts the magnitude up when the exact value still fits, and
+    otherwise saturates at the largest representable value and records the
+    event on ``sat``.  Zero, and anything the ceiling truncates to zero,
+    comes back as ``(0, 0)``; an in-format pair comes back unchanged.
+    """
+    if magnitude == 0:
+        return 0, 0
+    k = magnitude.bit_length() - cfg.p_bits
+    if k > 0:
+        magnitude >>= k
+        scale -= k
+    if scale > cfg.scale_max:
+        magnitude >>= scale - cfg.scale_max
+        if magnitude == 0:
+            return 0, 0
+        scale = cfg.scale_max
+    elif scale < cfg.scale_min:
+        lift = cfg.scale_min - scale
+        if (magnitude << lift) <= cfg.max_magnitude:
+            magnitude <<= lift
+        else:
+            magnitude = cfg.max_magnitude
+            if sat is not None:
+                sat.record()
+        scale = cfg.scale_min
+    return magnitude, scale
+
+
 def handle_overflow(
     raw_magnitude: int,
     raw_scale: int,
@@ -182,36 +222,9 @@ def handle_overflow(
     negative: bool = False,
     sat: SaturationCounter | None = None,
 ) -> ScaledInt:
-    """Fit a wide intermediate result back into the stored format.
-
-    Oversized magnitudes keep their P most significant bits and the scale
-    drops by the number of truncated bits.  A scale above the ceiling is
-    resolved by truncating the magnitude toward zero; a scale below the
-    floor shifts the magnitude up when the exact value still fits, and
-    otherwise saturates at the largest representable value and records the
-    event on ``sat``.
-    """
-    if raw_magnitude == 0:
-        return ZERO
-    k = raw_magnitude.bit_length() - cfg.p_bits
-    if k > 0:
-        raw_magnitude >>= k
-        raw_scale -= k
-    if raw_scale > cfg.scale_max:
-        raw_magnitude >>= raw_scale - cfg.scale_max
-        if raw_magnitude == 0:
-            return ZERO
-        raw_scale = cfg.scale_max
-    elif raw_scale < cfg.scale_min:
-        lift = cfg.scale_min - raw_scale
-        if (raw_magnitude << lift) <= cfg.max_magnitude:
-            raw_magnitude <<= lift
-        else:
-            raw_magnitude = cfg.max_magnitude
-            if sat is not None:
-                sat.record()
-        raw_scale = cfg.scale_min
-    return ScaledInt(raw_magnitude, raw_scale, negative)
+    """:func:`fit` as a :class:`ScaledInt` with the given sign."""
+    magnitude, scale = fit(raw_magnitude, raw_scale, cfg, sat)
+    return ScaledInt(magnitude, scale, negative) if magnitude else ZERO
 
 
 def scale_mul(

@@ -22,6 +22,7 @@ from .core import (
     SaturationCounter,
     ScaleConfig,
     ScaledInt,
+    fit,
     handle_overflow,
     negate,
     scale_add,
@@ -120,6 +121,61 @@ def int_to_scaled(n: int, cfg: ScaleConfig) -> ScaledInt:
     return handle_overflow(n, 0, cfg)
 
 
+def _pairs(elements: Sequence[ScaledInt]) -> list[tuple[int, int]]:
+    """Elements as the ``(signed_magnitude, scale)`` int pairs the kernels
+    read; built per call (or per row), never kept on a tensor."""
+    return [(-e.magnitude if e.negative else e.magnitude, e.scale) for e in elements]
+
+
+def _fit_signed(total: int, scale: int, cfg: ScaleConfig,
+                sat: SaturationCounter | None) -> tuple[int, int]:
+    m, s = fit(-total if total < 0 else total, scale, cfg, sat)
+    return (-m if total < 0 else m), s
+
+
+def _add_pairs(pairs, cfg: ScaleConfig,
+               sat: SaturationCounter | None) -> tuple[int, int]:
+    """:func:`sum_aligned` on ``(signed_magnitude, scale)`` pairs."""
+    live = [p for p in pairs if p[0]]
+    if len(live) < 2:
+        return live[0] if live else (0, 0)
+    top = max(s for _, s in live)
+    return _fit_signed(sum(m << (top - s) for m, s in live), top, cfg, sat)
+
+
+def _dot(xs, ws, cfg: ScaleConfig,
+         sat: SaturationCounter | None) -> tuple[int, int]:
+    """Fused multiply-accumulate on two equal-length pair sequences.
+
+    Bit-identical to ``sum_aligned([scale_mul(x, w) ...])``: each product is
+    cut to P bits inline and goes through :func:`fit` only when its scale
+    leaves the stored range.  The live products, all in range, are added at
+    the fixed scale ``scale_max``; the total is shifted down once to the
+    largest live scale, where ``sum_aligned`` would have aligned them, and
+    fitted once.  Integer addition does not depend on order, and ``fit``
+    leaves a single in-format term unchanged.
+    """
+    p_bits, lo, hi = cfg.p_bits, cfg.scale_min, cfg.scale_max
+    total, top = 0, lo
+    for (xm, xe), (wm, we) in zip(xs, ws):
+        if xm and wm:
+            m = xm * wm
+            s = xe + we
+            k = m.bit_length() - p_bits
+            if k > 0:
+                m = m >> k if m > 0 else -(-m >> k)
+                s -= k
+            if s > hi or s < lo:
+                a, s = fit(abs(m), s, cfg, sat)
+                if not a:
+                    continue
+                m = a if m > 0 else -a
+            total += m << (hi - s)
+            if s > top:
+                top = s
+    return _fit_signed(total >> (hi - top), top, cfg, sat)
+
+
 def conv2d(
     x: QTensor,
     weight: QTensor,
@@ -151,33 +207,41 @@ def conv2d(
     if h_out < 1 or w_out < 1:
         raise ShapeError("kernel does not fit the padded input")
 
-    multiplier = out_ch // in_ch if spec.depthwise else 0
-    xd, wd = x.data, weight.data
+    # Taps outside the input read zero pairs from a padded copy of each
+    # channel plane; a zero operand contributes no product, as before.
+    pad, stride = spec.padding, spec.stride
+    row = width + 2 * pad
+    offsets = [ky * row + kx for ky in range(k) for kx in range(k)]
+    starts = [oh * stride * row + ow * stride for oh in range(h_out) for ow in range(w_out)]
+    wp = _pairs(weight.data)
+    kernels = [wp[j:j + k * k] for j in range(0, len(wp), k * k)]
+    biases = _pairs(bias.data) if bias is not None else None
+    if spec.depthwise:
+        groups = [[(o // (out_ch // in_ch), kernels[o])] for o in range(out_ch)]
+    else:
+        groups = [[(i, kernels[o * in_ch + i]) for i in range(in_ch)]
+                  for o in range(out_ch)]
+    npos = len(starts)
     out: list[ScaledInt] = []
     for b in range(batch):
-        for o in range(out_ch):
-            channels = [o // multiplier] if spec.depthwise else range(in_ch)
-            for oh in range(h_out):
-                for ow in range(w_out):
-                    per_channel = []
-                    for ci, i in enumerate(channels):
-                        taps = []
-                        for ky in range(k):
-                            ih = oh * spec.stride - spec.padding + ky
-                            if not 0 <= ih < height:
-                                continue
-                            for kx in range(k):
-                                iw = ow * spec.stride - spec.padding + kx
-                                if not 0 <= iw < width:
-                                    continue
-                                xe = xd[((b * in_ch + i) * height + ih) * width + iw]
-                                we = wd[((o * w_ch + ci) * k + ky) * k + kx]
-                                taps.append(scale_mul(xe, we, cfg, sat))
-                        per_channel.append(sum_aligned(taps, cfg, sat))
-                    acc = sum_aligned(per_channel, cfg, sat)
-                    if bias is not None:
-                        acc = scale_add(acc, bias.data[o], cfg, sat)
-                    out.append(acc)
+        planes = []
+        for i in range(in_ch):
+            plane = [(0, 0)] * (row * (height + 2 * pad))
+            for ih in range(height):
+                src = ((b * in_ch + i) * height + ih) * width
+                dst = (ih + pad) * row + pad
+                plane[dst:dst + width] = _pairs(x.data[src:src + width])
+            planes.append(plane)
+        image: list[ScaledInt] = [ZERO] * (out_ch * npos)
+        for pos, st in enumerate(starts):
+            windows = [[plane[st + d] for d in offsets] for plane in planes]
+            for o, group in enumerate(groups):
+                acc = _add_pairs([_dot(windows[i], ker, cfg, sat) for i, ker in group],
+                                 cfg, sat)
+                if biases is not None:
+                    acc = _add_pairs((acc, biases[o]), cfg, sat)
+                image[o * npos + pos] = ScaledInt.from_signed(*acc)
+        out.extend(image)
     return QTensor((batch, out_ch, h_out, w_out), tuple(out))
 
 
@@ -196,17 +260,17 @@ def linear(
         raise ShapeError(f"input trailing dim must be {in_f}, got {x.shape}")
     if bias is not None and bias.shape != (out_f,):
         raise ShapeError(f"bias must be ({out_f},), got {bias.shape}")
-    rows = x.size // in_f
+    wp = _pairs(weight.data)
+    wrows = [wp[o * in_f:(o + 1) * in_f] for o in range(out_f)]
+    biases = _pairs(bias.data) if bias is not None else None
     out: list[ScaledInt] = []
-    for r in range(rows):
-        row = x.data[r * in_f:(r + 1) * in_f]
-        for o in range(out_f):
-            wrow = weight.data[o * in_f:(o + 1) * in_f]
-            acc = sum_aligned(
-                [scale_mul(xe, we, cfg, sat) for xe, we in zip(row, wrow)], cfg, sat)
-            if bias is not None:
-                acc = scale_add(acc, bias.data[o], cfg, sat)
-            out.append(acc)
+    for r in range(x.size // in_f):
+        row = _pairs(x.data[r * in_f:(r + 1) * in_f])
+        for o, wrow in enumerate(wrows):
+            acc = _dot(row, wrow, cfg, sat)
+            if biases is not None:
+                acc = _add_pairs((acc, biases[o]), cfg, sat)
+            out.append(ScaledInt.from_signed(*acc))
     return QTensor(x.shape[:-1] + (out_f,), tuple(out))
 
 
@@ -220,13 +284,12 @@ def matmul(
         raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
     m, k = a.shape
     _, n = b.shape
+    bp = _pairs(b.data)
+    cols = [bp[j::n] for j in range(n)]
     out: list[ScaledInt] = []
     for i in range(m):
-        arow = a.data[i * k:(i + 1) * k]
-        for j in range(n):
-            out.append(sum_aligned(
-                [scale_mul(arow[t], b.data[t * n + j], cfg, sat) for t in range(k)],
-                cfg, sat))
+        row = _pairs(a.data[i * k:(i + 1) * k])
+        out.extend(ScaledInt.from_signed(*_dot(row, col, cfg, sat)) for col in cols)
     return QTensor((m, n), tuple(out))
 
 

@@ -16,6 +16,7 @@ from scaledq.core import (
     ZERO,
     dequantize,
     quantize,
+    scale_add,
     scale_mul,
 )
 from scaledq.ops import (
@@ -476,3 +477,130 @@ def test_pinned_inputs_reach_both_range_edges():
                 if a.magnitude and b.magnitude]
     assert sat.count > 0
     assert any(p.is_zero() for p in products)
+
+
+# --- the fused kernel against the scalar primitives -------------------------
+# conv2d, linear and matmul run a fused multiply-accumulate on int pairs; the
+# functions below are the plain scalar composition it must match bit for bit.
+
+def oracle_dot(xs, ws, cfg, sat):
+    return sum_aligned([scale_mul(x, w, cfg, sat) for x, w in zip(xs, ws)], cfg, sat)
+
+
+def oracle_conv2d(x, w, bias, spec, cfg, sat):
+    batch, in_ch, height, width = x.shape
+    out_ch, k, s, p = spec.out_channels, spec.kernel, spec.stride, spec.padding
+    w_ch = 1 if spec.depthwise else in_ch
+    h_out, w_out = (height + 2 * p - k) // s + 1, (width + 2 * p - k) // s + 1
+    out = []
+    for b in range(batch):
+        for o in range(out_ch):
+            chans = [o // (out_ch // in_ch)] if spec.depthwise else range(in_ch)
+            for oh in range(h_out):
+                for ow in range(w_out):
+                    per_channel = []
+                    for ci, i in enumerate(chans):
+                        xs, ws = [], []
+                        for ky in range(k):
+                            for kx in range(k):
+                                ih, iw = oh * s - p + ky, ow * s - p + kx
+                                if 0 <= ih < height and 0 <= iw < width:
+                                    xs.append(x.data[((b * in_ch + i) * height + ih) * width + iw])
+                                    ws.append(w.data[((o * w_ch + ci) * k + ky) * k + kx])
+                        per_channel.append(oracle_dot(xs, ws, cfg, sat))
+                    acc = sum_aligned(per_channel, cfg, sat)
+                    if bias is not None:
+                        acc = scale_add(acc, bias.data[o], cfg, sat)
+                    out.append(acc)
+    return QTensor((batch, out_ch, h_out, w_out), tuple(out))
+
+
+def oracle_linear(x, w, bias, cfg, sat):
+    out_f, in_f = w.shape
+    out = []
+    for r in range(x.size // in_f):
+        for o in range(out_f):
+            acc = oracle_dot(x.data[r * in_f:(r + 1) * in_f],
+                             w.data[o * in_f:(o + 1) * in_f], cfg, sat)
+            if bias is not None:
+                acc = scale_add(acc, bias.data[o], cfg, sat)
+            out.append(acc)
+    return QTensor(x.shape[:-1] + (out_f,), tuple(out))
+
+
+def oracle_matmul(a, b, cfg, sat):
+    (m, k), (_, n) = a.shape, b.shape
+    return QTensor((m, n), tuple(
+        oracle_dot(a.data[i * k:(i + 1) * k], b.data[j::n], cfg, sat)
+        for i in range(m) for j in range(n)))
+
+
+def _differential_cases(cfg, rng):
+    """(name, fused call, oracle call) triples on fresh random tensors."""
+    def t(*shape):
+        return rand_tensor(rng, shape, cfg, zero_share=rng.choice([0.0, 0.2, 0.6]))
+    stride, pad = rng.randint(1, 2), rng.randint(0, 2)
+    x = t(2, 2, 5, 4)
+    dense = ConvSpec(2, 3, 3, stride=stride, padding=pad)
+    depth = ConvSpec(2, 4, 2, stride=stride, padding=pad, depthwise=True)
+    w_dense, w_depth, b3, b4 = t(3, 2, 3, 3), t(4, 1, 2, 2), t(3), t(4)
+    rows, w_lin, b_lin = t(3, 2, 6), t(4, 6), t(4)
+    a, b = t(3, 5), t(5, 4)
+    return [
+        ("conv2d", lambda sat: conv2d(x, w_dense, b3, dense, cfg, sat),
+         lambda sat: oracle_conv2d(x, w_dense, b3, dense, cfg, sat)),
+        ("conv2d-nobias", lambda sat: conv2d(x, w_dense, None, dense, cfg, sat),
+         lambda sat: oracle_conv2d(x, w_dense, None, dense, cfg, sat)),
+        ("depthwise", lambda sat: conv2d(x, w_depth, b4, depth, cfg, sat),
+         lambda sat: oracle_conv2d(x, w_depth, b4, depth, cfg, sat)),
+        ("linear", lambda sat: linear(rows, w_lin, b_lin, cfg, sat),
+         lambda sat: oracle_linear(rows, w_lin, b_lin, cfg, sat)),
+        ("linear-nobias", lambda sat: linear(rows, w_lin, None, cfg, sat),
+         lambda sat: oracle_linear(rows, w_lin, None, cfg, sat)),
+        ("matmul", lambda sat: matmul(a, b, cfg, sat),
+         lambda sat: oracle_matmul(a, b, cfg, sat)),
+    ]
+
+
+@pytest.mark.parametrize("p_bits", [2, 4, 8, 12])
+@pytest.mark.parametrize("scale_bits", [3, 5, 6])
+def test_fused_kernel_matches_scalar_oracle(p_bits, scale_bits):
+    cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    rng = random.Random(p_bits * 100 + scale_bits)
+    saturations = 0
+    for _ in range(4):
+        for name, fused, oracle in _differential_cases(cfg, rng):
+            got_sat, want_sat = SaturationCounter(), SaturationCounter()
+            got, want = fused(got_sat), oracle(want_sat)
+            assert got.shape == want.shape, name
+            assert got.data == want.data, name
+            assert got_sat.count == want_sat.count, name
+            saturations += want_sat.count
+    assert saturations > 0
+
+
+def test_fused_kernel_exhaustive_8bit_products():
+    """Every positive 8-bit magnitude pair, at the scale sums on both sides of
+    each edge of the range, through matmul's kernel and through scale_mul."""
+    mags = range(1, 256)
+    for total in (CFG.scale_min - 1, CFG.scale_min, CFG.scale_max, CFG.scale_max + 1):
+        sa, sb = total // 2, total - total // 2
+        a = QTensor((255, 1), tuple(ScaledInt(m, sa) for m in mags))
+        b = QTensor((1, 255), tuple(ScaledInt(m, sb) for m in mags))
+        got_sat, want_sat = SaturationCounter(), SaturationCounter()
+        got = matmul(a, b, CFG, got_sat)
+        want = [scale_mul(x, y, CFG, want_sat) for x in a.data for y in b.data]
+        assert got.data == tuple(want), total
+        assert got_sat.count == want_sat.count, total
+
+
+def test_out_of_format_bias_passes_through_like_scale_add():
+    """With nothing to add to, a bias element comes back as it was given,
+    even one wider than P bits, exactly as ``scale_add`` returns it."""
+    wide = ScaledInt(300, 16, True)
+    bias = QTensor((1,), (wide,))
+    x = QTensor((1, 1, 2, 2), (ZERO,) * 4)
+    w = QTensor((1, 1, 1, 1), (ScaledInt(3, 0),))
+    assert conv2d(x, w, bias, ConvSpec(1, 1, 1), CFG).data == (wide,) * 4
+    row_w = QTensor((1, 1), w.data)
+    assert linear(QTensor((2, 1), (ZERO,) * 2), row_w, bias, CFG).data == (wide,) * 2
