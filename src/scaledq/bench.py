@@ -358,7 +358,8 @@ def div_sweep(cfg: ScaleConfig) -> DivSweepReport:
 
 def save_tensor(path: str, tensor: FTensor | QTensor) -> None:
     """Write a tensor file: ``{"shape": [...], "kind": "f64"|"scaled", "data": [...]}``
-    where scaled data holds ``[signed_int, scale]`` pairs."""
+    where scaled data holds ``[signed_int, scale]`` pairs.  A path that
+    cannot be opened for writing raises ``UsageError``."""
     if isinstance(tensor, QTensor):
         payload = {
             "shape": list(tensor.shape),
@@ -367,7 +368,11 @@ def save_tensor(path: str, tensor: FTensor | QTensor) -> None:
         }
     else:
         payload = {"shape": list(tensor.shape), "kind": "f64", "data": list(tensor.data)}
-    with open(path, "w", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write tensor file {path}: {exc.strerror}") from exc
+    with fh:
         json.dump(payload, fh)
         fh.write("\n")
 

@@ -13,6 +13,7 @@ error in supplied data.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -29,7 +30,7 @@ from .core import (
     dequantize,
     quantize,
 )
-from .newton import newton_inv_sqrt
+from .newton import default_seed, newton_inv_sqrt
 from .ops import ShapeError, gelu
 from .bench import (
     MAX_ELEMENTS,
@@ -120,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     iv.add_argument("value", type=float)
     iv.add_argument("--int", type=int, dest="int_", help="stored magnitude (default: quantize VALUE)")
     iv.add_argument("--scale", type=int, help="stored scale for --int")
-    iv.add_argument("--y0-int", type=int, default=1)
-    iv.add_argument("--y0-scale", type=int, default=6)
+    iv.add_argument("--y0-int", type=int, help="seed magnitude (default: the Newton default seed)")
+    iv.add_argument("--y0-scale", type=int, help="seed scale (default: the Newton default seed)")
     iv.add_argument("--iters", type=int)
     iv.add_argument("--json", action="store_true", dest="as_json")
     _add_config_flags(iv)
@@ -157,19 +158,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, out, rows: Iterable[dict], doc) -> int:
-    """Write ``rows`` as CSV, or ``doc`` as JSON under ``--json``; to
-    ``--out`` where the subcommand has it, else to ``out``.  CSV is written
-    as the rows come, so a generator of rows is never held whole."""
+    """Write ``rows`` as CSV, or ``doc`` as JSON under ``--json``, to ``out``.
+    CSV is written as the rows come, so a generator of rows is never held
+    whole."""
     if getattr(args, "as_json", False):
-        lines = [json.dumps(doc, indent=2, sort_keys=True) + "\n"]
+        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
-        lines = to_csv(rows)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
-    else:
-        out.writelines(lines)
+        out.writelines(to_csv(rows))
     return 0
+
+
+def _open_out(path: str | None, out):
+    """``path`` opened for the report, or ``out`` when no path is given.
+    Called before any work, so a path that cannot be written costs none."""
+    if not path:
+        return contextlib.nullcontext(out)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 # bench flag dest -> the ExperimentSpec field it sets.  These flags have no
@@ -187,8 +194,8 @@ def _cmd_bench(args, out) -> int:
         if ignored:
             raise UsageError(f"bench suite takes only --height and --trials, "
                              f"not {', '.join(ignored)}")
-        sizes = {"side": args.height, "trials": args.trials}
-        reports = run_suite(cfg, seed=seed, **{k: v for k, v in sizes.items() if v is not None})
+        sizes = {k: v for k, v in (("side", args.height), ("trials", args.trials))
+                 if v is not None}
     else:
         spec = ExperimentSpec(args.operator, seed=seed,
                               **{_SPEC_FIELDS[d]: getattr(args, d) for d in given
@@ -198,10 +205,25 @@ def _cmd_bench(args, out) -> int:
             fixed = load_tensor(args.input_file, cfg)
             if not isinstance(fixed, FTensor):
                 fixed = dequantize_tensor(fixed)
-        reports = [run_bench(spec, cfg, fixed_input=fixed)]
-    rows = [r.row() for r in reports]
-    docs = [{**row, "wall_time_s": r.wall_time_s} for row, r in zip(rows, reports)]
-    return _emit(args, out, rows, docs if args.operator == "suite" else docs[0])
+    with _open_out(args.out, out) as sink:
+        if args.operator == "suite":
+            reports = run_suite(cfg, seed=seed, **sizes)
+        else:
+            reports = [run_bench(spec, cfg, fixed_input=fixed)]
+        rows = [r.row() for r in reports]
+        docs = [{**row, "wall_time_s": r.wall_time_s} for row, r in zip(rows, reports)]
+        return _emit(args, sink, rows, docs if args.operator == "suite" else docs[0])
+
+
+def _stored(prefix: str, magnitude: int, scale: int, cfg: ScaleConfig) -> ScaledInt:
+    """A stored value given as ``--{prefix}int``/``--{prefix}scale``, refused
+    unless it is in the configured format."""
+    if not 0 <= magnitude <= cfg.max_magnitude:
+        raise UsageError(f"--{prefix}int {magnitude} is outside [0, {cfg.max_magnitude}]")
+    if not cfg.scale_min <= scale <= cfg.scale_max:
+        raise UsageError(f"--{prefix}scale {scale} is outside "
+                         f"[{cfg.scale_min}, {cfg.scale_max}]")
+    return ScaledInt(magnitude, scale)
 
 
 def _cmd_invsqrt(args, out) -> int:
@@ -211,13 +233,21 @@ def _cmd_invsqrt(args, out) -> int:
     if args.int_ is not None:
         if args.int_ <= 0:
             raise DomainError("--int must be positive")
-        x = ScaledInt(args.int_, args.scale)
+        x = _stored("", args.int_, args.scale, cfg)
     else:
         x = quantize(args.value, cfg)
-    y0 = ScaledInt(args.y0_int, args.y0_scale)
+    seed = default_seed(cfg)
+    y0 = _stored("y0-", seed.magnitude if args.y0_int is None else args.y0_int,
+                 seed.scale if args.y0_scale is None else args.y0_scale, cfg)
     iters = args.iters if args.iters is not None else cfg.newton_iters
     final, trace = newton_inv_sqrt(x, y0, iters, cfg)
-    _, fp_seq = ref_newton_inv_sqrt(args.value, dequantize(y0), iters)
+    try:
+        _, fp_seq = ref_newton_inv_sqrt(args.value, dequantize(y0), iters)
+    except OverflowError:
+        fp_seq = [math.inf]
+    if not all(map(math.isfinite, fp_seq)):
+        raise UsageError(f"the FP64 iteration diverges from seed {dequantize(y0)!r}; "
+                         f"it reaches 1/sqrt(x) only from seeds below sqrt(3 / x)")
     rows = [{"iteration": j, "fp64": fp_seq[j], "int": y.magnitude,
              "scale": y.scale, "quantized": dequantize(y)}
             for j, y in trace.entries]

@@ -98,6 +98,29 @@ class TestInvsqrt:
         code, _, _ = run_cli(capsys, "invsqrt", "4.0", "--int", "3")
         assert code == 1
 
+    @pytest.mark.parametrize("flags,named", [(("--int", "999", "--scale", "0"), "--int 999"),
+                                             (("--int", "3", "--scale", "16"), "--scale 16"),
+                                             (("--y0-int", "999"), "--y0-int 999"),
+                                             (("--y0-int", "-1"), "--y0-int -1"),
+                                             (("--y0-scale", "-17"), "--y0-scale -17")])
+    def test_out_of_format_flags_exit_1(self, capsys, flags, named):
+        code, out, err = run_cli(capsys, "invsqrt", "4.0", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"scaledq: error: {named} is outside") and err.count("\n") == 1
+
+    def test_diverging_fp64_twin_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "invsqrt", "4", "--y0-int", "200")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("scaledq: error:") and "diverges" in err
+        assert err.count("\n") == 1
+
+    def test_default_seed_fits_narrow_scale_range(self, capsys):
+        code, out, _ = run_cli(capsys, "invsqrt", "4", "--scale-bits", "3")
+        assert code == 0
+        assert out.splitlines()[1].split(",")[2:4] == ["1", "3"]
+
 
 class TestBench:
     def test_single_row_csv(self, capsys):
@@ -168,6 +191,18 @@ class TestBench:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("operator,")
+
+    def test_unwritable_out_refused_before_first_trial(self, capsys, tmp_path,
+                                                       monkeypatch):
+        def no_trial(*_args, **_kwargs):
+            raise AssertionError("a trial ran before --out was opened")
+        monkeypatch.setattr("scaledq.cli.run_bench", no_trial)
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "bench", "softmax", "--height", "2",
+                                 "--width", "2", "--trials", "1", "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err == f"scaledq: error: cannot write {target}: No such file or directory\n"
 
     def test_suite_small(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "suite", "--trials", "1",
@@ -249,6 +284,14 @@ class TestSaveTensor:
         code, _, _ = run_cli(capsys, "save-tensor", str(tmp_path / "x.json"),
                              "--shape", "2,x")
         assert code == 1
+
+    def test_unwritable_path_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "save-tensor", str(path), "--shape", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("scaledq: error: cannot write tensor file")
+        assert err.count("\n") == 1
 
     def test_oversized_shape_rejected_before_allocation(self, capsys, tmp_path):
         path = tmp_path / "x.json"
