@@ -129,13 +129,14 @@ def _pairs(elements: Sequence[ScaledInt]) -> list[tuple[int, int]]:
 
 def _fit_signed(total: int, scale: int, cfg: ScaleConfig,
                 sat: SaturationCounter | None) -> tuple[int, int]:
-    m, s = fit(-total if total < 0 else total, scale, cfg, sat)
+    m, s = fit(abs(total), scale, cfg, sat)
     return (-m if total < 0 else m), s
 
 
 def _add_pairs(pairs, cfg: ScaleConfig,
                sat: SaturationCounter | None) -> tuple[int, int]:
-    """:func:`sum_aligned` on ``(signed_magnitude, scale)`` pairs."""
+    """:func:`sum_aligned` on ``(signed_magnitude, scale)`` pairs: zero
+    pairs drop out and a single live pair comes back as given."""
     live = [p for p in pairs if p[0]]
     if len(live) < 2:
         return live[0] if live else (0, 0)
@@ -208,7 +209,8 @@ def conv2d(
         raise ShapeError("kernel does not fit the padded input")
 
     # Taps outside the input read zero pairs from a padded copy of each
-    # channel plane; a zero operand contributes no product, as before.
+    # channel plane.  A zero operand adds no product to a sum, so a padding
+    # tap drops out exactly as a skipped tap would.
     pad, stride = spec.padding, spec.stride
     row = width + 2 * pad
     offsets = [ky * row + kx for ky in range(k) for kx in range(k)]
