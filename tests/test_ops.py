@@ -10,6 +10,7 @@ from scaledq.core import (
     GELU_SERIES_CUBED,
     GELU_SERIES_CUBED_CORRECTED,
     GELU_SERIES_LINEAR,
+    GELU_VARIANTS,
     SaturationCounter,
     ScaleConfig,
     ScaledInt,
@@ -419,6 +420,21 @@ def rand_tensor(rng, shape, cfg=CFG, zero_share=0.15):
     return QTensor(tuple(shape), tuple(data))
 
 
+def nonlinear_rows(rng, n, cfg=CFG):
+    """Rows of ``n`` for the row-wise operators: full-range random rows
+    with zeros, a constant row, one value stored in four forms (equal values
+    that are not equal elements, so every quantized deviation vanishes), and
+    rows of very small variance at scales across the range."""
+    rows = [list(rand_tensor(rng, (n,), cfg).data) for _ in range(6)]
+    rows.append([ScaledInt(3, 1, True)] * n)
+    rows.append([ScaledInt(1 << (i % 4), i % 4) for i in range(n)])
+    top = cfg.max_magnitude
+    for scale in sorted({cfg.scale_min, 0, cfg.scale_max // 2, cfg.scale_max}):
+        base = rng.randint(top // 2, top - 2)
+        rows.append([ScaledInt(base + rng.randint(0, 2), scale) for _ in range(n)])
+    return QTensor((len(rows), n), tuple(e for row in rows for e in row))
+
+
 def tensor_digest(t: QTensor) -> str:
     body = ";".join(f"{e.signed_magnitude},{e.scale}" for e in t.data)
     return hashlib.sha256(f"{t.shape}|{body}".encode()).hexdigest()
@@ -433,6 +449,9 @@ def _pinned_cases():
     rows, w_lin, b_lin = rand_tensor(rng, (5, 8)), rand_tensor(rng, (6, 8)), rand_tensor(rng, (6,))
     a, b = rand_tensor(rng, (4, 6)), rand_tensor(rng, (6, 5))
     q, k, v = (rand_tensor(rng, (4, 6)) for _ in range(3))
+    ln_x, sm_x = nonlinear_rows(rng, 8), nonlinear_rows(rng, 6)
+    ln = LayerNormParams(rand_tensor(rng, (8,)), rand_tensor(rng, (8,)))
+    g = rand_tensor(rng, (16, 8))
     return {
         "conv2d-dense": lambda sat: conv2d(
             x, w_dense, b4, ConvSpec(3, 4, 3, stride=2, padding=2), CFG, sat),
@@ -443,20 +462,33 @@ def _pinned_cases():
         "matmul": lambda sat: matmul(a, b, CFG, sat),
         "attention": lambda sat: attention(q, k, v, 6, CFG, sat),
         "factorized-attention": lambda sat: factorized_attention(q, k, v, 6, CFG, sat),
+        "layer-norm": lambda sat: layer_norm(ln_x, ln, CFG, sat),
+        "softmax-tensor": lambda sat: softmax_tensor(sm_x, CFG, sat),
+        **{f"gelu-map-{variant}": (lambda sat, variant=variant: gelu_map(g, CFG, sat, variant))
+           for variant in GELU_VARIANTS},
     }
 
 
 # SHA-256 of each output and its floor-saturation count, taken from the
-# scalar scale_mul/sum_aligned/scale_add composition these operators had
-# before they shared a fused multiply-accumulate kernel.
+# scalar composition of core primitives each operator was built from: for
+# conv2d, linear and matmul before they shared a fused multiply-accumulate
+# kernel, for layer_norm, softmax and gelu before they ran on int pairs.
 PINNED = {
     "attention": ("2925ec9d814a7c8fc002a6319a7dff8523e6d6f1058d270bbeb85dc7b8023698", 35),
     "conv2d-dense": ("302c3d1305173a90feee1cc8a5b40af023fd69901ddbd4746030db1d18a8f5eb", 477),
     "conv2d-depthwise": ("35d3e770c1b4ae88b2f93151c1c0592a97150bd23d7f3e9587a7d331847c2a36", 179),
     "factorized-attention": ("8cda0c10bf5b4e0593b58f8303a4f5bfd5a6449cf6a9432526f0e4cc56033239", 26),
+    "gelu-map-series-cubed":
+        ("f372dee8b9dddc9e4cc712d19736e4b8d12da0098b3ddd9f035efcf77a4d0f1a", 384),
+    "gelu-map-series-cubed-corrected":
+        ("2109005d0d9d33a7117de950feb090cfb6a26426abed7a8c125f2b7349178691", 317),
+    "gelu-map-series-linear":
+        ("8aa6697e25011881ec3ee99c7bd2f7993082bf7b0837dd4f6c97859595407d8c", 161),
+    "layer-norm": ("168ec40d58b8dd57e174310b02bc8145e08e26274ad903d441ee84dc1074eb1d", 64),
     "linear": ("4a98805a2669ba12db4d6832f4a6efd037920f4a2ca87ec0b945a2e0dc16046c", 66),
     "linear-bias": ("ab443c36932b987c8481dd6175674cb919f478f1d1256c681bac2f0cf0ff495f", 69),
     "matmul": ("3ab68d92f9b55579c2c17277c6fe609cecad6174d3800a6c53cad2b1c63ba8f4", 21),
+    "softmax-tensor": ("00e8e562646c86d6d6639ee3c1e029293876ed6e3829c82f7b0f3398951f0e99", 28),
 }
 
 
