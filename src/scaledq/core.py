@@ -3,7 +3,10 @@
 A quantity is stored as an unsigned P-bit ``magnitude``, a sign flag and a
 small signed ``scale``; it represents ``(-1)**negative * magnitude / 2**scale``.
 The four primitives (multiply, add, subtract, divide) and the overflow
-normalizer work exclusively with integer add/sub/mul/compare/shift.  Floating
+normalizer work exclusively with integer add/sub/mul/compare/shift.  The
+normalizer and the long division also exist on plain ints, as :func:`fit` and
+:func:`quotient`, for kernels that work on ``(signed_magnitude, scale)``
+pairs; :func:`handle_overflow` and :func:`scale_div` wrap them.  Floating
 point enters only through :func:`quantize` and :func:`dequantize`, the
 conversion layer at the boundary of the integer domain.
 """
@@ -290,32 +293,29 @@ def shift_scale(
     return handle_overflow(q.magnitude, q.scale + delta, cfg, q.negative, sat)
 
 
-def scale_div(
-    a: ScaledInt,
-    b: ScaledInt,
+def quotient(
+    dividend: int,
+    divisor: int,
+    scale: int,
     cfg: ScaleConfig = DEFAULT_CONFIG,
     sat: SaturationCounter | None = None,
-) -> ScaledInt:
-    """Quotient by recursive scaled long division on magnitudes.
+) -> tuple[int, int]:
+    """Unsigned ``(dividend / divisor) / 2**scale`` by recursive scaled long
+    division, fitted as ``(magnitude, scale)``.
 
-    Signs are stripped first and reapplied at the end.  Each round extracts
-    ``q, rem = divmod(dividend, divisor)`` and folds ``q`` into a wide
-    accumulator at the current effective scale; a remainder smaller than the
-    divisor is shifted left just past it before the next extraction, raising
-    the effective scale by the shift.  Refinement stops once the remainder is
-    exhausted, or once the accumulator has outgrown P bits and at least
-    ``div_t_max`` extraction rounds have run; the accumulator then passes
-    through :func:`handle_overflow`, so results never overshoot the true
-    quotient.
+    Each round extracts ``q, rem = divmod(dividend, divisor)`` and folds
+    ``q`` into a wide accumulator at the current effective scale; a
+    remainder smaller than the divisor is shifted left just past it before
+    the next extraction, raising the effective scale by the shift.
+    Refinement stops once the remainder is exhausted, or once the
+    accumulator has outgrown P bits and at least ``div_t_max`` extraction
+    rounds have run; the accumulator then passes through :func:`fit`, so
+    results never overshoot the true quotient.
     """
-    if b.magnitude == 0:
+    if divisor == 0:
         raise DivisionByZero("scaled division by zero")
-    if a.magnitude == 0:
-        return ZERO
-    negative = a.negative != b.negative
-    dividend = a.magnitude
-    divisor = b.magnitude
-    s_eff = a.scale - b.scale
+    if dividend == 0:
+        return 0, 0
     acc = 0
     acc_scale = 0
     rounds = 0
@@ -326,15 +326,27 @@ def scale_div(
             while (dividend << c) <= divisor:
                 c += 1
             dividend <<= c
-            s_eff += c
+            scale += c
         q, rem = divmod(dividend, divisor)
         if acc == 0:
-            acc, acc_scale = q, s_eff
+            acc, acc_scale = q, scale
         else:
-            acc = (acc << (s_eff - acc_scale)) + q
-            acc_scale = s_eff
+            acc = (acc << (scale - acc_scale)) + q
+            acc_scale = scale
         rounds += 1
         if rem == 0 or (acc > max_mag and rounds >= cfg.div_t_max):
             break
         dividend = rem
-    return handle_overflow(acc, acc_scale, cfg, negative, sat)
+    return fit(acc, acc_scale, cfg, sat)
+
+
+def scale_div(
+    a: ScaledInt,
+    b: ScaledInt,
+    cfg: ScaleConfig = DEFAULT_CONFIG,
+    sat: SaturationCounter | None = None,
+) -> ScaledInt:
+    """:func:`quotient` of the magnitudes, with the signs stripped first and
+    reapplied to the result."""
+    magnitude, scale = quotient(a.magnitude, b.magnitude, a.scale - b.scale, cfg, sat)
+    return ScaledInt(magnitude, scale, a.negative != b.negative) if magnitude else ZERO

@@ -4,7 +4,9 @@ Every operator here performs integer arithmetic only; converting results back
 to floating point is the job of the reference/benchmark layer.  Multi-term
 sums follow a fixed discipline: compute the maximum scale over the term set,
 align every term to it in a wide temporary, add in a fixed order, and
-normalize the single wide result once.
+normalize the single wide result once.  The operators compute on
+``(signed_magnitude, scale)`` int pairs, bit-identical to composing the
+``core`` primitives, and build a :class:`ScaledInt` only per output element.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
-    ONE,
     ZERO,
     GELU_SERIES_CUBED,
     GELU_SERIES_CUBED_CORRECTED,
@@ -24,12 +25,8 @@ from .core import (
     ScaledInt,
     fit,
     handle_overflow,
-    negate,
-    scale_add,
-    scale_div,
+    quotient,
     scale_mul,
-    scale_sub,
-    shift_scale,
 )
 from .newton import default_seed, newton_inv_sqrt
 
@@ -144,6 +141,31 @@ def _add_pairs(pairs, cfg: ScaleConfig,
     return _fit_signed(sum(m << (top - s) for m, s in live), top, cfg, sat)
 
 
+def _add(a, b, cfg: ScaleConfig,
+         sat: SaturationCounter | None) -> tuple[int, int]:
+    """:func:`scale_add` on two pairs; a zero pair returns the other as given."""
+    if not a[0]:
+        return b
+    if not b[0]:
+        return a
+    top = a[1] if a[1] > b[1] else b[1]
+    return _fit_signed((a[0] << (top - a[1])) + (b[0] << (top - b[1])), top, cfg, sat)
+
+
+def _mul(a, b, cfg: ScaleConfig,
+         sat: SaturationCounter | None) -> tuple[int, int]:
+    """:func:`scale_mul` on two pairs."""
+    m, s = fit(abs(a[0] * b[0]), a[1] + b[1], cfg, sat)
+    return (-m if (a[0] < 0) != (b[0] < 0) else m), s
+
+
+def _div(a, b, cfg: ScaleConfig,
+         sat: SaturationCounter | None) -> tuple[int, int]:
+    """:func:`scale_div` on two pairs."""
+    m, s = quotient(abs(a[0]), abs(b[0]), a[1] - b[1], cfg, sat)
+    return (-m if (a[0] < 0) != (b[0] < 0) else m), s
+
+
 def _dot(xs, ws, cfg: ScaleConfig,
          sat: SaturationCounter | None) -> tuple[int, int]:
     """Fused multiply-accumulate on two equal-length pair sequences.
@@ -241,7 +263,7 @@ def conv2d(
                 acc = _add_pairs([_dot(windows[i], ker, cfg, sat) for i, ker in group],
                                  cfg, sat)
                 if biases is not None:
-                    acc = _add_pairs((acc, biases[o]), cfg, sat)
+                    acc = _add(acc, biases[o], cfg, sat)
                 image[o * npos + pos] = ScaledInt.from_signed(*acc)
         out.extend(image)
     return QTensor((batch, out_ch, h_out, w_out), tuple(out))
@@ -271,7 +293,7 @@ def linear(
         for o, wrow in enumerate(wrows):
             acc = _dot(row, wrow, cfg, sat)
             if biases is not None:
-                acc = _add_pairs((acc, biases[o]), cfg, sat)
+                acc = _add(acc, biases[o], cfg, sat)
             out.append(ScaledInt.from_signed(*acc))
     return QTensor(x.shape[:-1] + (out_f,), tuple(out))
 
@@ -313,37 +335,37 @@ def layer_norm(
 
     Mean and (population) variance come from aligned sums and scaled
     division; the inverse square root of ``var + eps`` runs the quantized
-    Newton iteration.  A row of identical stored values (equivalently, one
-    whose quantized deviations all vanish) short-circuits to beta and never
-    consults eps.
+    Newton iteration.  A row of identical stored values, or one whose
+    quantized deviations all vanish (one value stored in different forms),
+    short-circuits to beta and never consults eps.
     """
     n = x.shape[-1] if x.shape else 0
     if n < 1:
         raise ShapeError("layer_norm needs a non-empty trailing axis")
     if params.gamma.shape != (n,):
         raise ShapeError(f"gamma/beta must be ({n},), got {params.gamma.shape}")
-    count = int_to_scaled(n, cfg)
+    count = fit(n, 0, cfg)
+    eps = (params.eps.signed_magnitude, params.eps.scale)
+    gamma, beta = _pairs(params.gamma.data), _pairs(params.beta.data)
     seed = default_seed(cfg)
     out: list[ScaledInt] = []
-    for r in range(x.size // n):
-        row = x.data[r * n:(r + 1) * n]
-        if all(e == row[0] for e in row[1:]):
-            out.extend(params.beta.data)
-            continue
-        mean = scale_div(sum_aligned(row, cfg, sat), count, cfg, sat)
-        devs = [scale_sub(e, mean, cfg, sat) for e in row]
-        if all(d.magnitude == 0 for d in devs):
-            out.extend(params.beta.data)
-            continue
-        var = scale_div(
-            sum_aligned([scale_mul(d, d, cfg, sat) for d in devs], cfg, sat),
-            count, cfg, sat)
-        inv_std, _ = newton_inv_sqrt(
-            scale_add(var, params.eps, cfg, sat), seed, cfg.newton_iters, cfg, sat)
-        for i, d in enumerate(devs):
-            scaled = scale_mul(scale_mul(d, inv_std, cfg, sat),
-                               params.gamma.data[i], cfg, sat)
-            out.append(scale_add(scaled, params.beta.data[i], cfg, sat))
+    for r in range(0, x.size, n):
+        row = _pairs(x.data[r:r + n])
+        if row.count(row[0]) < n:
+            mm, ms = _div(_add_pairs(row, cfg, sat), count, cfg, sat)
+            devs = [_add(e, (-mm, ms), cfg, sat) for e in row]
+            if any(m for m, _ in devs):
+                var = _div(_add_pairs([_mul(d, d, cfg, sat) for d in devs], cfg, sat),
+                           count, cfg, sat)
+                inv_std, _ = newton_inv_sqrt(
+                    ScaledInt.from_signed(*_add(var, eps, cfg, sat)),
+                    seed, cfg.newton_iters, cfg, sat)
+                inv = (inv_std.signed_magnitude, inv_std.scale)
+                out.extend(ScaledInt.from_signed(
+                    *_add(_mul(_mul(d, inv, cfg, sat), g, cfg, sat), b, cfg, sat))
+                    for d, g, b in zip(devs, gamma, beta))
+                continue
+        out.extend(params.beta.data)
     return QTensor(x.shape, tuple(out))
 
 
@@ -361,11 +383,11 @@ def softmax(
     if len(xs) < 1:
         raise ShapeError("softmax needs at least one element")
     nums = []
-    for xi in xs:
-        half_sq = shift_scale(scale_mul(xi, xi, cfg, sat), 1, cfg, sat)
-        nums.append(sum_aligned([ONE, xi, half_sq], cfg, sat))
-    den = sum_aligned(nums, cfg, sat)
-    return [scale_div(ni, den, cfg, sat) for ni in nums]
+    for x in _pairs(xs):
+        m, s = _mul(x, x, cfg, sat)
+        nums.append(_add_pairs((_ONE, x, _fit_signed(m, s + 1, cfg, sat)), cfg, sat))
+    den = _add_pairs(nums, cfg, sat)
+    return [ScaledInt.from_signed(*_div(num, den, cfg, sat)) for num in nums]
 
 
 def softmax_tensor(
@@ -383,9 +405,10 @@ def softmax_tensor(
     return QTensor(x.shape, tuple(out))
 
 
-_GELU_LIN = ScaledInt(102, 7)
-_GELU_CUB = ScaledInt(18, 9)
-_THREE = ScaledInt(3, 0)
+_ONE = (1, 0)
+_GELU_LIN = (102, 7)
+_GELU_CUB = (18, 9)
+_THREE = (3, 0)
 
 
 def gelu(
@@ -402,21 +425,22 @@ def gelu(
     continuation of the underlying tanh series.
     """
     variant = variant or cfg.gelu_variant
-    x3 = scale_mul(scale_mul(x, x, cfg, sat), x, cfg, sat)
-    a = scale_add(scale_mul(_GELU_LIN, x, cfg, sat),
-                  scale_mul(_GELU_CUB, x3, cfg, sat), cfg, sat)
+    x = (x.signed_magnitude, x.scale)
+    x3 = _mul(_mul(x, x, cfg, sat), x, cfg, sat)
+    a = _add(_mul(_GELU_LIN, x, cfg, sat), _mul(_GELU_CUB, x3, cfg, sat), cfg, sat)
     if variant == GELU_SERIES_LINEAR:
-        gate = scale_add(ONE, a, cfg, sat)
+        gate = _add(_ONE, a, cfg, sat)
     else:
-        a3 = scale_mul(scale_mul(a, a, cfg, sat), a, cfg, sat)
+        a3 = _mul(_mul(a, a, cfg, sat), a, cfg, sat)
         if variant == GELU_SERIES_CUBED:
-            gate = sum_aligned([ONE, a, a3], cfg, sat)
+            gate = _add_pairs((_ONE, a, a3), cfg, sat)
         elif variant == GELU_SERIES_CUBED_CORRECTED:
-            third = scale_div(a3, _THREE, cfg, sat)
-            gate = sum_aligned([ONE, a, negate(third)], cfg, sat)
+            tm, ts = _div(a3, _THREE, cfg, sat)
+            gate = _add_pairs((_ONE, a, (-tm, ts)), cfg, sat)
         else:
             raise ValueError(f"unknown gelu variant {variant!r}")
-    return shift_scale(scale_mul(x, gate, cfg, sat), 1, cfg, sat)
+    m, s = _mul(x, gate, cfg, sat)
+    return ScaledInt.from_signed(*_fit_signed(m, s + 1, cfg, sat))
 
 
 def gelu_map(

@@ -219,6 +219,12 @@ class TestDiv:
         with pytest.raises(DivisionByZero):
             scale_div(ScaledInt(1), ZERO, CFG)
 
+    def test_quotient_above_range_saturates_and_counts(self):
+        sat = SaturationCounter()
+        got = scale_div(ScaledInt(255, -16, True), ScaledInt(1, 15), CFG, sat)
+        assert got == ScaledInt(CFG.max_magnitude, CFG.scale_min, True)
+        assert sat.count == 1
+
 
 class TestShiftScale:
     def test_halving_is_scale_increment(self):

@@ -11,15 +11,23 @@ from scaledq.core import (
     GELU_SERIES_CUBED_CORRECTED,
     GELU_SERIES_LINEAR,
     GELU_VARIANTS,
+    ONE,
+    DivisionByZero,
+    DomainError,
     SaturationCounter,
     ScaleConfig,
     ScaledInt,
     ZERO,
     dequantize,
+    negate,
     quantize,
     scale_add,
+    scale_div,
     scale_mul,
+    scale_sub,
+    shift_scale,
 )
+from scaledq.newton import default_seed, newton_inv_sqrt
 from scaledq.ops import (
     ConvSpec,
     LayerNormParams,
@@ -30,6 +38,7 @@ from scaledq.ops import (
     factorized_attention,
     gelu,
     gelu_map,
+    int_to_scaled,
     layer_norm,
     linear,
     matmul,
@@ -636,3 +645,106 @@ def test_out_of_format_bias_passes_through_like_scale_add():
     assert conv2d(x, w, bias, ConvSpec(1, 1, 1), CFG).data == (wide,) * 4
     row_w = QTensor((1, 1), w.data)
     assert linear(QTensor((2, 1), (ZERO,) * 2), row_w, bias, CFG).data == (wide,) * 2
+
+
+# --- the pair-level non-linear operators against the scalar primitives -----
+# layer_norm, softmax and gelu run on int pairs; the functions below are the
+# scalar composition they must match bit for bit, saturations included.
+
+def oracle_layer_norm(x, params, cfg, sat):
+    n = x.shape[-1]
+    count = int_to_scaled(n, cfg)
+    out = []
+    for r in range(x.size // n):
+        row = x.data[r * n:(r + 1) * n]
+        if all(e == row[0] for e in row[1:]):
+            out.extend(params.beta.data)
+            continue
+        mean = scale_div(sum_aligned(row, cfg, sat), count, cfg, sat)
+        devs = [scale_sub(e, mean, cfg, sat) for e in row]
+        if all(d.is_zero() for d in devs):
+            out.extend(params.beta.data)
+            continue
+        var = scale_div(sum_aligned([scale_mul(d, d, cfg, sat) for d in devs], cfg, sat),
+                        count, cfg, sat)
+        inv_std, _ = newton_inv_sqrt(scale_add(var, params.eps, cfg, sat),
+                                     default_seed(cfg), cfg.newton_iters, cfg, sat)
+        out.extend(scale_add(scale_mul(scale_mul(d, inv_std, cfg, sat), g, cfg, sat), b, cfg, sat)
+                   for d, g, b in zip(devs, params.gamma.data, params.beta.data))
+    return QTensor(x.shape, tuple(out))
+
+
+def oracle_softmax_tensor(x, cfg, sat):
+    n = x.shape[-1]
+    out = []
+    for r in range(x.size // n):
+        nums = [sum_aligned([ONE, e, shift_scale(scale_mul(e, e, cfg, sat), 1, cfg, sat)],
+                            cfg, sat)
+                for e in x.data[r * n:(r + 1) * n]]
+        den = sum_aligned(nums, cfg, sat)
+        out.extend(scale_div(num, den, cfg, sat) for num in nums)
+    return QTensor(x.shape, tuple(out))
+
+
+def oracle_gelu(x, cfg, sat, variant):
+    x3 = scale_mul(scale_mul(x, x, cfg, sat), x, cfg, sat)
+    a = scale_add(scale_mul(ScaledInt(102, 7), x, cfg, sat),
+                  scale_mul(ScaledInt(18, 9), x3, cfg, sat), cfg, sat)
+    if variant == GELU_SERIES_LINEAR:
+        gate = scale_add(ONE, a, cfg, sat)
+    else:
+        a3 = scale_mul(scale_mul(a, a, cfg, sat), a, cfg, sat)
+        if variant == GELU_SERIES_CUBED_CORRECTED:
+            a3 = negate(scale_div(a3, ScaledInt(3, 0), cfg, sat))
+        gate = sum_aligned([ONE, a, a3], cfg, sat)
+    return shift_scale(scale_mul(x, gate, cfg, sat), 1, cfg, sat)
+
+
+def _outcome(op):
+    """``op``'s output elements, or the type of the error it raised, and the
+    saturations it recorded on the way."""
+    sat = SaturationCounter()
+    try:
+        result = op(sat).data
+    except (DivisionByZero, DomainError) as exc:
+        result = type(exc)
+    return result, sat.count
+
+
+@pytest.mark.parametrize("p_bits", [2, 4, 8, 12])
+@pytest.mark.parametrize("scale_bits", [3, 5, 6])
+def test_pair_nonlinear_ops_match_scalar_oracle(p_bits, scale_bits):
+    cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    rng = random.Random(p_bits * 1000 + scale_bits)
+    saturations = 0
+    for _ in range(3):
+        n = rng.randint(2, 9)
+        x = nonlinear_rows(rng, n, cfg)
+        eps = rand_tensor(rng, (1,), cfg).data[0]
+        params = LayerNormParams(rand_tensor(rng, (n,), cfg), rand_tensor(rng, (n,), cfg),
+                                 ScaledInt(eps.magnitude, eps.scale))
+        cases = [("layer_norm", lambda sat: layer_norm(x, params, cfg, sat),
+                  lambda sat: oracle_layer_norm(x, params, cfg, sat)),
+                 ("softmax_tensor", lambda sat: softmax_tensor(x, cfg, sat),
+                  lambda sat: oracle_softmax_tensor(x, cfg, sat))]
+        for variant in GELU_VARIANTS:
+            cases.append((variant, lambda sat, v=variant: gelu_map(x, cfg, sat, v),
+                          lambda sat, v=variant: QTensor(x.shape, tuple(
+                              oracle_gelu(e, cfg, sat, v) for e in x.data))))
+        for name, pair_op, oracle in cases:
+            got, want = _outcome(pair_op), _outcome(oracle)
+            assert got == want, name
+            saturations += want[1]
+    assert saturations > 0
+
+
+@pytest.mark.parametrize("variant", GELU_VARIANTS)
+def test_gelu_exhaustive_matches_scalar_oracle(variant):
+    """Every representable value of the default format, zero included."""
+    values = [ZERO] + [ScaledInt(m, s, neg) for m in range(1, CFG.max_magnitude + 1)
+                       for s in range(CFG.scale_min, CFG.scale_max + 1) for neg in (False, True)]
+    got_sat, want_sat = SaturationCounter(), SaturationCounter()
+    got = [gelu(e, CFG, got_sat, variant) for e in values]
+    want = [oracle_gelu(e, CFG, want_sat, variant) for e in values]
+    assert got == want
+    assert got_sat.count == want_sat.count > 0
