@@ -234,6 +234,9 @@ def _cmd_invsqrt(args, out) -> int:
         if args.int_ <= 0:
             raise DomainError("--int must be positive")
         x = _stored("", args.int_, args.scale, cfg)
+        if dequantize(x) != args.value:
+            raise UsageError(f"VALUE {args.value!r} is not --int {args.int_} / "
+                             f"2**{args.scale} = {dequantize(x)!r}")
     else:
         x = quantize(args.value, cfg)
     seed = default_seed(cfg)

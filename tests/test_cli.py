@@ -109,6 +109,14 @@ class TestInvsqrt:
         assert out == ""
         assert err.startswith(f"scaledq: error: {named} is outside") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["4", "15.250001", "-15.25"])
+    def test_value_that_disagrees_with_int_and_scale_exit_1(self, capsys, value):
+        code, out, err = run_cli(capsys, "invsqrt", value, "--int", "122", "--scale", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"scaledq: error: VALUE {float(value)!r} is not --int 122")
+        assert err.count("\n") == 1
+
     def test_diverging_fp64_twin_exit_1(self, capsys):
         code, out, err = run_cli(capsys, "invsqrt", "4", "--y0-int", "200")
         assert code == 1
