@@ -45,7 +45,10 @@ def default_seed(cfg: ScaleConfig) -> ScaledInt:
     Of the 8160 positive inputs of the default format, 4098 end 20
     iterations more than 2**-5 (relative) away from ``1/sqrt(x)``.  2430 of
     those, every input from ``3 * 2**12`` up, are pinned to zero by
-    :func:`newton_inv_sqrt`.  ROADMAP item 1 holds the fix, an exponent seed.
+    :func:`newton_inv_sqrt`.  1622 more, from 19.375 up, settle at the scale
+    the first step gave the iterate (7), with a magnitude below 32, so too
+    few bits are left for the result; 46 below 2**-10 are still growing.
+    ROADMAP item 1 holds the fix, an exponent seed.
     """
     return ScaledInt(1, min(6, cfg.scale_max))
 

@@ -351,21 +351,22 @@ def layer_norm(
     out: list[ScaledInt] = []
     for r in range(0, x.size, n):
         row = _pairs(x.data[r:r + n])
-        if row.count(row[0]) < n:
-            mm, ms = _div(_add_pairs(row, cfg, sat), count, cfg, sat)
-            devs = [_add(e, (-mm, ms), cfg, sat) for e in row]
-            if any(m for m, _ in devs):
-                var = _div(_add_pairs([_mul(d, d, cfg, sat) for d in devs], cfg, sat),
-                           count, cfg, sat)
-                inv_std, _ = newton_inv_sqrt(
-                    ScaledInt.from_signed(*_add(var, eps, cfg, sat)),
-                    seed, cfg.newton_iters, cfg, sat)
-                inv = (inv_std.signed_magnitude, inv_std.scale)
-                out.extend(ScaledInt.from_signed(
-                    *_add(_mul(_mul(d, inv, cfg, sat), g, cfg, sat), b, cfg, sat))
-                    for d, g, b in zip(devs, gamma, beta))
-                continue
-        out.extend(params.beta.data)
+        if row.count(row[0]) == n:
+            out.extend(params.beta.data)
+            continue
+        mm, ms = _div(_add_pairs(row, cfg, sat), count, cfg, sat)
+        devs = [_add(e, (-mm, ms), cfg, sat) for e in row]
+        if not any(m for m, _ in devs):
+            out.extend(params.beta.data)
+            continue
+        var = _div(_add_pairs([_mul(d, d, cfg, sat) for d in devs], cfg, sat),
+                   count, cfg, sat)
+        inv_std, _ = newton_inv_sqrt(ScaledInt.from_signed(*_add(var, eps, cfg, sat)),
+                                     seed, cfg.newton_iters, cfg, sat)
+        inv = (inv_std.signed_magnitude, inv_std.scale)
+        out.extend(ScaledInt.from_signed(
+            *_add(_mul(_mul(d, inv, cfg, sat), g, cfg, sat), b, cfg, sat))
+            for d, g, b in zip(devs, gamma, beta))
     return QTensor(x.shape, tuple(out))
 
 
