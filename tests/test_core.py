@@ -19,9 +19,11 @@ from scaledq.core import (
     ScaledInt,
     ZERO,
     dequantize,
+    fit,
     handle_overflow,
     negate,
     quantize,
+    quotient,
     scale_add,
     scale_div,
     scale_mul,
@@ -302,3 +304,74 @@ def test_determinism_bit_identical():
     second = [(scale_mul(a, b, CFG), scale_add(a, b, CFG), scale_div(a, b, CFG))
               for a, b in cases]
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# quotient against the recursive long division it replaced
+# ---------------------------------------------------------------------------
+
+ORACLE_DIV_T_MAX = 5
+
+
+def oracle_quotient(dividend, divisor, scale, cfg, sat=None):
+    """The recursive scaled long division ``quotient`` used to run, kept
+    verbatim with its minimum of ``ORACLE_DIV_T_MAX`` extraction rounds."""
+    if divisor == 0:
+        raise DivisionByZero("scaled division by zero")
+    if dividend == 0:
+        return 0, 0
+    acc = 0
+    acc_scale = 0
+    rounds = 0
+    max_mag = cfg.max_magnitude
+    while True:
+        if dividend < divisor:
+            c = 1
+            while (dividend << c) <= divisor:
+                c += 1
+            dividend <<= c
+            scale += c
+        q, rem = divmod(dividend, divisor)
+        if acc == 0:
+            acc, acc_scale = q, scale
+        else:
+            acc = (acc << (scale - acc_scale)) + q
+            acc_scale = scale
+        rounds += 1
+        if rem == 0 or (acc > max_mag and rounds >= ORACLE_DIV_T_MAX):
+            break
+        dividend = rem
+    return fit(acc, acc_scale, cfg, sat)
+
+
+def _quotients(fn, cases, cfg):
+    """``fn`` over ``cases``, each result with the running saturation count,
+    so two runs agree only if every call saturates the same way."""
+    sat = SaturationCounter()
+    return [(*fn(a, b, s, cfg, sat), sat.count) for a, b, s in cases]
+
+
+@pytest.mark.parametrize("scale", [CFG.scale_min - 1, CFG.scale_min, 0,
+                                   CFG.scale_max, CFG.scale_max + 1])
+def test_quotient_matches_long_division_exhaustive(scale):
+    cases = [(a, b, scale) for a in range(1, 256) for b in range(1, 256)]
+    assert _quotients(quotient, cases, CFG) == _quotients(oracle_quotient, cases, CFG)
+
+
+@pytest.mark.parametrize("p_bits", [2, 4, 12])
+@pytest.mark.parametrize("scale_bits", [3, 5, 6])
+def test_quotient_matches_long_division_sampled(p_bits, scale_bits):
+    cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    rng = random.Random(p_bits * 100 + scale_bits)
+    wide = 3 * p_bits
+    cases = []
+    for _ in range(3000):
+        scale = rng.randint(cfg.scale_min - wide, cfg.scale_max + wide)
+        a = rng.getrandbits(rng.randint(1, wide)) + 1
+        b = rng.getrandbits(rng.randint(1, wide)) + 1
+        # also a dyadic quotient a*u / (2**t * u), often not an integer
+        u, t = rng.randint(1, 1 << p_bits), rng.randint(0, wide)
+        cases += [(a, b, scale), (a * u, u << t, scale), (0, b, scale)]
+    got = _quotients(quotient, cases, cfg)
+    assert got == _quotients(oracle_quotient, cases, cfg)
+    assert got[-1][2] > 0  # the floor saturates somewhere in the sample
