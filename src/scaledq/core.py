@@ -300,44 +300,31 @@ def quotient(
     cfg: ScaleConfig = DEFAULT_CONFIG,
     sat: SaturationCounter | None = None,
 ) -> tuple[int, int]:
-    """Unsigned ``(dividend / divisor) / 2**scale`` by recursive scaled long
+    """Unsigned ``(dividend / divisor) / 2**scale`` by one exact integer
     division, fitted as ``(magnitude, scale)``.
 
-    Each round extracts ``q, rem = divmod(dividend, divisor)`` and folds
-    ``q`` into a wide accumulator at the current effective scale; a
-    remainder smaller than the divisor is shifted left just past it before
-    the next extraction, raising the effective scale by the shift.
-    Refinement stops once the remainder is exhausted, or once the
-    accumulator has outgrown P bits and at least ``div_t_max`` extraction
-    rounds have run; the accumulator then passes through :func:`fit`, so
-    results never overshoot the true quotient.
+    An integer quotient is returned as it is.  An exact non-integer quotient
+    ``odd / 2**t`` is stored as ``(2 * odd, scale + t + 1)``, the form the
+    recursive long division this replaced ended on; it is kept on purpose,
+    because pinned output digests include the scales.  Any other quotient
+    has the dividend shifted left until the floor of the quotient has at
+    least P bits; :func:`fit` keeps the P leading bits, so the result is
+    truncated toward zero and never overshoots the true quotient.
     """
     if divisor == 0:
         raise DivisionByZero("scaled division by zero")
     if dividend == 0:
         return 0, 0
-    acc = 0
-    acc_scale = 0
-    rounds = 0
-    max_mag = cfg.max_magnitude
-    while True:
-        if dividend < divisor:
-            c = 1
-            while (dividend << c) <= divisor:
-                c += 1
-            dividend <<= c
-            scale += c
-        q, rem = divmod(dividend, divisor)
-        if acc == 0:
-            acc, acc_scale = q, scale
+    q, rem = divmod(dividend, divisor)
+    if rem:
+        g = math.gcd(dividend, divisor)
+        den = divisor // g
+        if den & (den - 1) == 0:
+            q, scale = (dividend // g) << 1, scale + den.bit_length()
         else:
-            acc = (acc << (scale - acc_scale)) + q
-            acc_scale = scale
-        rounds += 1
-        if rem == 0 or (acc > max_mag and rounds >= cfg.div_t_max):
-            break
-        dividend = rem
-    return fit(acc, acc_scale, cfg, sat)
+            e = max(0, cfg.p_bits + divisor.bit_length() - dividend.bit_length())
+            q, scale = (dividend << e) // divisor, scale + e
+    return fit(q, scale, cfg, sat)
 
 
 def scale_div(
