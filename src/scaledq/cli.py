@@ -60,7 +60,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--p-bits", type=int)
     p.add_argument("--scale-bits", type=int)
-    p.add_argument("--div-t-max", type=int)
     p.add_argument("--newton-iters", type=int)
     p.add_argument("--gelu-variant", choices=GELU_VARIANTS)
     p.add_argument("--seed", type=int)

@@ -40,15 +40,13 @@ class ScaleConfig:
     """Global format parameters.
 
     ``p_bits`` is the magnitude width; ``scale_bits`` sets the stored scale
-    range to ``[-2**(scale_bits-1), 2**(scale_bits-1) - 1]``.  ``div_t_max``
-    is the minimum number of quotient-extraction rounds in scaled division,
-    and ``newton_iters`` the default iteration count for the inverse square
+    range to ``[-2**(scale_bits-1), 2**(scale_bits-1) - 1]``, and
+    ``newton_iters`` is the default iteration count for the inverse square
     root.
     """
 
     p_bits: int = 8
     scale_bits: int = 5
-    div_t_max: int = 5
     newton_iters: int = 20
     gelu_variant: str = GELU_SERIES_LINEAR
 
@@ -57,8 +55,6 @@ class ScaleConfig:
             raise ValueError("p_bits must be >= 2")
         if self.scale_bits < 2:
             raise ValueError("scale_bits must be >= 2")
-        if self.div_t_max < 1:
-            raise ValueError("div_t_max must be >= 1")
         if self.newton_iters < 1:
             raise ValueError("newton_iters must be >= 1")
         if self.gelu_variant not in GELU_VARIANTS:

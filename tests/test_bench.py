@@ -200,9 +200,9 @@ GOLDEN = [
     (("div-sweep", "--json"),
      "feb5d0a9c1b7cfe6a469657e415dcac1bd22f6cf0085a635affc493e2309e881"),
     (("info",),
-     "308a12afe3748b81e3e310775f72399b5ba0a75a2dddeb02fba8ce05b6cd5d37"),
+     "7021b45d048dbbd43357281eaccd53df404aeea32d49b9c55cee9b2b249743ba"),
     (("info", "--json"),
-     "7c0cc6bf55bb83e2e8eab5e366475576ee6be4d76fe4e7597577df7c6c6d1666"),
+     "cddd46090c0744ce6612cb7a54c3fcb58b8ad36bddea188a5cac10473afc8aac"),
     (("bench", "linear", "--height", "4", "--width", "4", "--trials", "2"),
      "591151b880f91db55e3ffc849f1ed9c72e61194617e15f48186cf0f3e3020931"),
     (("bench", "conv2d", "--kernel", "3", "--height", "6", "--width", "6", "--trials", "2"),

@@ -29,8 +29,7 @@ class TestInfo:
 
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"p_bits": 4, "scale_bits": 4, "div_t_max": 5,
-                                   "newton_iters": 20,
+        cfg.write_text(json.dumps({"p_bits": 4, "scale_bits": 4, "newton_iters": 20,
                                    "gelu_variant": "series-linear", "seed": 0}))
         code, out, _ = run_cli(capsys, "info", "--config", str(cfg), "--json")
         assert code == 0
@@ -52,6 +51,21 @@ class TestInfo:
         code, _, err = run_cli(capsys, "info", "--config", str(cfg))
         assert code == 1
         assert "bogus" in err
+
+    def test_div_t_max_config_key_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"div_t_max": 5}))
+        code, _, err = run_cli(capsys, "info", "--config", str(cfg))
+        assert code == 1
+        assert err == "scaledq: error: unknown config keys: ['div_t_max']\n"
+
+    def test_div_t_max_flag_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["info", "--div-t-max", "5"])
+        assert exc.value.code == 1
+        errors = [l for l in capsys.readouterr().err.splitlines()
+                  if l.startswith("scaledq: error:")]
+        assert errors == ["scaledq: error: unrecognized arguments: --div-t-max 5"]
 
     @pytest.mark.parametrize("raw", [{"p_bits": "8"}, {"seed": "x"}, {"seed": 1.5},
                                      {"newton_iters": True}, {"gelu_variant": 3},
