@@ -55,6 +55,10 @@ class ScaleConfig:
             raise ValueError("p_bits must be >= 2")
         if self.scale_bits < 2:
             raise ValueError("scale_bits must be >= 2")
+        # scale_bits is bounded first, so a huge value never builds a huge int
+        if self.scale_bits > 10 or self.p_bits + (1 << (self.scale_bits - 1)) > 1023:
+            raise ValueError("p_bits + 2**(scale_bits - 1) must be <= 1023, "
+                             "or the largest value overflows FP64")
         if self.newton_iters < 1:
             raise ValueError("newton_iters must be >= 1")
         if self.gelu_variant not in GELU_VARIANTS:

@@ -256,6 +256,13 @@ class TestQuantizeCmd:
         code, _, err = run_cli(capsys, "quantize", "99999999")
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--scale-bits", "11"), ("--p-bits", "1100")])
+    def test_format_past_fp64_exit_1(self, capsys, flag, value):
+        code, _, err = run_cli(capsys, "quantize", "1.0", flag, value)
+        assert code == 1
+        assert err.startswith("scaledq: error: p_bits + 2**(scale_bits - 1)")
+        assert err.count("\n") == 1
+
 
 class TestGeluCurve:
     def test_rows(self, capsys):

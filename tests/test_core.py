@@ -62,6 +62,18 @@ class TestScaledInt:
         assert CFG.scale_min == -16 and CFG.scale_max == 15
         assert CFG.max_magnitude == 255
 
+    @pytest.mark.parametrize("p_bits,scale_bits", [(511, 10), (767, 9), (1007, 5)])
+    def test_widest_formats_fp64_holds(self, p_bits, scale_bits):
+        cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+        assert math.isfinite(dequantize(ScaledInt(cfg.max_magnitude, cfg.scale_min)))
+        assert dequantize(quantize(1.0, cfg)) == 1.0
+
+    @pytest.mark.parametrize("p_bits,scale_bits",
+                             [(512, 10), (768, 9), (1008, 5), (8, 11), (2, 10 ** 12)])
+    def test_formats_past_fp64_refused(self, p_bits, scale_bits):
+        with pytest.raises(ValueError, match="overflows FP64"):
+            ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+
 
 class TestQuantize:
     def test_exact_dyadic(self):
