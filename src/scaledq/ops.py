@@ -108,16 +108,6 @@ def sum_aligned(
     return handle_overflow(abs(total), s, cfg, total < 0, sat)
 
 
-def int_to_scaled(n: int, cfg: ScaleConfig) -> ScaledInt:
-    """Non-negative integer as a scaled value (exact while it fits P bits,
-    otherwise truncated like any other wide magnitude)."""
-    if n < 0:
-        raise ShapeError("expected a non-negative count")
-    if n == 0:
-        return ZERO
-    return handle_overflow(n, 0, cfg)
-
-
 def _pairs(elements: Sequence[ScaledInt]) -> list[tuple[int, int]]:
     """Elements as the ``(signed_magnitude, scale)`` int pairs the kernels
     read; built per call (or per row), never kept on a tensor."""
@@ -465,7 +455,7 @@ def _inv_sqrt_of_count(d_m: int, cfg: ScaleConfig,
                        sat: SaturationCounter | None) -> ScaledInt:
     if d_m < 1:
         raise ShapeError("attention head dimension must be positive")
-    scaled, _ = newton_inv_sqrt(int_to_scaled(d_m, cfg), default_seed(cfg),
+    scaled, _ = newton_inv_sqrt(handle_overflow(d_m, 0, cfg), default_seed(cfg),
                                 cfg.newton_iters, cfg, sat)
     return scaled
 

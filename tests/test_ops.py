@@ -19,6 +19,7 @@ from scaledq.core import (
     ScaledInt,
     ZERO,
     dequantize,
+    handle_overflow,
     negate,
     quantize,
     scale_add,
@@ -38,7 +39,6 @@ from scaledq.ops import (
     factorized_attention,
     gelu,
     gelu_map,
-    int_to_scaled,
     layer_norm,
     linear,
     matmul,
@@ -653,7 +653,7 @@ def test_out_of_format_bias_passes_through_like_scale_add():
 
 def oracle_layer_norm(x, params, cfg, sat):
     n = x.shape[-1]
-    count = int_to_scaled(n, cfg)
+    count = handle_overflow(n, 0, cfg)
     out = []
     for r in range(x.size // n):
         row = x.data[r * n:(r + 1) * n]
