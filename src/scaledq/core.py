@@ -3,10 +3,11 @@
 A quantity is stored as an unsigned P-bit ``magnitude``, a sign flag and a
 small signed ``scale``; it represents ``(-1)**negative * magnitude / 2**scale``.
 The four primitives (multiply, add, subtract, divide) and the overflow
-normalizer work exclusively with integer add/sub/mul/compare/shift.  The
-normalizer and the long division also exist on plain ints, as :func:`fit` and
-:func:`quotient`, for kernels that work on ``(signed_magnitude, scale)``
-pairs; :func:`handle_overflow` and :func:`scale_div` wrap them.  Floating
+normalizer work exclusively with integer arithmetic, compare and shift;
+division is one exact integer floor division.  The normalizer and the
+division also exist on plain ints, as :func:`fit` and :func:`quotient`, for
+kernels that work on ``(signed_magnitude, scale)`` pairs;
+:func:`handle_overflow` and :func:`scale_div` wrap them.  Floating
 point enters only through :func:`quantize` and :func:`dequantize`, the
 conversion layer at the boundary of the integer domain.
 """
@@ -42,7 +43,8 @@ class ScaleConfig:
     ``p_bits`` is the magnitude width; ``scale_bits`` sets the stored scale
     range to ``[-2**(scale_bits-1), 2**(scale_bits-1) - 1]``, and
     ``newton_iters`` is the default iteration count for the inverse square
-    root.
+    root.  ``p_bits + 2**(scale_bits - 1)`` is at most 1023, so FP64 holds
+    the largest value at the conversion boundary.
     """
 
     p_bits: int = 8
