@@ -306,12 +306,12 @@ def quotient(
     division, fitted as ``(magnitude, scale)``.
 
     An integer quotient is returned as it is.  An exact non-integer quotient
-    ``odd / 2**t`` is stored as ``(2 * odd, scale + t + 1)``, the form the
-    recursive long division this replaced ended on; it is kept on purpose,
-    because pinned output digests include the scales.  Any other quotient
-    has the dividend shifted left until the floor of the quotient has at
-    least P bits; :func:`fit` keeps the P leading bits, so the result is
-    truncated toward zero and never overshoots the true quotient.
+    ``odd / 2**t`` is stored as ``(2 * odd, scale + t + 1)``, not as
+    ``(odd, scale + t)``; the form is kept on purpose, because pinned output
+    digests include the scales.  Any other quotient has the dividend shifted
+    left until the floor of the quotient has at least P bits; :func:`fit`
+    keeps the P leading bits, so the result is truncated toward zero and
+    never overshoots the true quotient.
     """
     if divisor == 0:
         raise DivisionByZero("scaled division by zero")
@@ -321,7 +321,7 @@ def quotient(
     if rem:
         g = math.gcd(dividend, divisor)
         den = divisor // g
-        if den & (den - 1) == 0:
+        if den & (den - 1) == 0:  # a power of two: exact, odd / 2**t
             q, scale = (dividend // g) << 1, scale + den.bit_length()
         else:
             e = max(0, cfg.p_bits + divisor.bit_length() - dividend.bit_length())
