@@ -74,6 +74,7 @@ class _Operator:
     operands: Callable[..., tuple]
     quantized: Callable[..., QTensor]
     fp64: Callable[[tuple], FTensor]
+    reads: tuple[str, ...] = ()
 
 
 def _random_tensor(rng: random.Random, shape: tuple[int, ...], cfg: ScaleConfig,
@@ -91,7 +92,8 @@ def _conv(depthwise: bool) -> _Operator:
         return x, w, bias, ConvSpec(spec.i, spec.o, spec.k, depthwise=depthwise)
     return _Operator(lambda s: (s.b, s.i, s.h, s.w), operands,
                      lambda a, cfg, sat, v: conv2d(*a, cfg, sat),
-                     lambda f: ref.ref_conv2d(*f))
+                     lambda f: ref.ref_conv2d(*f),
+                     ("batch", "in_channels", "out_channels", "kernel"))
 
 
 def _linear_operands(spec, cfg, rng, x):
@@ -121,12 +123,12 @@ _OPERATORS = {
     "linear": _Operator(
         lambda s: (s.h * s.w, s.i), _linear_operands,
         lambda a, cfg, sat, v: linear(*a, cfg, sat),
-        lambda f: ref.ref_linear(*f)),
+        lambda f: ref.ref_linear(*f), ("in_channels", "out_channels", "weight_mode")),
     "layer-norm": _Operator(
         _flat_input, _unit_norm_operands,
         lambda a, cfg, sat, v: layer_norm(*a, cfg, sat),
         lambda f: ref.ref_layer_norm(f[0], [1.0] * f[0].size, [0.0] * f[0].size,
-                                     dequantize(f[1].eps))),
+                                     dequantize(f[1].eps)), ("newton_iters",)),
     "softmax": _Operator(
         _flat_input, _input_only,
         lambda a, cfg, sat, v: softmax_tensor(*a, cfg, sat),
@@ -134,10 +136,17 @@ _OPERATORS = {
     "gelu": _Operator(
         _flat_input, _input_only,
         lambda a, cfg, sat, v: gelu_map(*a, cfg, sat, v),
-        lambda f: FTensor(f[0].shape, tuple(ref.ref_gelu_exact(v) for v in f[0].data))),
+        lambda f: FTensor(f[0].shape, tuple(ref.ref_gelu_exact(v) for v in f[0].data)),
+        ("gelu_variant",)),
 }
 
 OPERATORS = tuple(_OPERATORS)
+
+# Bench settings (CLI flag dests) every row reads; a row adds ``_Operator.reads``.
+_EVERY_ROW_READS = ("height", "width", "trials", "input_file",
+                    "seed", "config", "p_bits", "scale_bits")
+READS = {name: _EVERY_ROW_READS + op.reads for name, op in _OPERATORS.items()}
+READS["suite"] = ("height", "trials", "newton_iters", "seed", "config", "p_bits", "scale_bits")
 
 
 @dataclass(frozen=True)
@@ -168,7 +177,8 @@ class ExperimentSpec:
         if self.trials < 1:
             raise UsageError("trials must be >= 1")
         if self.weight_mode not in ("random", "identity"):
-            raise UsageError("weight_mode must be 'random' or 'identity'")
+            raise UsageError(f"weight_mode must be 'random' or 'identity', "
+                             f"got {self.weight_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -227,7 +237,8 @@ def _qtensor(shape: tuple[int, ...], values: Sequence[float], cfg: ScaleConfig) 
 
 def _identity_weight(out_f: int, in_f: int) -> QTensor:
     if out_f != in_f:
-        raise UsageError("identity weights need matching input/output sizes")
+        raise UsageError(f"identity weights need matching input/output sizes, "
+                         f"got {in_f} in and {out_f} out")
     return QTensor((out_f, in_f),
                    tuple(ONE if r == c else ZERO for r in range(out_f) for c in range(in_f)))
 

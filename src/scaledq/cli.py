@@ -24,6 +24,7 @@ from .core import (
     DivisionByZero,
     DomainError,
     GELU_VARIANTS,
+    MAX_NEWTON_ITERS,
     RangeError,
     ScaleConfig,
     ScaledInt,
@@ -36,6 +37,7 @@ from .bench import (
     MAX_ELEMENTS,
     ExperimentSpec,
     OPERATORS,
+    READS,
     UsageError,
     div_sweep,
     load_tensor,
@@ -56,13 +58,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
+def _add_config_flags(p: argparse.ArgumentParser, *keys: str):
+    """Add ``--config`` and a flag for each config key in ``keys``, the keys
+    the command reads.  A config file may hold every key on every command."""
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--p-bits", type=int)
-    p.add_argument("--scale-bits", type=int)
-    p.add_argument("--newton-iters", type=int)
-    p.add_argument("--gelu-variant", choices=GELU_VARIANTS)
-    p.add_argument("--seed", type=int)
+    for key in keys:
+        kind = {"choices": GELU_VARIANTS} if key == "gelu_variant" else {"type": int}
+        p.add_argument("--" + key.replace("_", "-"), **kind)
 
 
 def _build_config(args) -> tuple[ScaleConfig, int]:
@@ -76,7 +78,8 @@ def _build_config(args) -> tuple[ScaleConfig, int]:
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(values, dict):
-            raise UsageError("config file must hold a JSON object")
+            raise UsageError(f"config file must hold a JSON object, "
+                             f"got {type(values).__name__}")
         unknown = sorted(set(values) - set(defaults))
         if unknown:
             raise UsageError(f"unknown config keys: {unknown}")
@@ -114,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--input-file", help="fixed input tensor (JSON), reused every trial")
     b.add_argument("--json", action="store_true", dest="as_json")
     b.add_argument("--out", help="write report to this path instead of stdout")
-    _add_config_flags(b)
+    _add_config_flags(b, "p_bits", "scale_bits", "newton_iters", "gelu_variant", "seed")
 
     iv = sub.add_parser("invsqrt", help="quantized vs FP64 inverse square root trace")
     iv.add_argument("value", type=float)
@@ -124,34 +127,34 @@ def build_parser() -> argparse.ArgumentParser:
     iv.add_argument("--y0-scale", type=int, help="seed scale (default: the Newton default seed)")
     iv.add_argument("--iters", type=int)
     iv.add_argument("--json", action="store_true", dest="as_json")
-    _add_config_flags(iv)
+    _add_config_flags(iv, "p_bits", "scale_bits")
 
     dv = sub.add_parser("div-sweep", help="exhaustive scaled-division error sweep")
     dv.add_argument("--json", action="store_true", dest="as_json")
-    _add_config_flags(dv)
+    _add_config_flags(dv, "p_bits", "scale_bits")
 
     qz = sub.add_parser("quantize", help="show the encoding of one value")
     qz.add_argument("value", type=float)
     qz.add_argument("--json", action="store_true", dest="as_json")
-    _add_config_flags(qz)
+    _add_config_flags(qz, "p_bits", "scale_bits")
 
     gc = sub.add_parser("gelu-curve", help="CSV of x, quantized and exact activation values")
     gc.add_argument("--start", type=float, default=-4.0)
     gc.add_argument("--stop", type=float, default=4.0)
     gc.add_argument("--steps", type=int, default=81)
     gc.add_argument("--variant", choices=GELU_VARIANTS)
-    _add_config_flags(gc)
+    _add_config_flags(gc, "p_bits", "scale_bits")
 
     info = sub.add_parser("info", help="format parameters and memory accounting")
     info.add_argument("--json", action="store_true", dest="as_json")
-    _add_config_flags(info)
+    _add_config_flags(info, "p_bits", "scale_bits", "newton_iters", "gelu_variant")
 
     st = sub.add_parser("save-tensor", help="generate and store a random f64 tensor")
     st.add_argument("path")
     st.add_argument("--shape", required=True, help="comma-separated dims, e.g. 1,3,16,16")
     st.add_argument("--low", type=float, default=0.0)
     st.add_argument("--high", type=float, default=1.0)
-    _add_config_flags(st)
+    _add_config_flags(st, "seed")
 
     return parser
 
@@ -179,26 +182,27 @@ def _open_out(path: str | None, out):
 
 
 # bench flag dest -> the ExperimentSpec field it sets.  These flags have no
-# argparse default, so an unset one leaves the spec's default and
-# ``bench suite`` can tell which ones were given.
+# argparse default, so an unset one leaves the spec's default and ``bench``
+# can tell which ones were given.
 _SPEC_FIELDS = {"batch": "b", "in_channels": "i", "out_channels": "o", "kernel": "k",
                 "height": "h", "width": "w", "trials": "trials", "weight_mode": "weight_mode"}
 
 
 def _cmd_bench(args, out) -> int:
+    reads, flag = READS[args.operator], {d: "--" + d.replace("_", "-") for d in vars(args)}
+    unread = [flag[d] for d, v in vars(args).items() if v is not None
+              and d not in (*reads, "command", "operator", "as_json", "out")]
+    if unread:
+        raise UsageError(f"bench {args.operator} reads only "
+                         f"{', '.join(flag[d] for d in reads)}, not {', '.join(unread)}")
     cfg, seed = _build_config(args)
-    given = [d for d in (*_SPEC_FIELDS, "input_file") if getattr(args, d) is not None]
     if args.operator == "suite":
-        ignored = ["--" + d.replace("_", "-") for d in given if d not in ("height", "trials")]
-        if ignored:
-            raise UsageError(f"bench suite takes only --height and --trials, "
-                             f"not {', '.join(ignored)}")
         sizes = {k: v for k, v in (("side", args.height), ("trials", args.trials))
                  if v is not None}
     else:
         spec = ExperimentSpec(args.operator, seed=seed,
-                              **{_SPEC_FIELDS[d]: getattr(args, d) for d in given
-                                 if d in _SPEC_FIELDS})
+                              **{f: getattr(args, d) for d, f in _SPEC_FIELDS.items()
+                                 if getattr(args, d) is not None})
         fixed = None
         if args.input_file:
             fixed = load_tensor(args.input_file, cfg)
@@ -242,6 +246,8 @@ def _cmd_invsqrt(args, out) -> int:
     y0 = _stored("y0-", seed.magnitude if args.y0_int is None else args.y0_int,
                  seed.scale if args.y0_scale is None else args.y0_scale, cfg)
     iters = args.iters if args.iters is not None else cfg.newton_iters
+    if not 0 <= iters <= MAX_NEWTON_ITERS:
+        raise UsageError(f"--iters {iters} is outside [0, {MAX_NEWTON_ITERS}]")
     final, trace = newton_inv_sqrt(x, y0, iters, cfg)
     try:
         _, fp_seq = ref_newton_inv_sqrt(args.value, dequantize(y0), iters)
@@ -298,7 +304,7 @@ def _cmd_save_tensor(args, out) -> int:
     except ValueError as exc:
         raise UsageError(f"bad shape {args.shape!r}") from exc
     if any(d < 1 for d in shape):
-        raise UsageError("shape dims must be positive")
+        raise UsageError(f"shape dims must be positive, got {args.shape}")
     n = math.prod(shape)
     if n > MAX_ELEMENTS:
         raise UsageError(f"shape {shape} has {n} elements, above {MAX_ELEMENTS}")

@@ -22,6 +22,10 @@ GELU_SERIES_LINEAR = "series-linear"
 GELU_SERIES_CUBED = "series-cubed"
 GELU_SERIES_CUBED_CORRECTED = "series-cubed-corrected"
 GELU_VARIANTS = (GELU_SERIES_LINEAR, GELU_SERIES_CUBED, GELU_SERIES_CUBED_CORRECTED)
+# Most Newton iterations a config or ``scaledq invsqrt --iters`` may ask for.
+# The iterate grows at most 1.5x per step, and 1.5**4096 is far past the
+# widest format's span of 2**1534, so more steps only cost time and memory.
+MAX_NEWTON_ITERS = 1 << 12
 
 
 class RangeError(ValueError):
@@ -43,8 +47,8 @@ class ScaleConfig:
     ``p_bits`` is the magnitude width; ``scale_bits`` sets the stored scale
     range to ``[-2**(scale_bits-1), 2**(scale_bits-1) - 1]``, and
     ``newton_iters`` is the default iteration count for the inverse square
-    root.  ``p_bits + 2**(scale_bits - 1)`` is at most 1023, so FP64 holds
-    the largest value at the conversion boundary.
+    root, at most ``MAX_NEWTON_ITERS``.  ``p_bits + 2**(scale_bits - 1)`` is
+    at most 1023, so FP64 holds the largest value at the conversion boundary.
     """
 
     p_bits: int = 8
@@ -54,15 +58,16 @@ class ScaleConfig:
 
     def __post_init__(self):
         if self.p_bits < 2:
-            raise ValueError("p_bits must be >= 2")
+            raise ValueError(f"p_bits must be >= 2, got {self.p_bits}")
         if self.scale_bits < 2:
-            raise ValueError("scale_bits must be >= 2")
+            raise ValueError(f"scale_bits must be >= 2, got {self.scale_bits}")
         # scale_bits is bounded first, so a huge value never builds a huge int
         if self.scale_bits > 10 or self.p_bits + (1 << (self.scale_bits - 1)) > 1023:
             raise ValueError("p_bits + 2**(scale_bits - 1) must be <= 1023, "
                              "or the largest value overflows FP64")
-        if self.newton_iters < 1:
-            raise ValueError("newton_iters must be >= 1")
+        if not 1 <= self.newton_iters <= MAX_NEWTON_ITERS:
+            raise ValueError(f"newton_iters must be from 1 to {MAX_NEWTON_ITERS}, "
+                             f"got {self.newton_iters}")
         if self.gelu_variant not in GELU_VARIANTS:
             raise ValueError(f"gelu_variant must be one of {GELU_VARIANTS}")
 

@@ -74,7 +74,7 @@ def newton_inv_sqrt(
     if y0.magnitude == 0 or y0.negative:
         raise DomainError("inverse square root needs a positive seed")
     if iters < 0:
-        raise DomainError("iteration count must be non-negative")
+        raise DomainError(f"iteration count must be non-negative, got {iters}")
 
     y = y0
     entries = [(0, y0)]

@@ -68,7 +68,8 @@ class ConvSpec:
         if self.in_channels < 1 or self.out_channels < 1 or self.kernel < 1:
             raise ShapeError("channel counts and kernel size must be positive")
         if self.stride < 1 or self.padding < 0:
-            raise ShapeError("stride must be positive and padding non-negative")
+            raise ShapeError(f"stride must be positive and padding non-negative, "
+                             f"got stride {self.stride}, padding {self.padding}")
         if self.depthwise and self.out_channels % self.in_channels != 0:
             raise ShapeError("depthwise needs out_channels = in_channels * multiplier")
 
@@ -81,7 +82,8 @@ class LayerNormParams:
 
     def __post_init__(self):
         if self.gamma.shape != self.beta.shape or len(self.gamma.shape) != 1:
-            raise ShapeError("gamma and beta must be matching 1-D tensors")
+            raise ShapeError(f"gamma and beta must be matching 1-D tensors, "
+                             f"got {self.gamma.shape} and {self.beta.shape}")
 
 
 def sum_aligned(
@@ -218,7 +220,8 @@ def conv2d(
     h_out = (height + 2 * spec.padding - k) // spec.stride + 1
     w_out = (width + 2 * spec.padding - k) // spec.stride + 1
     if h_out < 1 or w_out < 1:
-        raise ShapeError("kernel does not fit the padded input")
+        raise ShapeError(f"kernel {k} does not fit the padded input {x.shape} "
+                         f"(padding {spec.padding})")
 
     # Taps outside the input read zero pairs from a padded copy of each
     # channel plane.  A zero operand adds no product to a sum, so a padding
@@ -331,7 +334,7 @@ def layer_norm(
     """
     n = x.shape[-1] if x.shape else 0
     if n < 1:
-        raise ShapeError("layer_norm needs a non-empty trailing axis")
+        raise ShapeError(f"layer_norm needs a non-empty trailing axis, got {x.shape}")
     if params.gamma.shape != (n,):
         raise ShapeError(f"gamma/beta must be ({n},), got {params.gamma.shape}")
     count = fit(n, 0, cfg)
@@ -372,7 +375,7 @@ def softmax(
     output is a scaled division of its numerator by the shared denominator.
     """
     if len(xs) < 1:
-        raise ShapeError("softmax needs at least one element")
+        raise ShapeError(f"softmax needs at least one element, got {len(xs)}")
     nums = []
     for x in _pairs(xs):
         m, s = _mul(x, x, cfg, sat)
@@ -389,7 +392,7 @@ def softmax_tensor(
     """Row-wise softmax over the trailing axis."""
     n = x.shape[-1] if x.shape else 0
     if n < 1:
-        raise ShapeError("softmax needs a non-empty trailing axis")
+        raise ShapeError(f"softmax needs a non-empty trailing axis, got {x.shape}")
     out: list[ScaledInt] = []
     for r in range(x.size // n):
         out.extend(softmax(x.data[r * n:(r + 1) * n], cfg, sat))
@@ -454,7 +457,7 @@ def relu_map(x: QTensor) -> QTensor:
 def _inv_sqrt_of_count(d_m: int, cfg: ScaleConfig,
                        sat: SaturationCounter | None) -> ScaledInt:
     if d_m < 1:
-        raise ShapeError("attention head dimension must be positive")
+        raise ShapeError(f"attention head dimension must be positive, got {d_m}")
     scaled, _ = newton_inv_sqrt(handle_overflow(d_m, 0, cfg), default_seed(cfg),
                                 cfg.newton_iters, cfg, sat)
     return scaled
@@ -474,7 +477,8 @@ def attention(
     Newton iteration and reused across the whole score matrix.
     """
     if q.shape != k.shape or q.shape != v.shape or len(q.shape) != 2:
-        raise ShapeError("attention expects matching [T, d] tensors")
+        raise ShapeError(f"attention expects matching [T, d] tensors, "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
     inv_root = _inv_sqrt_of_count(d_m, cfg, sat)
     scores = matmul(q, transpose(k), cfg, sat)
     scaled = QTensor(scores.shape,
@@ -497,7 +501,8 @@ def factorized_attention(
     column, so the context matrix is only ``d x d``.
     """
     if q.shape != k.shape or q.shape != v.shape or len(q.shape) != 2:
-        raise ShapeError("attention expects matching [T, d] tensors")
+        raise ShapeError(f"attention expects matching [T, d] tensors, "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
     tokens, feats = k.shape
     inv_root = _inv_sqrt_of_count(d_m, cfg, sat)
     cols: list[list[ScaledInt]] = []

@@ -48,6 +48,19 @@ class TestExperimentSpec:
     def test_full_size_image_accepted(self):
         ExperimentSpec("conv2d", i=3, o=9, k=3, h=224, w=224)
 
+    @pytest.mark.parametrize("build,needle", [
+        (lambda: ExperimentSpec("linear", weight_mode="eye"), "got 'eye'"),
+        (lambda: ExperimentSpec("linear", weight_mode=""), "got ''"),
+        (lambda: run_bench(ExperimentSpec("linear", i=3, o=2, h=2, w=2, trials=1,
+                                          weight_mode="identity"), CFG),
+         "got 3 in and 2 out"),
+    ])
+    def test_bad_weights_named(self, build, needle):
+        with pytest.raises(UsageError) as exc:
+            build()
+        assert type(exc.value) is UsageError
+        assert needle in str(exc.value)
+
 
 class TestRunBench:
     def test_identity_linear_is_exact(self):

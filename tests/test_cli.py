@@ -329,3 +329,198 @@ class TestSaveTensor:
         assert code == 1
         assert "elements" in err
         assert not path.exists()
+
+
+# Config flags no longer offered where the command never read them (or read
+# them only through a second flag, as invsqrt's --iters and gelu-curve's
+# --variant), with the positional arguments each command needs.
+REMOVED_FLAGS = [
+    (cmd, flag, value)
+    for cmd in ("invsqrt", "div-sweep", "quantize", "gelu-curve")
+    for flag, value in (("--newton-iters", "5"), ("--gelu-variant", "series-cubed"),
+                        ("--seed", "1"))
+] + [("info", "--seed", "1")] + [
+    ("save-tensor", flag, value)
+    for flag, value in (("--p-bits", "6"), ("--scale-bits", "4"), ("--newton-iters", "5"),
+                        ("--gelu-variant", "series-cubed"))
+]
+# Run from a temporary directory, where save-tensor writes t.json.
+POSITIONALS = {"invsqrt": ["4"], "quantize": ["1.5"], "save-tensor": ["t.json", "--shape", "2"]}
+
+
+@pytest.mark.parametrize("cmd,flag,value", REMOVED_FLAGS,
+                         ids=[f"{c} {f}" for c, f, _ in REMOVED_FLAGS])
+def test_removed_config_flag_unrecognized(capsys, tmp_path, monkeypatch, cmd, flag, value):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, *POSITIONALS.get(cmd, []), flag, value])
+    assert exc.value.code == 1
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("scaledq: error:")]
+    assert errors == [f"scaledq: error: unrecognized arguments: {flag} {value}"]
+    assert not (tmp_path / "t.json").exists()
+
+
+KEPT_FLAGS = [
+    (cmd, flag, value)
+    for cmd in ("invsqrt", "quantize", "gelu-curve", "div-sweep")
+    for flag, value in (("--p-bits", "4"), ("--scale-bits", "4"))
+] + [("info", flag, value) for flag, value in (("--p-bits", "6"), ("--scale-bits", "4"),
+                                                ("--newton-iters", "5"),
+                                                ("--gelu-variant", "series-cubed"))] + [
+    ("save-tensor", "--seed", "5")]
+
+
+@pytest.mark.parametrize("cmd,flag,value", KEPT_FLAGS, ids=[f"{c} {f}" for c, f, _ in KEPT_FLAGS])
+def test_kept_config_flag_runs(capsys, tmp_path, monkeypatch, cmd, flag, value):
+    monkeypatch.chdir(tmp_path)
+    argv = [cmd, *POSITIONALS.get(cmd, []), flag, value]
+    if cmd == "div-sweep" and flag != "--p-bits":
+        argv += ["--p-bits", "4"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+
+
+ALL_KEYS_CONFIG = {"p_bits": 8, "scale_bits": 5, "newton_iters": 20,
+                   "gelu_variant": "series-cubed", "seed": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "softmax", "--height", "2", "--width", "2", "--trials", "1"],
+    ["bench", "suite", "--height", "2", "--trials", "1"],
+    ["invsqrt", "4"], ["div-sweep", "--p-bits", "4"], ["quantize", "1.5"],
+    ["gelu-curve", "--steps", "3"], ["info"], ["save-tensor", *POSITIONALS["save-tensor"]],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_config_file_with_every_key_accepted_everywhere(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(ALL_KEYS_CONFIG))
+    code, _, err = run_cli(capsys, *argv, "--config", "cfg.json")
+    assert (code, err) == (0, "")
+
+
+# What each bench row does not read; it reads every other bench setting.
+BENCH_UNREAD = {
+    "conv2d": ("--weight-mode", "--newton-iters", "--gelu-variant"),
+    "depthwise-conv2d": ("--weight-mode", "--newton-iters", "--gelu-variant"),
+    "linear": ("--batch", "--kernel", "--newton-iters", "--gelu-variant"),
+    "layer-norm": ("--batch", "--in-channels", "--out-channels", "--kernel", "--weight-mode",
+                   "--gelu-variant"),
+    "softmax": ("--batch", "--in-channels", "--out-channels", "--kernel", "--weight-mode",
+                "--newton-iters", "--gelu-variant"),
+    "gelu": ("--batch", "--in-channels", "--out-channels", "--kernel", "--weight-mode",
+             "--newton-iters"),
+    "suite": ("--batch", "--in-channels", "--out-channels", "--kernel", "--width",
+              "--weight-mode", "--input-file", "--gelu-variant"),
+}
+# A value for each bench setting that differs from its default.
+BENCH_VALUES = {"--batch": "2", "--in-channels": "1", "--out-channels": "6", "--kernel": "2",
+                "--height": "4", "--width": "4", "--trials": "2", "--weight-mode": "identity",
+                "--p-bits": "6", "--scale-bits": "4", "--newton-iters": "3",
+                "--gelu-variant": "series-cubed", "--seed": "3"}
+FILE_FLAGS = ("--input-file", "--config")
+BENCH_READ = [(row, flag) for row in BENCH_UNREAD for flag in (*BENCH_VALUES, *FILE_FLAGS)
+              if flag not in BENCH_UNREAD[row]]
+
+
+def _bench_argv(row, flag, tmp_path):
+    base = ["--height", "3", "--trials", "1"] + ([] if row == "suite" else ["--width", "3"])
+    if flag == "--config":
+        value = tmp_path / "cfg.json"
+        value.write_text(json.dumps({"p_bits": 6}))
+    elif flag == "--input-file":
+        shape = {"conv2d": [1, 3, 3, 3], "depthwise-conv2d": [1, 3, 3, 3],
+                 "linear": [9, 3]}.get(row, [9])
+        value = tmp_path / "x.json"
+        value.write_text(json.dumps({"shape": shape, "kind": "f64",
+                                     "data": [0.5] * (27 if len(shape) > 1 else 9)}))
+    else:
+        value = BENCH_VALUES[flag]
+    return ["bench", row, *base, flag, str(value)]
+
+
+@pytest.mark.parametrize("row,flag", [(r, f) for r, fs in BENCH_UNREAD.items() for f in fs])
+def test_bench_refuses_unread_flag_before_any_trial(capsys, tmp_path, monkeypatch, row, flag):
+    def no_trial(*_args, **_kwargs):
+        raise AssertionError("a trial ran for an unread flag")
+    monkeypatch.setattr("scaledq.cli.run_bench", no_trial)
+    monkeypatch.setattr("scaledq.cli.run_suite", no_trial)
+    report = tmp_path / "report.csv"
+    code, out, err = run_cli(capsys, *_bench_argv(row, flag, tmp_path), "--out", str(report))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"scaledq: error: bench {row} reads only --height")
+    assert err.endswith(f", not {flag}\n") and err.count("\n") == 1
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("row,flag", BENCH_READ)
+def test_bench_read_flag_changes_the_report(capsys, tmp_path, row, flag):
+    argv = _bench_argv(row, flag, tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    _, base, _ = run_cli(capsys, *argv[:-2])
+    assert out != base
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["invsqrt", "4", "--iters", "4097"], "--iters 4097 is outside [0, 4096]"),
+    (["invsqrt", "4", "--iters", "-1"], "--iters -1 is outside [0, 4096]"),
+    (["bench", "layer-norm", "--newton-iters", "4097"], "got 4097"),
+    (["bench", "suite", "--newton-iters", "0"], "got 0"),
+])
+def test_newton_iteration_count_bounded(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("scaledq: error:") and named in err and err.count("\n") == 1
+
+
+def test_invsqrt_accepts_the_iteration_bound(capsys):
+    code, out, _ = run_cli(capsys, "invsqrt", "4", "--iters", "4096")
+    assert code == 0
+    assert len(out.splitlines()) == 4098
+
+
+def test_config_newton_iters_above_bound_exit_1(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"newton_iters": 4097}))
+    code, _, err = run_cli(capsys, "invsqrt", "4", "--config", str(cfg))
+    assert code == 1
+    assert err == "scaledq: error: newton_iters must be from 1 to 4096, got 4097\n"
+
+
+@pytest.mark.parametrize("contents,named", [
+    (None, "missing.json"),
+    ("{not json", "cfg.json"),
+    ("[1, 2]", "got list"),
+    ('"p_bits"', "got str"),
+])
+def test_unusable_config_file_named(capsys, tmp_path, contents, named):
+    cfg = tmp_path / ("missing.json" if contents is None else "cfg.json")
+    if contents is not None:
+        cfg.write_text(contents)
+    code, out, err = run_cli(capsys, "quantize", "1.5", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("scaledq: error:") and named in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("shape", ["2,0", "3,-1", "0"])
+def test_save_tensor_non_positive_dim_named(capsys, tmp_path, shape):
+    path = tmp_path / "t.json"
+    code, out, err = run_cli(capsys, "save-tensor", str(path), f"--shape={shape}")
+    assert code == 1
+    assert out == ""
+    assert err == f"scaledq: error: shape dims must be positive, got {shape}\n"
+    assert not path.exists()
+
+
+def test_bench_scaled_input_file_matches_equal_f64_file(capsys, tmp_path):
+    pairs = [[122, 3], [-33, 7], [0, 0], [255, 15]]
+    scaled, f64 = tmp_path / "scaled.json", tmp_path / "f64.json"
+    scaled.write_text(json.dumps({"shape": [4], "kind": "scaled", "data": pairs}))
+    f64.write_text(json.dumps({"shape": [4], "kind": "f64",
+                               "data": [m / 2 ** s for m, s in pairs]}))
+    argv = ["bench", "softmax", "--height", "2", "--width", "2", "--trials", "2"]
+    reports = [run_cli(capsys, *argv, "--input-file", str(p)) for p in (scaled, f64)]
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0 and reports[0][1].startswith("operator,")

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scaledq.core import (
+    MAX_NEWTON_ITERS,
     DivisionByZero,
     RangeError,
     SaturationCounter,
@@ -73,6 +74,19 @@ class TestScaledInt:
     def test_formats_past_fp64_refused(self, p_bits, scale_bits):
         with pytest.raises(ValueError, match="overflows FP64"):
             ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+
+    @pytest.mark.parametrize("field,value", [("scale_bits", 1), ("scale_bits", -3),
+                                             ("newton_iters", 0), ("newton_iters", -1),
+                                             ("newton_iters", MAX_NEWTON_ITERS + 1),
+                                             ("newton_iters", 10 ** 9)])
+    def test_config_field_out_of_range_named(self, field, value):
+        with pytest.raises(ValueError) as exc:
+            ScaleConfig(**{field: value})
+        assert type(exc.value) is ValueError
+        assert str(exc.value).startswith(field) and str(exc.value).endswith(f"got {value}")
+
+    def test_newton_iters_bound_is_inclusive(self):
+        assert ScaleConfig(newton_iters=MAX_NEWTON_ITERS).newton_iters == MAX_NEWTON_ITERS
 
 
 class TestQuantize:

@@ -109,6 +109,11 @@ class TestDomain:
         with pytest.raises(DomainError):
             newton_inv_sqrt(ScaledInt(4), ScaledInt(0), 4, CFG)
 
+    @pytest.mark.parametrize("iters", [-1, -20])
+    def test_negative_iteration_count_named(self, iters):
+        with pytest.raises(DomainError, match=f"non-negative, got {iters}$"):
+            newton_inv_sqrt(GOLDEN_X, SEED, iters, CFG)
+
     def test_default_seed(self):
         assert default_seed(CFG) == ScaledInt(1, 6)
         narrow = ScaleConfig(scale_bits=3)

@@ -748,3 +748,54 @@ def test_gelu_exhaustive_matches_scalar_oracle(variant):
     want = [oracle_gelu(e, CFG, want_sat, variant) for e in values]
     assert got == want
     assert got_sat.count == want_sat.count > 0
+
+
+def _empty(shape):
+    return QTensor(shape, ())
+
+
+_Z2 = qt((2,), [0, 0])
+_SQ = qt((2, 2), [0.5, 0.25, 0.125, 1.0])
+
+# One case per shape or argument check in ``ops``: the call, the error it
+# must raise and the text naming the bad value.
+_BAD_CALLS = {
+    "convspec-stride": (lambda: ConvSpec(1, 1, 1, stride=0), ShapeError, "stride 0"),
+    "layernorm-params": (lambda: LayerNormParams(_Z2, qt((3,), [0, 0, 0])),
+                         ShapeError, "(2,) and (3,)"),
+    "conv2d-rank": (lambda: conv2d(qt((1, 2, 2), [0] * 4), qt((1, 1, 1, 1), [1]), None,
+                                   ConvSpec(1, 1, 1), CFG), ShapeError, "got (1, 2, 2)"),
+    "conv2d-channels": (lambda: conv2d(qt((1, 2, 1, 1), [0, 0]), qt((1, 1, 1, 1), [1]), None,
+                                       ConvSpec(1, 1, 1), CFG), ShapeError, "has 2 channels"),
+    "conv2d-bias": (lambda: conv2d(qt((1, 1, 1, 1), [0]), qt((1, 1, 1, 1), [1]), _Z2,
+                                   ConvSpec(1, 1, 1), CFG), ShapeError, "got (2,)"),
+    "conv2d-kernel-fit": (lambda: conv2d(qt((1, 1, 2, 2), [0] * 4), qt((1, 1, 3, 3), [1] * 9),
+                                         None, ConvSpec(1, 1, 3), CFG),
+                          ShapeError, "kernel 3 does not fit the padded input (1, 1, 2, 2)"),
+    "linear-weight-rank": (lambda: linear(_SQ, _Z2, None, CFG), ShapeError, "got (2,)"),
+    "linear-input-dim": (lambda: linear(qt((2, 3), [0] * 6), _SQ, None, CFG),
+                         ShapeError, "got (2, 3)"),
+    "linear-bias": (lambda: linear(_SQ, _SQ, qt((3,), [0] * 3), CFG), ShapeError, "got (3,)"),
+    "transpose-rank": (lambda: transpose(_Z2), ShapeError, "got (2,)"),
+    "layer-norm-empty": (lambda: layer_norm(_empty((2, 0)),
+                                            LayerNormParams(_empty((0,)), _empty((0,))), CFG),
+                         ShapeError, "got (2, 0)"),
+    "layer-norm-gamma": (lambda: layer_norm(qt((1, 3), [0] * 3), LayerNormParams(_Z2, _Z2), CFG),
+                         ShapeError, "got (2,)"),
+    "softmax-empty": (lambda: softmax([], CFG), ShapeError, "got 0"),
+    "softmax-tensor-empty": (lambda: softmax_tensor(_empty((0,)), CFG), ShapeError, "got (0,)"),
+    "gelu-variant": (lambda: gelu(ONE, CFG, variant="bogus"), ValueError, "'bogus'"),
+    "attention-head-dim": (lambda: attention(_SQ, _SQ, _SQ, 0, CFG), ShapeError, "got 0"),
+    "factorized-attention-shapes": (lambda: factorized_attention(_SQ, qt((2, 3), [0] * 6), _SQ,
+                                                                 2, CFG),
+                                    ShapeError, "(2, 3)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CALLS))
+def test_bad_arguments_raise_naming_the_value(case):
+    call, error, needle = _BAD_CALLS[case]
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    assert needle in str(exc.value)

@@ -2,10 +2,11 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from scaledq.core import GELU_SERIES_LINEAR, ScaledInt, quantize
+from scaledq.core import GELU_SERIES_CUBED, GELU_SERIES_LINEAR, ScaledInt, quantize
 from scaledq.ops import ConvSpec, QTensor, ShapeError
 from scaledq import reference as ref
 
@@ -35,6 +36,21 @@ class TestRefOps:
         assert ref.GELU_C1 == 102 / 128
         assert ref.GELU_C3 == 18 / 512
         assert ref.ref_gelu_series(1.0, GELU_SERIES_LINEAR) == 0.916015625
+
+    @pytest.mark.parametrize("x", [-2.0, -0.5, 0.25, 1.0, 1.5, 3.0])
+    def test_gelu_series_cubed_matches_exact_fractions(self, x):
+        # Dyadic x keeps every intermediate within 53 bits, so the float
+        # series must equal the rational one exactly.
+        fx = Fraction(x)
+        a = Fraction(102, 128) * fx + Fraction(18, 512) * fx ** 3
+        assert Fraction(ref.ref_gelu_series(x, GELU_SERIES_CUBED)) == fx * (1 + a + a ** 3) / 2
+
+    @pytest.mark.parametrize("variant", ["bogus", "", "series-Linear"])
+    def test_gelu_series_unknown_variant_named(self, variant):
+        with pytest.raises(ValueError) as exc:
+            ref.ref_gelu_series(0.5, variant)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"unknown gelu variant {variant!r}"
 
     def test_newton_reference_value(self):
         final, seq = ref.ref_newton_inv_sqrt(15.25, 0.015625, 8)
