@@ -449,6 +449,12 @@ def tensor_digest(t: QTensor) -> str:
     return hashlib.sha256(f"{t.shape}|{body}".encode()).hexdigest()
 
 
+def value_digest(t: QTensor) -> str:
+    """Digest of the exact values alone: two storage forms of one value agree."""
+    body = ";".join(dequantize(e).hex() for e in t.data)
+    return hashlib.sha256(f"{t.shape}|{body}".encode()).hexdigest()
+
+
 def _pinned_cases():
     rng = random.Random(2024)
     x = rand_tensor(rng, (1, 3, 7, 7))
@@ -501,11 +507,44 @@ PINNED = {
 }
 
 
+# SHA-256 of each output's exact values (``float.hex`` of every element) and
+# its floor-saturation count, taken with ``PINNED``; unlike ``PINNED``, these
+# hold across any change to how a value is stored.
+PINNED_VALUES = {
+    "attention": ("b6600366f59a877aa7cd4c1e0562253b48753d67a8549f421513d095610f2eaa", 35),
+    "conv2d-dense": ("b60b7c7aefe46a5600d5c283580dd6a10184e3d264bf065baf614f9c61136636", 477),
+    "conv2d-depthwise": ("93aa4b9f8f4d58d4dcc10683c8c715de46daca6728692df2c7737be56e9f8dd5", 179),
+    "factorized-attention": ("59b01cd4512be5262a63b063d3ba9e969d7e6de6e0e26227350c14fd3d40c639", 26),
+    "gelu-map-series-cubed":
+        ("be7deab7f7f3c6392a74d9d6173344174012a1513bae79bbf7e5099df2b4e5cd", 384),
+    "gelu-map-series-cubed-corrected":
+        ("146fd1c0718be77c1939185e7b20386dd765fd28c21e8d26c504e3bdbec64800", 317),
+    "gelu-map-series-linear":
+        ("b4bc1ed8cc06364517580fec59dc0b7218b277e1dfd327fb57453d3ff1803e04", 161),
+    "layer-norm": ("0902fdc049192d2d80e383e604a88c0db4dd4f9b4a7f2c67a8142b1b27bc3955", 64),
+    "linear": ("3b4ec5b935ac9b7cbdff94388a9e7f7853ecf0c44921e96aff5b58a9faf30603", 66),
+    "linear-bias": ("9cefdfcf0a4aebc4aa73f9fae31a460df62f1b819d200bfa41ebb8810be69006", 69),
+    "matmul": ("7bc03d8caf4edd985f766adc6f2a7f750f94c776e8a6e45b4ba6376971670865", 21),
+    "softmax-tensor": ("b0344f82741653262dd4fc9ef4294937bc4b53a2d65626aa664c6c8de15754b8", 28),
+}
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_operator_bytes(name):
     sat = SaturationCounter()
     out = _pinned_cases()[name](sat)
     assert (tensor_digest(out), sat.count) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_VALUES))
+def test_pinned_operator_values(name):
+    sat = SaturationCounter()
+    out = _pinned_cases()[name](sat)
+    assert (value_digest(out), sat.count) == PINNED_VALUES[name]
+
+
+def test_value_pins_cover_every_form_pin():
+    assert PINNED_VALUES.keys() == PINNED.keys()
 
 
 def test_pinned_inputs_reach_both_range_edges():
