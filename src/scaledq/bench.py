@@ -62,7 +62,8 @@ MAX_ELEMENTS = 1 << 24
 class _Operator:
     """One bench operator.
 
-    ``input_shape(spec)`` is the shape of the input tensor;
+    ``shapes(spec)`` are the shapes of the tensors the row builds, the input
+    tensor's first, so a spec is bounded before anything is allocated;
     ``operands(spec, cfg, rng, x)`` draws the rest of the quantized
     arguments around ``x``; ``quantized(args, cfg, sat, variant)`` runs the
     integer op on them and ``fp64(fargs)`` its FP64 mirror on the same
@@ -70,7 +71,7 @@ class _Operator:
     at call time, so patching a module attribute reaches them.
     """
 
-    input_shape: Callable[["ExperimentSpec"], tuple[int, ...]]
+    shapes: Callable[["ExperimentSpec"], tuple[tuple[int, ...], ...]]
     operands: Callable[..., tuple]
     quantized: Callable[..., QTensor]
     fp64: Callable[[tuple], FTensor]
@@ -85,12 +86,17 @@ def _random_tensor(rng: random.Random, shape: tuple[int, ...], cfg: ScaleConfig,
 
 
 def _conv(depthwise: bool) -> _Operator:
+    def shapes(s):
+        # input, weights and output; the output is at most (b, o, h, w), since
+        # the rows run at stride 1 without padding
+        return ((s.b, s.i, s.h, s.w), (s.o, 1 if depthwise else s.i, s.k, s.k),
+                (s.b, s.o, s.h, s.w))
+
     def operands(spec, cfg, rng, x):
-        w_ch = 1 if depthwise else spec.i
-        w = _random_tensor(rng, (spec.o, w_ch, spec.k, spec.k), cfg)
+        w = _random_tensor(rng, shapes(spec)[1], cfg)
         bias = _random_tensor(rng, (spec.o,), cfg)
         return x, w, bias, ConvSpec(spec.i, spec.o, spec.k, depthwise=depthwise)
-    return _Operator(lambda s: (s.b, s.i, s.h, s.w), operands,
+    return _Operator(shapes, operands,
                      lambda a, cfg, sat, v: conv2d(*a, cfg, sat),
                      lambda f: ref.ref_conv2d(*f),
                      ("batch", "in_channels", "out_channels", "kernel"))
@@ -109,8 +115,8 @@ def _unit_norm_operands(spec, cfg, rng, x):
     return x, LayerNormParams(gamma, QTensor((n,), (ZERO,) * n), ScaledInt(1, cfg.scale_max))
 
 
-def _flat_input(s):
-    return (s.h * s.w,)
+def _flat_shapes(s):
+    return ((s.h * s.w,),)
 
 
 def _input_only(spec, cfg, rng, x):
@@ -121,20 +127,20 @@ _OPERATORS = {
     "conv2d": _conv(depthwise=False),
     "depthwise-conv2d": _conv(depthwise=True),
     "linear": _Operator(
-        lambda s: (s.h * s.w, s.i), _linear_operands,
+        lambda s: ((s.h * s.w, s.i), (s.o, s.i), (s.h * s.w, s.o)), _linear_operands,
         lambda a, cfg, sat, v: linear(*a, cfg, sat),
         lambda f: ref.ref_linear(*f), ("in_channels", "out_channels", "weight_mode")),
     "layer-norm": _Operator(
-        _flat_input, _unit_norm_operands,
+        _flat_shapes, _unit_norm_operands,
         lambda a, cfg, sat, v: layer_norm(*a, cfg, sat),
         lambda f: ref.ref_layer_norm(f[0], [1.0] * f[0].size, [0.0] * f[0].size,
                                      dequantize(f[1].eps)), ("newton_iters",)),
     "softmax": _Operator(
-        _flat_input, _input_only,
+        _flat_shapes, _input_only,
         lambda a, cfg, sat, v: softmax_tensor(*a, cfg, sat),
         lambda f: FTensor(f[0].shape, tuple(ref.ref_softmax_series(f[0].data)))),
     "gelu": _Operator(
-        _flat_input, _input_only,
+        _flat_shapes, _input_only,
         lambda a, cfg, sat, v: gelu_map(*a, cfg, sat, v),
         lambda f: FTensor(f[0].shape, tuple(ref.ref_gelu_exact(v) for v in f[0].data)),
         ("gelu_variant",)),
@@ -170,9 +176,7 @@ class ExperimentSpec:
             raise UsageError(f"unknown operator {self.operator!r}; choose from {OPERATORS}")
         if min(self.b, self.i, self.o, self.k, self.h, self.w) < 1:
             raise UsageError("all dimensions must be positive")
-        # Bounds every tensor any operator builds from these dimensions.
-        if max(self.b * max(self.i, self.o) * self.h * self.w,
-               self.o * self.i * self.k * self.k) > MAX_ELEMENTS:
+        if max(map(math.prod, _OPERATORS[self.operator].shapes(self))) > MAX_ELEMENTS:
             raise UsageError(f"dimensions give a tensor above {MAX_ELEMENTS} elements")
         if self.trials < 1:
             raise UsageError("trials must be >= 1")
@@ -249,7 +253,7 @@ def run_bench(spec: ExperimentSpec, cfg: ScaleConfig,
     """Run one experiment, pooling squared error over all trials."""
     start = time.perf_counter()
     op = _OPERATORS[spec.operator]
-    shape = op.input_shape(spec)
+    shape = op.shapes(spec)[0]
     # Elementwise rows take the file's elements in order, whatever its shape.
     if fixed_input is not None:
         if fixed_input.shape != shape and (len(shape) > 1 or fixed_input.size != shape[0]):

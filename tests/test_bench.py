@@ -48,6 +48,20 @@ class TestExperimentSpec:
     def test_full_size_image_accepted(self):
         ExperimentSpec("conv2d", i=3, o=9, k=3, h=224, w=224)
 
+    @pytest.mark.parametrize("dims", [dict(b=400000), dict(k=5000)])
+    def test_dims_a_flat_row_never_builds_accepted(self, dims):
+        ExperimentSpec("softmax", **dims)
+
+    @pytest.mark.parametrize("operator,dims", [
+        ("conv2d", dict(b=400000)),
+        ("depthwise-conv2d", dict(o=4096, k=65)),
+        ("linear", dict(o=4096, h=64, w=65)),
+        ("softmax", dict(h=4097, w=4096)),
+    ])
+    def test_tensor_a_row_builds_bounded(self, operator, dims):
+        with pytest.raises(UsageError, match="elements"):
+            ExperimentSpec(operator, **dims)
+
     @pytest.mark.parametrize("build,needle", [
         (lambda: ExperimentSpec("linear", weight_mode="eye"), "got 'eye'"),
         (lambda: ExperimentSpec("linear", weight_mode=""), "got ''"),
