@@ -30,7 +30,7 @@ from .core import (
     ScaledInt,
     dequantize,
     quantize,
-    scale_div,
+    quotient,
 )
 from .ops import (
     ConvSpec,
@@ -326,11 +326,6 @@ class DivSweepReport:
     worst_divisor: int
 
 
-def _to_fraction(q: ScaledInt) -> Fraction:
-    mag = Fraction(q.magnitude, 1 << q.scale) if q.scale >= 0 else Fraction(q.magnitude << -q.scale)
-    return -mag if q.negative else mag
-
-
 def div_sweep(cfg: ScaleConfig) -> DivSweepReport:
     """Exhaustive quotient check over every magnitude pair at scale 0,
     scored with exact rational arithmetic.  Refused above ``MAX_ELEMENTS``
@@ -346,9 +341,10 @@ def div_sweep(cfg: ScaleConfig) -> DivSweepReport:
     divisible_inexact = 0
     pairs = 0
     for a in range(1, top + 1):
-        qa = ScaledInt(a)
         for b in range(1, top + 1):
-            got = _to_fraction(scale_div(qa, ScaledInt(b), cfg))
+            # a quotient of P-bit magnitudes is below 2**P, so its scale is >= 0
+            magnitude, scale = quotient(a, b, 0, cfg)
+            got = Fraction(magnitude, 1 << scale)
             truth = Fraction(a, b)
             rel = abs(truth - got) / truth
             pairs += 1

@@ -307,31 +307,21 @@ def quotient(
     cfg: ScaleConfig = DEFAULT_CONFIG,
     sat: SaturationCounter | None = None,
 ) -> tuple[int, int]:
-    """Unsigned ``(dividend / divisor) / 2**scale`` by one exact integer
-    division, fitted as ``(magnitude, scale)``.
+    """Unsigned ``(dividend / divisor) / 2**scale``, truncated to P bits and
+    fitted as ``(magnitude, scale)``.
 
-    An integer quotient is returned as it is.  An exact non-integer quotient
-    ``odd / 2**t`` is stored as ``(2 * odd, scale + t + 1)``, not as
-    ``(odd, scale + t)``; the form is kept on purpose, because pinned output
-    digests include the scales.  Any other quotient has the dividend shifted
-    left until the floor of the quotient has at least P bits; :func:`fit`
-    keeps the P leading bits, so the result is truncated toward zero and
-    never overshoots the true quotient.
+    The dividend is shifted left by ``e`` bits, just enough that the floor of
+    the quotient has at least P bits, and one exact integer floor division
+    follows; :func:`fit` keeps the P leading bits.  The result never
+    overshoots the true quotient, is exact whenever the quotient is
+    representable, and is stored in the form :func:`quantize` gives its value.
     """
     if divisor == 0:
         raise DivisionByZero("scaled division by zero")
     if dividend == 0:
         return 0, 0
-    q, rem = divmod(dividend, divisor)
-    if rem:
-        g = math.gcd(dividend, divisor)
-        den = divisor // g
-        if den & (den - 1) == 0:  # a power of two: exact, odd / 2**t
-            q, scale = (dividend // g) << 1, scale + den.bit_length()
-        else:
-            e = max(0, cfg.p_bits + divisor.bit_length() - dividend.bit_length())
-            q, scale = (dividend << e) // divisor, scale + e
-    return fit(q, scale, cfg, sat)
+    e = max(0, cfg.p_bits + divisor.bit_length() - dividend.bit_length())
+    return fit((dividend << e) // divisor, scale + e, cfg, sat)
 
 
 def scale_div(

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from scaledq.core import RangeError, ScaleConfig, ScaledInt
+from scaledq import bench
+from scaledq.core import RangeError, ScaleConfig, ScaledInt, quotient
 from scaledq.ops import QTensor
 from scaledq.reference import FTensor
 from scaledq.bench import (
@@ -147,6 +148,19 @@ class TestDivSweep:
     def test_refused_above_max_elements(self):
         with pytest.raises(UsageError, match="pairs"):
             div_sweep(ScaleConfig(p_bits=13))
+
+    def test_counts_divisible_pairs_whose_quotient_is_inexact(self, monkeypatch):
+        def drops_a_bit_when_divisible(a, b, scale, cfg, sat=None):
+            magnitude, scale = quotient(a, b, scale, cfg, sat)
+            return (magnitude & (magnitude - 1) if a % b == 0 else magnitude), scale
+
+        cfg = ScaleConfig(p_bits=2, scale_bits=3)
+        clean = div_sweep(cfg)
+        monkeypatch.setattr(bench, "quotient", drops_a_bit_when_divisible)
+        lossy = div_sweep(cfg)
+        # (1, 1), (2, 1), (3, 1), (2, 2) and (3, 3)
+        assert (clean.divisible_inexact, lossy.divisible_inexact) == (0, 5)
+        assert lossy.exact == clean.exact - 5
 
 
 class TestTensorFiles:

@@ -216,12 +216,13 @@ class TestAddSub:
 class TestDiv:
     def test_exact_quotient(self):
         got = scale_div(ScaledInt(15), ScaledInt(3), CFG)
-        assert (got.magnitude, got.scale) == (5, 0)
+        assert dequantize(got) == 5.0
+        assert (got.magnitude, got.scale) == (160, 5)
 
     def test_hand_traced_7_over_2(self):
         got = scale_div(ScaledInt(7), ScaledInt(2), CFG)
         assert dequantize(got) == 3.5
-        assert (got.magnitude, got.scale) == (14, 2)
+        assert (got.magnitude, got.scale) == (224, 6)
 
     def test_divisor_scale_folded(self):
         got = scale_div(ScaledInt(122, 3), ScaledInt(2), CFG)
@@ -333,7 +334,9 @@ def test_determinism_bit_identical():
 
 
 # ---------------------------------------------------------------------------
-# quotient against the recursive long division it replaced
+# quotient against the recursive long division it replaced, on value and
+# saturation count (the two store some exact quotients in different forms),
+# and its storage form against quantize's
 # ---------------------------------------------------------------------------
 
 ORACLE_DIV_T_MAX = 5
@@ -377,11 +380,26 @@ def _quotients(fn, cases, cfg):
     return [(*fn(a, b, s, cfg, sat), sat.count) for a, b, s in cases]
 
 
+def _values(quotients):
+    """Each ``(magnitude, scale, count)`` as its exact value and the count."""
+    return [(as_fraction(ScaledInt(m, s)), count) for m, s, count in quotients]
+
+
+def assert_quantize_form(quotients, cfg):
+    """Every nonzero quotient is stored as ``quantize`` stores its value."""
+    for m, s, _ in quotients:
+        if m:
+            q = ScaledInt(m, s)
+            assert quantize(dequantize(q), cfg) == q
+
+
 @pytest.mark.parametrize("scale", [CFG.scale_min - 1, CFG.scale_min, 0,
                                    CFG.scale_max, CFG.scale_max + 1])
 def test_quotient_matches_long_division_exhaustive(scale):
     cases = [(a, b, scale) for a in range(1, 256) for b in range(1, 256)]
-    assert _quotients(quotient, cases, CFG) == _quotients(oracle_quotient, cases, CFG)
+    got = _quotients(quotient, cases, CFG)
+    assert _values(got) == _values(_quotients(oracle_quotient, cases, CFG))
+    assert_quantize_form(got, CFG)
 
 
 @pytest.mark.parametrize("p_bits", [2, 4, 12])
@@ -399,5 +417,6 @@ def test_quotient_matches_long_division_sampled(p_bits, scale_bits):
         u, t = rng.randint(1, 1 << p_bits), rng.randint(0, wide)
         cases += [(a, b, scale), (a * u, u << t, scale), (0, b, scale)]
     got = _quotients(quotient, cases, cfg)
-    assert got == _quotients(oracle_quotient, cases, cfg)
+    assert _values(got) == _values(_quotients(oracle_quotient, cases, cfg))
+    assert_quantize_form(got, cfg)
     assert got[-1][2] > 0  # the floor saturates somewhere in the sample
