@@ -104,7 +104,8 @@ def _conv(depthwise: bool) -> _Operator:
 
 def _linear_operands(spec, cfg, rng, x):
     if spec.weight_mode == "identity":
-        return x, _identity_weight(spec.o, spec.i), QTensor((spec.o,), (ZERO,) * spec.o)
+        eye = tuple(ONE if r == c else ZERO for r in range(spec.o) for c in range(spec.i))
+        return x, QTensor((spec.o, spec.i), eye), QTensor((spec.o,), (ZERO,) * spec.o)
     w = _random_tensor(rng, (spec.o, spec.i), cfg)
     return x, w, _random_tensor(rng, (spec.o,), cfg)
 
@@ -183,6 +184,13 @@ class ExperimentSpec:
         if self.weight_mode not in ("random", "identity"):
             raise UsageError(f"weight_mode must be 'random' or 'identity', "
                              f"got {self.weight_mode!r}")
+        if self.operator.endswith("conv2d") and self.k > min(self.h, self.w):
+            raise UsageError(f"kernel {self.k} does not fit the {self.h}x{self.w} input")
+        if self.operator == "depthwise-conv2d" and self.o % self.i:
+            raise UsageError(f"depthwise out_channels {self.o} is no multiple of {self.i}")
+        if self.operator == "linear" and self.weight_mode == "identity" and self.o != self.i:
+            raise UsageError(f"identity weights need matching input/output sizes, "
+                             f"got {self.i} in and {self.o} out")
 
 
 @dataclass(frozen=True)
@@ -237,14 +245,6 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 def _qtensor(shape: tuple[int, ...], values: Sequence[float], cfg: ScaleConfig) -> QTensor:
     return QTensor(shape, tuple(quantize(v, cfg) for v in values))
-
-
-def _identity_weight(out_f: int, in_f: int) -> QTensor:
-    if out_f != in_f:
-        raise UsageError(f"identity weights need matching input/output sizes, "
-                         f"got {in_f} in and {out_f} out")
-    return QTensor((out_f, in_f),
-                   tuple(ONE if r == c else ZERO for r in range(out_f) for c in range(in_f)))
 
 
 def run_bench(spec: ExperimentSpec, cfg: ScaleConfig,
@@ -391,8 +391,8 @@ def save_tensor(path: str, tensor: FTensor | QTensor) -> None:
 def load_tensor(path: str, cfg: ScaleConfig) -> FTensor | QTensor:
     """Read a tensor file.  Malformed contents, including a shape dim or a
     scaled pair that is not a JSON integer and an f64 entry that is not a
-    JSON number, raise ``UsageError``; a scaled entry outside the configured
-    format raises ``RangeError``."""
+    JSON number or is past FP64's range, raise ``UsageError``; a scaled
+    entry outside the configured format raises ``RangeError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -411,7 +411,10 @@ def load_tensor(path: str, cfg: ScaleConfig) -> FTensor | QTensor:
         if any(type(v) not in (int, float) for v in data):
             raise UsageError(f"bad tensor file {path}: f64 data must be numbers")
         tensor_type = FTensor
-        elements = tuple(float(v) for v in data)
+        try:
+            elements = tuple(float(v) for v in data)
+        except OverflowError as exc:
+            raise UsageError(f"bad tensor file {path}: f64 entry past FP64's range") from exc
     elif kind == "scaled":
         for value, scale in pairs:
             if type(value) is not int or type(scale) is not int:

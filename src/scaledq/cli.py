@@ -45,6 +45,7 @@ from .bench import (
     run_bench,
     run_suite,
     save_tensor,
+    suite_specs,
     to_csv,
 )
 from .reference import FTensor, dequantize_tensor, ref_gelu_exact, ref_newton_inv_sqrt
@@ -199,6 +200,7 @@ def _cmd_bench(args, out) -> int:
     if args.operator == "suite":
         sizes = {k: v for k, v in (("side", args.height), ("trials", args.trials))
                  if v is not None}
+        suite_specs(seed, **sizes)  # refuses a bad size before --out is opened
     else:
         spec = ExperimentSpec(args.operator, seed=seed,
                               **{f: getattr(args, d) for d, f in _SPEC_FIELDS.items()
@@ -279,8 +281,8 @@ def _cmd_quantize(args, out) -> int:
 
 def _cmd_gelu_curve(args, out) -> int:
     cfg, _ = _build_config(args)
-    if args.steps < 2:
-        raise UsageError("need at least 2 steps")
+    if not 2 <= args.steps <= MAX_ELEMENTS:
+        raise UsageError(f"--steps {args.steps} is outside [2, {MAX_ELEMENTS}]")
     variant = args.variant or cfg.gelu_variant
     step = (args.stop - args.start) / (args.steps - 1)
     xs = (args.start + step * i for i in range(args.steps))

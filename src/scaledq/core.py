@@ -5,10 +5,10 @@ small signed ``scale``; it represents ``(-1)**negative * magnitude / 2**scale``.
 The four primitives (multiply, add, subtract, divide) and the overflow
 normalizer work exclusively with integer arithmetic, compare and shift;
 division is one exact integer floor division.  The normalizer and the
-division also exist on plain ints, as :func:`fit` and :func:`quotient`, for
-kernels that work on ``(signed_magnitude, scale)`` pairs;
-:func:`handle_overflow` and :func:`scale_div` wrap them.  Floating
-point enters only through :func:`quantize` and :func:`dequantize`, the
+division also exist on signed ``(magnitude, scale)`` int pairs, as
+:func:`fit` and :func:`quotient`, which take the sign themselves;
+:func:`handle_overflow` and :func:`scale_div` wrap them.  Floating point
+enters only through :func:`quantize` and :func:`dequantize`, the
 conversion layer at the boundary of the integer domain.
 """
 
@@ -192,16 +192,19 @@ def fit(
     cfg: ScaleConfig = DEFAULT_CONFIG,
     sat: SaturationCounter | None = None,
 ) -> tuple[int, int]:
-    """Fit a wide unsigned ``(magnitude, scale)`` back into the stored format.
+    """Fit a wide signed ``(magnitude, scale)`` back into the stored format.
 
-    Oversized magnitudes keep their P most significant bits and the scale
-    drops by the number of truncated bits.  A scale above the ceiling is
-    resolved by truncating the magnitude toward zero; a scale below the
-    floor shifts the magnitude up when the exact value still fits, and
-    otherwise saturates at the largest representable value and records the
-    event on ``sat``.  Zero, and anything the ceiling truncates to zero,
-    comes back as ``(0, 0)``; an in-format pair comes back unchanged.
+    The absolute value is fitted and the sign kept, so every cut truncates
+    toward zero.  Oversized magnitudes keep their P most significant bits
+    and the scale drops by the bits cut.  A scale above the ceiling
+    truncates the magnitude; a scale below the floor shifts it up when the
+    exact value still fits, and otherwise saturates at +/-(2**P - 1) and
+    records the event on ``sat``.  Zero, and anything the ceiling truncates
+    to zero, comes back as ``(0, 0)``; an in-format pair comes back unchanged.
     """
+    if magnitude < 0:
+        magnitude, scale = fit(-magnitude, scale, cfg, sat)
+        return -magnitude, scale
     if magnitude == 0:
         return 0, 0
     k = magnitude.bit_length() - cfg.p_bits
@@ -307,13 +310,13 @@ def quotient(
     cfg: ScaleConfig = DEFAULT_CONFIG,
     sat: SaturationCounter | None = None,
 ) -> tuple[int, int]:
-    """Unsigned ``(dividend / divisor) / 2**scale``, truncated to P bits and
-    fitted as ``(magnitude, scale)``.
+    """Signed ``(dividend / divisor) / 2**scale``, truncated toward zero to
+    P bits and fitted as ``(magnitude, scale)``.
 
-    The dividend is shifted left by ``e`` bits, just enough that the floor of
-    the quotient has at least P bits, and one exact integer floor division
-    follows; :func:`fit` keeps the P leading bits.  The result never
-    overshoots the true quotient, is exact whenever the quotient is
+    ``|dividend|`` is shifted left by ``e`` bits, just enough that its floor
+    quotient by ``|divisor|`` has at least P bits; the sign goes on that
+    quotient and :func:`fit` keeps its P leading bits.  The result never
+    exceeds the true quotient in absolute value, is exact whenever that is
     representable, and is stored in the form :func:`quantize` gives its value.
     """
     if divisor == 0:
@@ -321,7 +324,8 @@ def quotient(
     if dividend == 0:
         return 0, 0
     e = max(0, cfg.p_bits + divisor.bit_length() - dividend.bit_length())
-    return fit((dividend << e) // divisor, scale + e, cfg, sat)
+    q = (abs(dividend) << e) // abs(divisor)
+    return fit(q if (dividend < 0) == (divisor < 0) else -q, scale + e, cfg, sat)
 
 
 def scale_div(

@@ -1,12 +1,12 @@
 """Quantized tensor operators built solely from the scaled-integer primitives.
 
-Every operator here performs integer arithmetic only; converting results back
-to floating point is the job of the reference/benchmark layer.  Multi-term
-sums follow a fixed discipline: compute the maximum scale over the term set,
-align every term to it in a wide temporary, add in a fixed order, and
-normalize the single wide result once.  The operators compute on
-``(signed_magnitude, scale)`` int pairs, bit-identical to composing the
-``core`` primitives, and build a :class:`ScaledInt` only per output element.
+Every operator performs integer arithmetic only; converting results back to
+floating point is the job of the reference/benchmark layer.  A multi-term sum
+aligns every term to the set's maximum scale, adds wide in a fixed order and
+normalizes once.  The operators compute on signed ``(magnitude, scale)`` int
+pairs, each step ending in ``core.fit`` or ``core.quotient``, bit-identical to
+composing the ``core`` primitives; every sum of products runs through
+:func:`_dot`, and a :class:`ScaledInt` is built only per output element.
 """
 
 from __future__ import annotations
@@ -116,12 +116,6 @@ def _pairs(elements: Sequence[ScaledInt]) -> list[tuple[int, int]]:
     return [(-e.magnitude if e.negative else e.magnitude, e.scale) for e in elements]
 
 
-def _fit_signed(total: int, scale: int, cfg: ScaleConfig,
-                sat: SaturationCounter | None) -> tuple[int, int]:
-    m, s = fit(abs(total), scale, cfg, sat)
-    return (-m if total < 0 else m), s
-
-
 def _add_pairs(pairs, cfg: ScaleConfig,
                sat: SaturationCounter | None) -> tuple[int, int]:
     """:func:`sum_aligned` on ``(signed_magnitude, scale)`` pairs: zero
@@ -130,7 +124,7 @@ def _add_pairs(pairs, cfg: ScaleConfig,
     if len(live) < 2:
         return live[0] if live else (0, 0)
     top = max(s for _, s in live)
-    return _fit_signed(sum(m << (top - s) for m, s in live), top, cfg, sat)
+    return fit(sum(m << (top - s) for m, s in live), top, cfg, sat)
 
 
 def _add(a, b, cfg: ScaleConfig,
@@ -141,34 +135,32 @@ def _add(a, b, cfg: ScaleConfig,
     if not b[0]:
         return a
     top = a[1] if a[1] > b[1] else b[1]
-    return _fit_signed((a[0] << (top - a[1])) + (b[0] << (top - b[1])), top, cfg, sat)
+    return fit((a[0] << (top - a[1])) + (b[0] << (top - b[1])), top, cfg, sat)
 
 
 def _mul(a, b, cfg: ScaleConfig,
          sat: SaturationCounter | None) -> tuple[int, int]:
     """:func:`scale_mul` on two pairs."""
-    m, s = fit(abs(a[0] * b[0]), a[1] + b[1], cfg, sat)
-    return (-m if (a[0] < 0) != (b[0] < 0) else m), s
+    return fit(a[0] * b[0], a[1] + b[1], cfg, sat)
 
 
 def _div(a, b, cfg: ScaleConfig,
          sat: SaturationCounter | None) -> tuple[int, int]:
     """:func:`scale_div` on two pairs."""
-    m, s = quotient(abs(a[0]), abs(b[0]), a[1] - b[1], cfg, sat)
-    return (-m if (a[0] < 0) != (b[0] < 0) else m), s
+    return quotient(a[0], b[0], a[1] - b[1], cfg, sat)
 
 
 def _dot(xs, ws, cfg: ScaleConfig,
          sat: SaturationCounter | None) -> tuple[int, int]:
-    """Fused multiply-accumulate on two equal-length pair sequences.
+    """Fused multiply-accumulate on two equal-length pair sequences, the one
+    path for every sum of products in this module.
 
     Bit-identical to ``sum_aligned([scale_mul(x, w) ...])``: each product is
-    cut to P bits inline and goes through :func:`fit` only when its scale
-    leaves the stored range.  The live products, all in range, are added at
-    the fixed scale ``scale_max``; the total is shifted down once to the
-    largest live scale, where ``sum_aligned`` would have aligned them, and
-    fitted once.  Integer addition does not depend on order, and ``fit``
-    leaves a single in-format term unchanged.
+    cut toward zero to P bits inline and goes through :func:`fit` only when
+    its scale leaves the stored range.  The live products, all in range, are
+    added at scale ``scale_max``, shifted down once to the largest live
+    scale, where ``sum_aligned`` aligns them, and fitted once.  Integer
+    addition does not depend on order; ``fit`` keeps one in-format term.
     """
     p_bits, lo, hi = cfg.p_bits, cfg.scale_min, cfg.scale_max
     total, top = 0, lo
@@ -181,14 +173,13 @@ def _dot(xs, ws, cfg: ScaleConfig,
                 m = m >> k if m > 0 else -(-m >> k)
                 s -= k
             if s > hi or s < lo:
-                a, s = fit(abs(m), s, cfg, sat)
-                if not a:
+                m, s = fit(m, s, cfg, sat)
+                if not m:
                     continue
-                m = a if m > 0 else -a
             total += m << (hi - s)
             if s > top:
                 top = s
-    return _fit_signed(total >> (hi - top), top, cfg, sat)
+    return fit(total >> (hi - top), top, cfg, sat)
 
 
 def conv2d(
@@ -352,8 +343,7 @@ def layer_norm(
         if not any(m for m, _ in devs):
             out.extend(params.beta.data)
             continue
-        var = _div(_add_pairs([_mul(d, d, cfg, sat) for d in devs], cfg, sat),
-                   count, cfg, sat)
+        var = _div(_dot(devs, devs, cfg, sat), count, cfg, sat)
         inv_std, _ = newton_inv_sqrt(ScaledInt.from_signed(*_add(var, eps, cfg, sat)),
                                      seed, cfg.newton_iters, cfg, sat)
         inv = (inv_std.signed_magnitude, inv_std.scale)
@@ -379,7 +369,7 @@ def softmax(
     nums = []
     for x in _pairs(xs):
         m, s = _mul(x, x, cfg, sat)
-        nums.append(_add_pairs((_ONE, x, _fit_signed(m, s + 1, cfg, sat)), cfg, sat))
+        nums.append(_add_pairs((_ONE, x, fit(m, s + 1, cfg, sat)), cfg, sat))
     den = _add_pairs(nums, cfg, sat)
     return [ScaledInt.from_signed(*_div(num, den, cfg, sat)) for num in nums]
 
@@ -400,9 +390,6 @@ def softmax_tensor(
 
 
 _ONE = (1, 0)
-_GELU_LIN = (102, 7)
-_GELU_CUB = (18, 9)
-_THREE = (3, 0)
 
 
 def gelu(
@@ -421,7 +408,7 @@ def gelu(
     variant = variant or cfg.gelu_variant
     x = (x.signed_magnitude, x.scale)
     x3 = _mul(_mul(x, x, cfg, sat), x, cfg, sat)
-    a = _add(_mul(_GELU_LIN, x, cfg, sat), _mul(_GELU_CUB, x3, cfg, sat), cfg, sat)
+    a = _dot(((102, 7), (18, 9)), (x, x3), cfg, sat)
     if variant == GELU_SERIES_LINEAR:
         gate = _add(_ONE, a, cfg, sat)
     else:
@@ -429,12 +416,11 @@ def gelu(
         if variant == GELU_SERIES_CUBED:
             gate = _add_pairs((_ONE, a, a3), cfg, sat)
         elif variant == GELU_SERIES_CUBED_CORRECTED:
-            tm, ts = _div(a3, _THREE, cfg, sat)
-            gate = _add_pairs((_ONE, a, (-tm, ts)), cfg, sat)
+            gate = _add_pairs((_ONE, a, _div(a3, (-3, 0), cfg, sat)), cfg, sat)
         else:
             raise ValueError(f"unknown gelu variant {variant!r}")
     m, s = _mul(x, gate, cfg, sat)
-    return ScaledInt.from_signed(*_fit_signed(m, s + 1, cfg, sat))
+    return ScaledInt.from_signed(*fit(m, s + 1, cfg, sat))
 
 
 def gelu_map(

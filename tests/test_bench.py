@@ -63,6 +63,15 @@ class TestExperimentSpec:
         with pytest.raises(UsageError, match="elements"):
             ExperimentSpec(operator, **dims)
 
+    @pytest.mark.parametrize("operator,dims,named", [
+        ("conv2d", dict(k=5, h=4, w=9), "kernel 5 does not fit the 4x9 input"),
+        ("depthwise-conv2d", dict(k=3, h=3, w=2), "kernel 3 does not fit the 3x2 input"),
+        ("depthwise-conv2d", dict(i=2, o=3), "out_channels 3 is no multiple of 2"),
+    ])
+    def test_conv_geometry_refused(self, operator, dims, named):
+        with pytest.raises(UsageError, match=named):
+            ExperimentSpec(operator, **dims)
+
     @pytest.mark.parametrize("build,needle", [
         (lambda: ExperimentSpec("linear", weight_mode="eye"), "got 'eye'"),
         (lambda: ExperimentSpec("linear", weight_mode=""), "got ''"),
@@ -183,8 +192,14 @@ class TestTensorFiles:
     def test_scaled_format_is_signed_pairs(self, tmp_path):
         path = str(tmp_path / "q.json")
         save_tensor(path, QTensor((1,), (ScaledInt(7, 2, True),)))
-        payload = json.loads(open(path).read())
+        payload = json.loads((tmp_path / "q.json").read_text())
         assert payload == {"shape": [1], "kind": "scaled", "data": [[-7, 2]]}
+
+    def test_f64_int_past_fp64_range_rejected(self, tmp_path):
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"shape": [1], "kind": "f64", "data": [10 ** 400]}))
+        with pytest.raises(UsageError, match="past FP64's range"):
+            load_tensor(str(p), CFG)
 
     def test_out_of_range_magnitude_rejected(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -200,6 +200,32 @@ class TestBench:
         assert code == 1
         assert err.startswith("scaledq: error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv,named", [
+        (["conv2d", "--kernel", "20", "--height", "4", "--width", "4"],
+         "kernel 20 does not fit the 4x4 input"),
+        (["depthwise-conv2d", "--in-channels", "2", "--out-channels", "3"],
+         "out_channels 3 is no multiple of 2"),
+        (["linear", "--weight-mode", "identity", "--in-channels", "3", "--out-channels", "4"],
+         "got 3 in and 4 out"),
+        (["suite", "--height", "0"], "all dimensions must be positive"),
+        (["suite", "--trials", "0"], "trials must be >= 1"),
+    ])
+    def test_bad_geometry_refused_before_out_is_opened(self, capsys, tmp_path, argv, named):
+        report = tmp_path / "report.csv"
+        code, out, err = run_cli(capsys, "bench", *argv, "--out", str(report))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("scaledq: error:") and named in err and err.count("\n") == 1
+        assert not report.exists()
+
+    def test_f64_int_past_fp64_range_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({"shape": [1], "kind": "f64", "data": [10 ** 400]}))
+        code, out, err = run_cli(capsys, "bench", "softmax", "--height", "1", "--width", "1",
+                                 "--trials", "1", "--input-file", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"scaledq: error: bad tensor file {path}: f64 entry past FP64's range\n"
+
     def test_oversized_dims_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "bench", "softmax", "--height", "100000",
                                "--width", "100000")
@@ -280,6 +306,14 @@ class TestGeluCurve:
     def test_bad_steps(self, capsys):
         code, _, _ = run_cli(capsys, "gelu-curve", "--steps", "1")
         assert code == 1
+
+    def test_steps_above_max_elements_refused_before_any_row(self, capsys, monkeypatch):
+        def no_row(*_args, **_kwargs):
+            raise AssertionError("a row ran for refused --steps")
+        monkeypatch.setattr("scaledq.cli.gelu", no_row)
+        code, out, err = run_cli(capsys, "gelu-curve", "--steps", "16777217")
+        assert (code, out) == (1, "")
+        assert err == "scaledq: error: --steps 16777217 is outside [2, 16777216]\n"
 
 
 class TestDivSweepCmd:

@@ -373,11 +373,12 @@ def oracle_quotient(dividend, divisor, scale, cfg, sat=None):
     return fit(acc, acc_scale, cfg, sat)
 
 
-def _quotients(fn, cases, cfg):
-    """``fn`` over ``cases``, each result with the running saturation count,
-    so two runs agree only if every call saturates the same way."""
+def _with_counts(fn, cases, cfg):
+    """``fn(*case, cfg, sat)`` over ``cases``, each result with the running
+    saturation count, so two runs agree only if every call saturates the
+    same way."""
     sat = SaturationCounter()
-    return [(*fn(a, b, s, cfg, sat), sat.count) for a, b, s in cases]
+    return [(*fn(*case, cfg, sat), sat.count) for case in cases]
 
 
 def _values(quotients):
@@ -397,8 +398,8 @@ def assert_quantize_form(quotients, cfg):
                                    CFG.scale_max, CFG.scale_max + 1])
 def test_quotient_matches_long_division_exhaustive(scale):
     cases = [(a, b, scale) for a in range(1, 256) for b in range(1, 256)]
-    got = _quotients(quotient, cases, CFG)
-    assert _values(got) == _values(_quotients(oracle_quotient, cases, CFG))
+    got = _with_counts(quotient, cases, CFG)
+    assert _values(got) == _values(_with_counts(oracle_quotient, cases, CFG))
     assert_quantize_form(got, CFG)
 
 
@@ -416,7 +417,55 @@ def test_quotient_matches_long_division_sampled(p_bits, scale_bits):
         # also a dyadic quotient a*u / (2**t * u), often not an integer
         u, t = rng.randint(1, 1 << p_bits), rng.randint(0, wide)
         cases += [(a, b, scale), (a * u, u << t, scale), (0, b, scale)]
-    got = _quotients(quotient, cases, cfg)
-    assert _values(got) == _values(_quotients(oracle_quotient, cases, cfg))
+    got = _with_counts(quotient, cases, cfg)
+    assert _values(got) == _values(_with_counts(oracle_quotient, cases, cfg))
     assert_quantize_form(got, cfg)
     assert got[-1][2] > 0  # the floor saturates somewhere in the sample
+
+
+# ---------------------------------------------------------------------------
+# The signed int level: fit and quotient take the sign themselves, so a
+# negated operand negates the result and saturates exactly where the
+# unsigned call does
+# ---------------------------------------------------------------------------
+
+def _negated(results):
+    return [(-m, s, count) for m, s, count in results]
+
+
+@pytest.mark.parametrize("scale", [CFG.scale_min - 9, CFG.scale_min - 1, CFG.scale_min, 0,
+                                   CFG.scale_max, CFG.scale_max + 1, CFG.scale_max + 17])
+def test_fit_is_odd_exhaustive(scale):
+    mags = range(1 << 16)
+    got = _with_counts(fit, [(m, scale) for m in mags], CFG)
+    assert _with_counts(fit, [(-m, scale) for m in mags], CFG) == _negated(got)
+    assert (got[-1][2] > 0) == (scale <= CFG.scale_min)
+
+
+@pytest.mark.parametrize("p_bits", [2, 4, 12])
+@pytest.mark.parametrize("scale_bits", [3, 5, 6])
+def test_fit_is_odd_sampled(p_bits, scale_bits):
+    cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    rng = random.Random(p_bits * 100 + scale_bits)
+    wide = 3 * p_bits
+    cases = [(rng.getrandbits(rng.randint(1, wide)),
+              rng.randint(cfg.scale_min - wide, cfg.scale_max + wide)) for _ in range(5000)]
+    got = _with_counts(fit, cases, cfg)
+    assert _with_counts(fit, [(-m, s) for m, s in cases], cfg) == _negated(got)
+    assert got[-1][2] > 0  # the floor saturates somewhere in the sample
+
+
+@pytest.mark.parametrize("scale", [-17, 0, 16])
+def test_quotient_sign_exhaustive(scale):
+    pairs = [(a, b) for a in range(256) for b in range(1, 256)]
+    got = _with_counts(quotient, [(a, b, scale) for a, b in pairs], CFG)
+    for sa, sb in [(-1, 1), (1, -1), (-1, -1)]:
+        signed = _with_counts(quotient, [(sa * a, sb * b, scale) for a, b in pairs], CFG)
+        assert signed == (got if sa == sb else _negated(got))
+    assert (got[-1][2] > 0) == (scale == -17)
+
+
+def test_signed_int_level_examples():
+    assert fit(-5, 20, CFG) == fit(5, 20, CFG) == (0, 0)
+    assert fit(-200, -20, CFG) == (-255, -16)
+    assert quotient(-5, 3, 0, CFG) == quotient(5, -3, 0, CFG) == (-213, 7)
