@@ -4,7 +4,10 @@ Derived expectations are checked against exact rational arithmetic
 (``fractions.Fraction``), never against the code under test.
 """
 
+import copy
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -54,6 +57,68 @@ class TestScaledInt:
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ValueError):
             ScaledInt(-1, 0)
+
+    # The value-object contract, pinned independently of how the class is
+    # built: equality, hashing, frozenness, copies, repr and canonical zero.
+
+    def test_equal_values_are_equal_and_hash_equal(self):
+        a, b = ScaledInt(122, 3, True), ScaledInt(122, 3, True)
+        assert a == b and hash(a) == hash(b)
+        assert a != ScaledInt(122, 3) and a != ScaledInt(122, 4, True)
+        assert a != ScaledInt(121, 3, True)
+        assert ScaledInt(7) == ScaledInt(7, 0, False)
+        assert ScaledInt(magnitude=7, scale=2, negative=True) == ScaledInt(7, 2, True)
+        assert len({a, b, ScaledInt(122, 3)}) == 2
+
+    @pytest.mark.parametrize("name", ["magnitude", "scale", "negative"])
+    def test_fields_cannot_be_assigned(self, name):
+        q = ScaledInt(5, 2, True)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(q, name, 1)
+        assert q == ScaledInt(5, 2, True)
+
+    @pytest.mark.parametrize("q", [ScaledInt(122, 3, True), ScaledInt(255, -16),
+                                   ScaledInt(1, 15, True), ZERO])
+    def test_copies_round_trip(self, q):
+        for copied in (pickle.loads(pickle.dumps(q)), copy.copy(q), copy.deepcopy(q),
+                       dataclasses.replace(q)):
+            assert type(copied) is ScaledInt
+            assert copied == q and hash(copied) == hash(q)
+            assert (copied.magnitude, copied.scale, copied.negative) == \
+                (q.magnitude, q.scale, q.negative)
+
+    def test_replace_goes_through_the_constructor(self):
+        q = ScaledInt(122, 3, True)
+        assert dataclasses.replace(q, magnitude=7) == ScaledInt(7, 3, True)
+        assert dataclasses.replace(q, magnitude=0) == ZERO
+        with pytest.raises(ValueError, match="unsigned"):
+            dataclasses.replace(q, magnitude=-7)
+
+    def test_repr(self):
+        assert repr(ScaledInt(122, 3, True)) == \
+            "ScaledInt(magnitude=122, scale=3, negative=True)"
+        assert repr(ZERO) == "ScaledInt(magnitude=0, scale=0, negative=False)"
+        assert repr(ScaledInt(0, 9, True)) == repr(ZERO)
+
+    def test_zero_is_canonical_from_every_constructor(self):
+        for z in (ScaledInt(0, 9, True), ScaledInt(0, -16), ScaledInt(0, 0, True),
+                  ScaledInt.from_signed(0, 5), ScaledInt.from_signed(0, -3)):
+            assert (z.magnitude, z.scale, z.negative) == (0, 0, False)
+            assert z == ZERO and hash(z) == hash(ZERO)
+
+    @pytest.mark.parametrize("magnitude", [-1, -255, -(1 << 70)])
+    def test_negative_magnitude_message(self, magnitude):
+        with pytest.raises(ValueError, match="magnitude must be unsigned; use from_signed"):
+            ScaledInt(magnitude, 3, True)
+
+    def test_from_signed_fields(self):
+        q = ScaledInt.from_signed(-122, 3)
+        assert (q.magnitude, q.scale, q.negative) == (122, 3, True)
+        assert q == ScaledInt(122, 3, True) and q.signed_magnitude == -122
+        p = ScaledInt.from_signed(122, 3)
+        assert (p.magnitude, p.scale, p.negative) == (122, 3, False)
+        assert ScaledInt.from_signed(-1, -16) == ScaledInt(1, -16, True)
+        assert ScaledInt.from_signed(9) == ScaledInt(9)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
