@@ -672,6 +672,43 @@ def test_fused_kernel_exhaustive_8bit_products():
         assert got_sat.count == want_sat.count, total
 
 
+@pytest.mark.parametrize("total", [CFG.scale_min - 1, CFG.scale_min, CFG.scale_max,
+                                   CFG.scale_max + 1, CFG.scale_max + 8,
+                                   CFG.scale_max + 17])
+def test_fused_kernel_exhaustive_signed_8bit_products(total):
+    """Every signed 8-bit magnitude pair at scale sums on both sides of each
+    edge of the range, up to one where every product flushes to zero.
+
+    Each product alone through matmul must equal ``scale_mul``.  The products
+    of a positive x are then each summed with a fixed term one step from zero
+    at the finest scale, which keeps every bit the product brings to the sum:
+    a product left wider than P bits, or cut by a different shift, shows in
+    that sum even where its own fit would hide it.  w carries both signs, so
+    the term meets products of either sign."""
+    signed = [m for m in range(-255, 256) if m]
+    sa, sb = total // 2, total - total // 2
+    xs = tuple(ScaledInt.from_signed(m, sa) for m in signed)
+    ws = tuple(ScaledInt.from_signed(m, sb) for m in signed)
+    n = len(signed)
+    got_sat, want_sat = SaturationCounter(), SaturationCounter()
+    got = matmul(QTensor((n, 1), xs), QTensor((1, n), ws), CFG, got_sat)
+    products = [scale_mul(x, w, CFG, want_sat) for x in xs for w in ws]
+    assert got.data == tuple(products)
+    assert got_sat.count == want_sat.count
+    if total > CFG.scale_max + 16:
+        assert not any(p.magnitude for p in products)
+
+    tiny = ScaledInt(1, CFG.scale_max, True)
+    positive = xs[n // 2:]
+    got_sat, want_sat = SaturationCounter(), SaturationCounter()
+    got = matmul(QTensor((len(positive), 2), tuple(v for x in positive for v in (x, tiny))),
+                 QTensor((2, n), ws + (ONE,) * n), CFG, got_sat)
+    want = [sum_aligned([scale_mul(x, w, CFG, want_sat), tiny], CFG, want_sat)
+            for x in positive for w in ws]
+    assert got.data == tuple(want)
+    assert got_sat.count == want_sat.count
+
+
 def test_out_of_format_bias_passes_through_like_scale_add():
     """With nothing to add to, a bias element comes back as it was given,
     even one wider than P bits, exactly as ``scale_add`` returns it."""
