@@ -112,27 +112,36 @@ class SaturationCounter:
         self.count += 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ScaledInt:
     """One quantized scalar: ``(-1)**negative * magnitude / 2**scale``.
 
     Zero is canonical: magnitude 0 forces ``negative=False`` and ``scale=0``.
+    The constructor is written out rather than generated: it stores the three
+    slots through the class's own slot descriptors, which skips the frozen
+    ``__setattr__`` guard the generated one goes through, and keeps equality,
+    hashing, ``repr``, frozenness, pickling and ``dataclasses.replace``.
     """
 
     magnitude: int
     scale: int = 0
     negative: bool = False
 
-    def __post_init__(self):
-        if self.magnitude < 0:
+    def __init__(self, magnitude: int, scale: int = 0, negative: bool = False):
+        if magnitude > 0:
+            _SET_MAGNITUDE(self, magnitude)
+            _SET_SCALE(self, scale)
+            _SET_NEGATIVE(self, negative)
+        elif magnitude == 0:
+            _SET_MAGNITUDE(self, 0)
+            _SET_SCALE(self, 0)
+            _SET_NEGATIVE(self, False)
+        else:
             raise ValueError("magnitude must be unsigned; use from_signed()")
-        if self.magnitude == 0 and (self.negative or self.scale != 0):
-            object.__setattr__(self, "negative", False)
-            object.__setattr__(self, "scale", 0)
 
     @classmethod
     def from_signed(cls, value: int, scale: int = 0) -> "ScaledInt":
-        return cls(abs(value), scale, value < 0)
+        return cls(-value, scale, True) if value < 0 else cls(value, scale)
 
     @property
     def signed_magnitude(self) -> int:
@@ -141,6 +150,10 @@ class ScaledInt:
     def is_zero(self) -> bool:
         return self.magnitude == 0
 
+
+_SET_MAGNITUDE = ScaledInt.magnitude.__set__
+_SET_SCALE = ScaledInt.scale.__set__
+_SET_NEGATIVE = ScaledInt.negative.__set__
 
 ZERO = ScaledInt(0)
 ONE = ScaledInt(1, 0)
@@ -201,12 +214,13 @@ def fit(
     exact value still fits, and otherwise saturates at +/-(2**P - 1) and
     records the event on ``sat``.  Zero, and anything the ceiling truncates
     to zero, comes back as ``(0, 0)``; an in-format pair comes back unchanged.
+    The sign is noted once and put back on the fitted magnitude.
     """
-    if magnitude < 0:
-        magnitude, scale = fit(-magnitude, scale, cfg, sat)
-        return -magnitude, scale
     if magnitude == 0:
         return 0, 0
+    negative = magnitude < 0
+    if negative:
+        magnitude = -magnitude
     k = magnitude.bit_length() - cfg.p_bits
     if k > 0:
         magnitude >>= k
@@ -225,7 +239,7 @@ def fit(
             if sat is not None:
                 sat.record()
         scale = cfg.scale_min
-    return magnitude, scale
+    return -magnitude if negative else magnitude, scale
 
 
 def handle_overflow(

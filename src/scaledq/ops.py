@@ -155,12 +155,14 @@ def _dot(xs, ws, cfg: ScaleConfig,
     """Fused multiply-accumulate on two equal-length pair sequences, the one
     path for every sum of products in this module.
 
-    Bit-identical to ``sum_aligned([scale_mul(x, w) ...])``: each product is
-    cut toward zero to P bits inline and goes through :func:`fit` only when
-    its scale leaves the stored range.  The live products, all in range, are
-    added at scale ``scale_max``, shifted down once to the largest live
-    scale, where ``sum_aligned`` aligns them, and fitted once.  Integer
-    addition does not depend on order; ``fit`` keeps one in-format term.
+    Bit-identical to ``sum_aligned([scale_mul(x, w) ...])``.  Each product's
+    cut to P bits and :func:`fit`'s shift down to the scale ceiling compose
+    into one shift toward zero by ``max(bitlen - P, scale - scale_max)``,
+    taken inline; a product cut to zero drops out, and :func:`fit` is called
+    only below the floor.  The live products, all in range, are added at
+    scale ``scale_max``, shifted down once to the largest live scale, where
+    ``sum_aligned`` aligns them, and fitted once.  Integer addition does not
+    depend on order; ``fit`` keeps one in-format term.
     """
     p_bits, lo, hi = cfg.p_bits, cfg.scale_min, cfg.scale_max
     total, top = 0, lo
@@ -169,13 +171,15 @@ def _dot(xs, ws, cfg: ScaleConfig,
             m = xm * wm
             s = xe + we
             k = m.bit_length() - p_bits
+            if s - hi > k:
+                k = s - hi
             if k > 0:
                 m = m >> k if m > 0 else -(-m >> k)
-                s -= k
-            if s > hi or s < lo:
-                m, s = fit(m, s, cfg, sat)
                 if not m:
                     continue
+                s -= k
+            if s < lo:
+                m, s = fit(m, s, cfg, sat)
             total += m << (hi - s)
             if s > top:
                 top = s
