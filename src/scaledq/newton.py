@@ -6,7 +6,9 @@ truncating shift, the subtraction happens on integers, and the halving rounds
 half-up.  The very first update instead folds its halving into the scale
 (``scale += 1``) so a tiny seed magnitude such as 1 is not wiped out before
 the iteration can grow.  After the first step the stored scale only moves
-when a magnitude outgrows P bits.
+when a magnitude outgrows P bits.  Once a halved update equals the iterate's
+magnitude, every later step would return the same in-format value, so the
+rest of the trace is filled with it and no further step is computed.
 """
 
 from __future__ import annotations
@@ -97,6 +99,11 @@ def newton_inv_sqrt(
             scale += 1
         else:
             d = (d + 1) >> 1
+            if d == mag:
+                # A fixed point: y is in format, so this and every later
+                # step return y unchanged and cannot saturate.
+                entries.extend((i, y) for i in range(j + 1, iters + 1))
+                break
         y = handle_overflow(d, scale, cfg, False, sat)
         entries.append((j + 1, y))
     trace = NewtonTrace(input=x, iters=iters, entries=tuple(entries))

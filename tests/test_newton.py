@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from scaledq.core import DomainError, ScaleConfig, ScaledInt, dequantize
+from scaledq.core import DomainError, ScaleConfig, ScaledInt, dequantize, handle_overflow
 from scaledq.newton import NewtonTrace, default_seed, newton_inv_sqrt
 from scaledq.reference import ref_newton_inv_sqrt
 
@@ -118,3 +118,35 @@ class TestDomain:
         assert default_seed(CFG) == ScaledInt(1, 6)
         narrow = ScaleConfig(scale_bits=3)
         assert default_seed(narrow).scale == narrow.scale_max
+
+
+def plain_newton_trace(x, y0, iters, cfg):
+    """Every step of the iteration computed in full, with no early stop."""
+    y, entries = y0, [(0, y0)]
+    for j in range(iters):
+        if y.magnitude:
+            shift = 2 * y.scale + x.scale
+            wide = x.magnitude * y.magnitude ** 3
+            d = 3 * y.magnitude - (wide >> shift if shift >= 0 else wide << -shift)
+            if d <= 0:
+                y = ScaledInt(0)
+            elif j == 0:
+                y = handle_overflow(d, y.scale + 1, cfg)
+            else:
+                y = handle_overflow((d + 1) >> 1, y.scale, cfg)
+        entries.append((j + 1, y))
+    return entries
+
+
+def test_trace_matches_plain_iteration_on_every_input():
+    """The fixed-point stop leaves every trace as the full iteration gives it,
+    for all 255 * 32 positive inputs of the default format."""
+    seed = default_seed(CFG)
+    for scale in range(CFG.scale_min, CFG.scale_max + 1):
+        for mag in range(1, CFG.max_magnitude + 1):
+            x = ScaledInt(mag, scale)
+            want = plain_newton_trace(x, seed, 20, CFG)
+            for iters in (0, 1, 2, 20):
+                final, trace = newton_inv_sqrt(x, seed, iters, CFG)
+                assert trace.entries == tuple(want[:iters + 1]), (mag, scale, iters)
+                assert final == want[iters][1]
