@@ -53,8 +53,9 @@ class UsageError(ValueError):
 
 INPUT_LOW, INPUT_HIGH = 0.0, 1.0
 WEIGHT_LOW, WEIGHT_HIGH = -1.0, 1.0
-# Largest tensor a bench row or ``save-tensor`` may build; checked on the
-# dimensions before anything is allocated.
+# Largest tensor a bench row or ``save-tensor`` may build, and the most
+# elements a bench row may build over all its trials; checked on the
+# dimensions and the trial count before anything is allocated.
 MAX_ELEMENTS = 1 << 24
 
 
@@ -177,10 +178,14 @@ class ExperimentSpec:
             raise UsageError(f"unknown operator {self.operator!r}; choose from {OPERATORS}")
         if min(self.b, self.i, self.o, self.k, self.h, self.w) < 1:
             raise UsageError("all dimensions must be positive")
-        if max(map(math.prod, _OPERATORS[self.operator].shapes(self))) > MAX_ELEMENTS:
-            raise UsageError(f"dimensions give a tensor above {MAX_ELEMENTS} elements")
         if self.trials < 1:
             raise UsageError("trials must be >= 1")
+        # Each trial builds its tensors afresh, so the trial count scales the
+        # work the same way the largest tensor does.
+        largest = max(map(math.prod, _OPERATORS[self.operator].shapes(self)))
+        if self.trials * largest > MAX_ELEMENTS:
+            raise UsageError(f"dimensions and trials give {self.trials} x {largest} "
+                             f"elements, above {MAX_ELEMENTS}")
         if self.weight_mode not in ("random", "identity"):
             raise UsageError(f"weight_mode must be 'random' or 'identity', "
                              f"got {self.weight_mode!r}")
@@ -370,7 +375,10 @@ def div_sweep(cfg: ScaleConfig) -> DivSweepReport:
 def save_tensor(path: str, tensor: FTensor | QTensor) -> None:
     """Write a tensor file: ``{"shape": [...], "kind": "f64"|"scaled", "data": [...]}``
     where scaled data holds ``[signed_int, scale]`` pairs.  A path that
-    cannot be opened for writing raises ``UsageError``."""
+    cannot be opened for writing raises ``UsageError``.  A non-finite f64
+    entry, which JSON cannot hold, raises ``ValueError`` where it would be
+    written, instead of going out as ``Infinity`` or ``NaN``; ``save-tensor``
+    refuses non-finite bounds before it opens the file."""
     if isinstance(tensor, QTensor):
         payload = {
             "shape": list(tensor.shape),
@@ -384,7 +392,7 @@ def save_tensor(path: str, tensor: FTensor | QTensor) -> None:
     except OSError as exc:
         raise UsageError(f"cannot write tensor file {path}: {exc.strerror}") from exc
     with fh:
-        json.dump(payload, fh)
+        json.dump(payload, fh, allow_nan=False)
         fh.write("\n")
 
 

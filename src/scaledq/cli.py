@@ -310,8 +310,13 @@ def _cmd_save_tensor(args, out) -> int:
     n = math.prod(shape)
     if n > MAX_ELEMENTS:
         raise UsageError(f"shape {shape} has {n} elements, above {MAX_ELEMENTS}")
-    rng = _random.Random(seed)
+    # A non-finite bound, or a span past FP64's range, gives entries that
+    # JSON cannot hold.
     span = args.high - args.low
+    if not math.isfinite(span):
+        raise UsageError(f"--low {args.low} and --high {args.high} must be finite "
+                         f"and differ by a finite amount")
+    rng = _random.Random(seed)
     data = tuple(args.low + span * rng.random() for _ in range(n))
     save_tensor(args.path, FTensor(shape, data))
     out.write(f"wrote {args.path}\n")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -10,6 +11,7 @@ from scaledq.core import RangeError, ScaleConfig, ScaledInt, quotient
 from scaledq.ops import QTensor
 from scaledq.reference import FTensor
 from scaledq.bench import (
+    MAX_ELEMENTS,
     ExperimentSpec,
     UsageError,
     div_sweep,
@@ -62,6 +64,27 @@ class TestExperimentSpec:
     def test_tensor_a_row_builds_bounded(self, operator, dims):
         with pytest.raises(UsageError, match="elements"):
             ExperimentSpec(operator, **dims)
+
+    @pytest.mark.parametrize("operator,dims,trials", [
+        ("conv2d", dict(i=3, o=9), 7281),  # 7281 x 2304 <= 2**24 < 7282 x 2304
+        ("softmax", dict(h=4096, w=4096), 1),
+        ("linear", dict(i=3, o=9, h=16, w=16), 7281),
+    ])
+    def test_trials_times_largest_tensor_bounded(self, operator, dims, trials):
+        ExperimentSpec(operator, trials=trials, **dims)
+        with pytest.raises(UsageError, match=f"give {trials + 1} x "):
+            ExperimentSpec(operator, trials=trials + 1, **dims)
+
+    def test_huge_trial_count_refused_with_the_product(self):
+        with pytest.raises(UsageError) as exc:
+            ExperimentSpec("conv2d", i=3, o=9, trials=10 ** 9)
+        assert str(exc.value) == ("dimensions and trials give 1000000000 x 2304 "
+                                  "elements, above 16777216")
+
+    def test_every_suite_row_far_below_the_bound(self):
+        for spec, _ in suite_specs():
+            largest = max(map(math.prod, bench._OPERATORS[spec.operator].shapes(spec)))
+            assert spec.trials * largest <= 25 * 2304 < MAX_ELEMENTS // 256
 
     @pytest.mark.parametrize("operator,dims,named", [
         ("conv2d", dict(k=5, h=4, w=9), "kernel 5 does not fit the 4x9 input"),
@@ -188,6 +211,11 @@ class TestTensorFiles:
         back = load_tensor(path, CFG)
         assert isinstance(back, QTensor)
         assert back.data == t.data
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_f64_entry_refused(self, tmp_path, value):
+        with pytest.raises(ValueError, match="JSON"):
+            save_tensor(str(tmp_path / "t.json"), FTensor((2,), (0.5, value)))
 
     def test_scaled_format_is_signed_pairs(self, tmp_path):
         path = str(tmp_path / "q.json")

@@ -209,6 +209,11 @@ class TestBench:
          "got 3 in and 4 out"),
         (["suite", "--height", "0"], "all dimensions must be positive"),
         (["suite", "--trials", "0"], "trials must be >= 1"),
+        (["suite", "--trials", "1000000000"],
+         "dimensions and trials give 1000000000 x 768 elements, above 16777216"),
+        (["softmax", "--trials", "1000000000"], "give 1000000000 x 256 elements"),
+        (["conv2d", "--in-channels", "3", "--out-channels", "16", "--height", "224",
+          "--width", "224"], "give 25 x 802816 elements"),
     ])
     def test_bad_geometry_refused_before_out_is_opened(self, capsys, tmp_path, argv, named):
         report = tmp_path / "report.csv"
@@ -355,6 +360,25 @@ class TestSaveTensor:
         assert out == ""
         assert err.startswith("scaledq: error: cannot write tensor file")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("bounds", [["--high", "inf"], ["--low=-inf"],
+                                        ["--low", "nan"], ["--high=-nan"],
+                                        ["--low=-1e308", "--high", "1e308"]])
+    def test_non_finite_bounds_refused_before_the_file(self, capsys, tmp_path, bounds):
+        path = tmp_path / "t.json"
+        code, out, err = run_cli(capsys, "save-tensor", str(path), "--shape", "3", *bounds)
+        assert (code, out) == (1, "")
+        assert err.startswith("scaledq: error: --low ") and err.count("\n") == 1
+        assert err.endswith("must be finite and differ by a finite amount\n")
+        assert not path.exists()
+
+    def test_finite_bounds_write_plain_json(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        code, _, _ = run_cli(capsys, "save-tensor", str(path), "--shape", "4",
+                             "--low=-1e300", "--high", "1e300")
+        assert code == 0
+        data = json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(c))["data"]
+        assert len(data) == 4 and all(-1e300 <= v <= 1e300 for v in data)
 
     def test_oversized_shape_rejected_before_allocation(self, capsys, tmp_path):
         path = tmp_path / "x.json"
