@@ -117,10 +117,8 @@ class ScaledInt:
     """One quantized scalar: ``(-1)**negative * magnitude / 2**scale``.
 
     Zero is canonical: magnitude 0 forces ``negative=False`` and ``scale=0``.
-    The constructor is written out rather than generated: it stores the three
-    slots through the class's own slot descriptors, which skips the frozen
-    ``__setattr__`` guard the generated one goes through, and keeps equality,
-    hashing, ``repr``, frozenness, pickling and ``dataclasses.replace``.
+    The constructor stores the slots through their descriptors, past the
+    frozen ``__setattr__``; the dataclass still supplies the rest.
     """
 
     magnitude: int
@@ -128,16 +126,13 @@ class ScaledInt:
     negative: bool = False
 
     def __init__(self, magnitude: int, scale: int = 0, negative: bool = False):
-        if magnitude > 0:
-            _SET_MAGNITUDE(self, magnitude)
-            _SET_SCALE(self, scale)
-            _SET_NEGATIVE(self, negative)
-        elif magnitude == 0:
-            _SET_MAGNITUDE(self, 0)
-            _SET_SCALE(self, 0)
-            _SET_NEGATIVE(self, False)
-        else:
-            raise ValueError("magnitude must be unsigned; use from_signed()")
+        if magnitude <= 0:
+            if magnitude:
+                raise ValueError("magnitude must be unsigned; use from_signed()")
+            scale, negative = 0, False
+        _SET_MAGNITUDE(self, magnitude)
+        _SET_SCALE(self, scale)
+        _SET_NEGATIVE(self, negative)
 
     @classmethod
     def from_signed(cls, value: int, scale: int = 0) -> "ScaledInt":
