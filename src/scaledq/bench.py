@@ -375,10 +375,8 @@ def div_sweep(cfg: ScaleConfig) -> DivSweepReport:
 def save_tensor(path: str, tensor: FTensor | QTensor) -> None:
     """Write a tensor file: ``{"shape": [...], "kind": "f64"|"scaled", "data": [...]}``
     where scaled data holds ``[signed_int, scale]`` pairs.  A path that
-    cannot be opened for writing raises ``UsageError``.  A non-finite f64
-    entry, which JSON cannot hold, raises ``ValueError`` where it would be
-    written, instead of going out as ``Infinity`` or ``NaN``; ``save-tensor``
-    refuses non-finite bounds before it opens the file."""
+    cannot be opened for writing raises ``UsageError``, and so does a
+    non-finite f64 entry, which JSON cannot hold, before the file is opened."""
     if isinstance(tensor, QTensor):
         payload = {
             "shape": list(tensor.shape),
@@ -386,6 +384,8 @@ def save_tensor(path: str, tensor: FTensor | QTensor) -> None:
             "data": [[e.signed_magnitude, e.scale] for e in tensor.data],
         }
     else:
+        if not all(map(math.isfinite, tensor.data)):
+            raise UsageError("f64 tensor entries must be finite; JSON holds no inf or nan")
         payload = {"shape": list(tensor.shape), "kind": "f64", "data": list(tensor.data)}
     try:
         fh = open(path, "w", encoding="utf-8")

@@ -213,9 +213,11 @@ class TestTensorFiles:
         assert back.data == t.data
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    def test_non_finite_f64_entry_refused(self, tmp_path, value):
-        with pytest.raises(ValueError, match="JSON"):
-            save_tensor(str(tmp_path / "t.json"), FTensor((2,), (0.5, value)))
+    def test_non_finite_f64_entry_refused_before_the_file(self, tmp_path, value):
+        path = tmp_path / "t.json"
+        with pytest.raises(UsageError, match="JSON holds no inf or nan"):
+            save_tensor(str(path), FTensor((2,), (0.5, value)))
+        assert not path.exists()
 
     def test_scaled_format_is_signed_pairs(self, tmp_path):
         path = str(tmp_path / "q.json")
