@@ -624,7 +624,16 @@ def _differential_cases(cfg, rng):
     w_dense, w_depth, b3, b4 = t(3, 2, 3, 3), t(4, 1, 2, 2), t(3), t(4)
     rows, w_lin, b_lin = t(3, 2, 6), t(4, 6), t(4)
     a, b = t(3, 5), t(5, 4)
+    # k = 1 convs, drawn last so the cases above keep their tensors
+    stride, pad = rng.randint(1, 2), rng.randint(0, 2)
+    point = ConvSpec(2, 3, 1, stride=stride, padding=pad)
+    point_depth = ConvSpec(2, 4, 1, stride=stride, padding=pad, depthwise=True)
+    w_point, w_point_depth = t(3, 2, 1, 1), t(4, 1, 1, 1)
     return [
+        ("pointwise", lambda sat: conv2d(x, w_point, b3, point, cfg, sat),
+         lambda sat: oracle_conv2d(x, w_point, b3, point, cfg, sat)),
+        ("depthwise-pointwise", lambda sat: conv2d(x, w_point_depth, None, point_depth, cfg, sat),
+         lambda sat: oracle_conv2d(x, w_point_depth, None, point_depth, cfg, sat)),
         ("conv2d", lambda sat: conv2d(x, w_dense, b3, dense, cfg, sat),
          lambda sat: oracle_conv2d(x, w_dense, b3, dense, cfg, sat)),
         ("conv2d-nobias", lambda sat: conv2d(x, w_dense, None, dense, cfg, sat),
