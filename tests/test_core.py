@@ -9,6 +9,7 @@ import dataclasses
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -498,12 +499,45 @@ def _negated(results):
     return [(-m, s, count) for m, s, count in results]
 
 
+def oracle_fit(magnitude, scale, cfg=CFG, sat=None):
+    """``fit`` as it stood with two negations, kept verbatim: the scalar
+    oracles of the kernel tests normalize through ``fit`` itself, so only an
+    independent copy can catch a fault in it."""
+    if magnitude == 0:
+        return 0, 0
+    negative = magnitude < 0
+    if negative:
+        magnitude = -magnitude
+    k = magnitude.bit_length() - cfg.p_bits
+    if k > 0:
+        magnitude >>= k
+        scale -= k
+    if scale > cfg.scale_max:
+        magnitude >>= scale - cfg.scale_max
+        if magnitude == 0:
+            return 0, 0
+        scale = cfg.scale_max
+    elif scale < cfg.scale_min:
+        lift = cfg.scale_min - scale
+        if (magnitude << lift) <= cfg.max_magnitude:
+            magnitude <<= lift
+        else:
+            magnitude = cfg.max_magnitude
+            if sat is not None:
+                sat.record()
+        scale = cfg.scale_min
+    return -magnitude if negative else magnitude, scale
+
+
 @pytest.mark.parametrize("scale", [CFG.scale_min - 9, CFG.scale_min - 1, CFG.scale_min, 0,
                                    CFG.scale_max, CFG.scale_max + 1, CFG.scale_max + 17])
 def test_fit_is_odd_exhaustive(scale):
     mags = range(1 << 16)
     got = _with_counts(fit, [(m, scale) for m in mags], CFG)
-    assert _with_counts(fit, [(-m, scale) for m in mags], CFG) == _negated(got)
+    negated = _with_counts(fit, [(-m, scale) for m in mags], CFG)
+    assert negated == _negated(got)
+    assert got == _with_counts(oracle_fit, [(m, scale) for m in mags], CFG)
+    assert negated == _with_counts(oracle_fit, [(-m, scale) for m in mags], CFG)
     assert (got[-1][2] > 0) == (scale <= CFG.scale_min)
 
 
@@ -516,7 +550,11 @@ def test_fit_is_odd_sampled(p_bits, scale_bits):
     cases = [(rng.getrandbits(rng.randint(1, wide)),
               rng.randint(cfg.scale_min - wide, cfg.scale_max + wide)) for _ in range(5000)]
     got = _with_counts(fit, cases, cfg)
-    assert _with_counts(fit, [(-m, s) for m, s in cases], cfg) == _negated(got)
+    negated_cases = [(-m, s) for m, s in cases]
+    negated = _with_counts(fit, negated_cases, cfg)
+    assert negated == _negated(got)
+    assert got == _with_counts(oracle_fit, cases, cfg)
+    assert negated == _with_counts(oracle_fit, negated_cases, cfg)
     assert got[-1][2] > 0  # the floor saturates somewhere in the sample
 
 
@@ -534,3 +572,80 @@ def test_signed_int_level_examples():
     assert fit(-5, 20, CFG) == fit(5, 20, CFG) == (0, 0)
     assert fit(-200, -20, CFG) == (-255, -16)
     assert quotient(-5, 3, 0, CFG) == quotient(5, -3, 0, CFG) == (-213, 7)
+
+
+# ---------------------------------------------------------------------------
+# quantize against the form it had before its range check was one
+# comparison: the same ScaledInt, or the same error type and message, on
+# the range edges, the non-finite values, subnormals and seeded floats over
+# every binade
+# ---------------------------------------------------------------------------
+
+def oracle_quantize(value, cfg=CFG):
+    """``quantize`` with its three range checks and ``min()``, kept verbatim."""
+    if math.isnan(value) or math.isinf(value):
+        raise RangeError(f"cannot quantize non-finite value {value!r}")
+    av = abs(value)
+    if av > math.ldexp(cfg.max_magnitude, -cfg.scale_min):
+        raise RangeError(f"magnitude {av!r} exceeds representable range")
+    if av < math.ldexp(1.0, -cfg.scale_max - 1):
+        return ZERO
+    exp = math.frexp(av)[1]
+    scale = min(cfg.scale_max, cfg.p_bits - exp)
+    magnitude = round(math.ldexp(av, scale))
+    if magnitude > cfg.max_magnitude:
+        scale -= 1
+        magnitude = round(math.ldexp(av, scale))
+    if magnitude == 0:
+        return ZERO
+    return ScaledInt(magnitude, scale, value < 0)
+
+
+def _quantize_outcome(fn, value, cfg):
+    try:
+        return fn(value, cfg)
+    except RangeError as exc:
+        return type(exc), str(exc)
+
+
+def _quantize_edges(cfg):
+    """Both signs of: zero, the rounding threshold 2**-(scale_max + 1), the
+    largest value and the floats next to each, every scale's round-up edge
+    (2**P - 1/2) / 2**scale and its neighbours, subnormals, inf and nan."""
+    tiny = math.ldexp(1, -cfg.scale_max - 1)
+    top = math.ldexp(cfg.max_magnitude, -cfg.scale_min)
+    values = [0.0, tiny, top, math.inf, math.nan, 5e-324, sys.float_info.min,
+              math.nextafter(sys.float_info.min, 0.0), sys.float_info.max]
+    for v in (tiny, top):
+        values += [math.nextafter(v, 0.0), math.nextafter(v, math.inf)]
+    for scale in range(cfg.scale_min, cfg.scale_max + 1):
+        edge = math.ldexp(2 * cfg.max_magnitude + 1, -scale - 1)
+        values += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
+    return values + [-v for v in values]
+
+
+def _binade_floats(rng, cfg, n):
+    """``n`` seeded floats of random sign and mantissa: half with a binade
+    drawn from all of FP64's, subnormals included, half from the format's
+    binades and a few past each end."""
+    lo, hi = -cfg.scale_max - 4, cfg.p_bits - cfg.scale_min + 4
+    values = []
+    for i in range(n):
+        e = rng.randint(-1074, 1023) if i % 2 else rng.randint(lo, hi)
+        v = math.ldexp(rng.getrandbits(53) | 1 << 52, e - 52)
+        values.append(-v if rng.random() < 0.5 else v)
+    return values
+
+
+@pytest.mark.parametrize("p_bits", [2, 8, 12])
+@pytest.mark.parametrize("scale_bits", [3, 5, 6])
+def test_quantize_matches_oracle(p_bits, scale_bits):
+    cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    values = _quantize_edges(cfg) + _binade_floats(random.Random(p_bits * 100 + scale_bits),
+                                                   cfg, 10 ** 5)
+    outcomes = {"zero": 0, "value": 0, "error": 0}
+    for v in values:
+        got = _quantize_outcome(quantize, v, cfg)
+        assert got == _quantize_outcome(oracle_quantize, v, cfg), v
+        outcomes["error" if type(got) is tuple else "value" if got.magnitude else "zero"] += 1
+    assert min(outcomes.values()) > 1000, outcomes

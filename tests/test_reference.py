@@ -89,6 +89,69 @@ class TestRefOps:
             assert out.data[pos] == pytest.approx(want, abs=1e-15)
 
 
+
+def oracle_ref_conv2d(x, weight, bias, spec):
+    """``ref_conv2d`` as a plain loop that tests every tap's bounds, kept
+    verbatim: the FP64 twin must keep its summation order, so its floats
+    are compared with ``==``."""
+    batch, in_ch, height, width = x.shape
+    out_ch, k = spec.out_channels, spec.kernel
+    w_ch = 1 if spec.depthwise else in_ch
+    h_out = (height + 2 * spec.padding - k) // spec.stride + 1
+    w_out = (width + 2 * spec.padding - k) // spec.stride + 1
+    multiplier = out_ch // in_ch if spec.depthwise else 0
+    out = []
+    for b in range(batch):
+        for o in range(out_ch):
+            channels = [o // multiplier] if spec.depthwise else list(range(in_ch))
+            for oh in range(h_out):
+                for ow in range(w_out):
+                    acc = 0.0
+                    for ci, i in enumerate(channels):
+                        for ky in range(k):
+                            ih = oh * spec.stride - spec.padding + ky
+                            if not 0 <= ih < height:
+                                continue
+                            for kx in range(k):
+                                iw = ow * spec.stride - spec.padding + kx
+                                if not 0 <= iw < width:
+                                    continue
+                                acc += (x.data[((b * in_ch + i) * height + ih) * width + iw]
+                                        * weight.data[((o * w_ch + ci) * k + ky) * k + kx])
+                    if bias is not None:
+                        acc += bias.data[o]
+                    out.append(acc)
+    return ref.FTensor((batch, out_ch, h_out, w_out), tuple(out))
+
+
+def _spread_floats(rng, n):
+    """Floats of either sign over 2^-30..2^30, so a changed summation order
+    changes the rounded sums."""
+    return tuple(rng.uniform(-1, 1) * 2.0 ** rng.randint(-30, 30) for _ in range(n))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+def test_ref_conv2d_matches_oracle(k, stride, padding):
+    rng = random.Random(k * 100 + stride * 10 + padding)
+    x = ref.FTensor((2, 2, 5, 4), _spread_floats(rng, 80))
+    # multiplier 0 is the dense conv, 1-3 the depthwise multipliers
+    for multiplier in range(4):
+        if multiplier:
+            spec = ConvSpec(2, 2 * multiplier, k, stride, padding, depthwise=True)
+        else:
+            spec = ConvSpec(2, 3, k, stride, padding)
+        w_ch = 1 if spec.depthwise else 2
+        w = ref.FTensor((spec.out_channels, w_ch, k, k),
+                        _spread_floats(rng, spec.out_channels * w_ch * k * k))
+        bias = ref.FTensor((spec.out_channels,), _spread_floats(rng, spec.out_channels))
+        for b in (bias, None):
+            got, want = ref.ref_conv2d(x, w, b, spec), oracle_ref_conv2d(x, w, b, spec)
+            assert got.shape == want.shape
+            assert got.data == want.data
+
+
 class TestMetrics:
     def test_identical_is_zero(self):
         q = QTensor((2,), (ScaledInt(3, 2), ScaledInt(1, 0, True)))
