@@ -83,6 +83,17 @@ class ScaleConfig:
     def scale_max(self) -> int:
         return (1 << (self.scale_bits - 1)) - 1
 
+    @cached_property
+    def max_value(self) -> float:
+        """Largest representable magnitude, ``(2**P - 1) * 2**-scale_min``."""
+        return math.ldexp(self.max_magnitude, -self.scale_min)
+
+    @cached_property
+    def zero_below(self) -> float:
+        """Half the finest step, ``2**-(scale_max + 1)``: :func:`quantize`
+        stores any smaller magnitude as zero."""
+        return math.ldexp(1, -self.scale_max - 1)
+
     @property
     def bits_per_element(self) -> int:
         return self.p_bits + self.scale_bits
@@ -174,17 +185,19 @@ def quantize(value: float, cfg: ScaleConfig = DEFAULT_CONFIG) -> ScaledInt:
     P bits; the magnitude rounds half-to-even.  Magnitudes below half the
     finest representable step collapse to canonical zero.
     """
-    if math.isnan(value) or math.isinf(value):
-        raise RangeError(f"cannot quantize non-finite value {value!r}")
     av = abs(value)
-    if av > math.ldexp(cfg.max_magnitude, -cfg.scale_min):
+    # One comparison passes every finite in-range value; nan fails it too.
+    if not av <= cfg.max_value:
+        if not math.isfinite(value):
+            raise RangeError(f"cannot quantize non-finite value {value!r}")
         raise RangeError(f"magnitude {av!r} exceeds representable range")
-    if av < math.ldexp(1.0, -cfg.scale_max - 1):
+    if av < cfg.zero_below:
         return ZERO
     # frexp puts av in [0.5, 1) * 2**exp, so av * 2**(p_bits - exp) lands in
     # [2**(p_bits-1), 2**p_bits); one decrement fixes the round-up-to-2**P edge.
-    exp = math.frexp(av)[1]
-    scale = min(cfg.scale_max, cfg.p_bits - exp)
+    scale = cfg.p_bits - math.frexp(av)[1]
+    if scale > cfg.scale_max:
+        scale = cfg.scale_max
     magnitude = round(math.ldexp(av, scale))
     if magnitude > cfg.max_magnitude:
         scale -= 1
@@ -202,39 +215,37 @@ def fit(
 ) -> tuple[int, int]:
     """Fit a wide signed ``(magnitude, scale)`` back into the stored format.
 
-    The absolute value is fitted and the sign kept, so every cut truncates
-    toward zero.  Oversized magnitudes keep their P most significant bits
-    and the scale drops by the bits cut.  A scale above the ceiling
-    truncates the magnitude; a scale below the floor shifts it up when the
-    exact value still fits, and otherwise saturates at +/-(2**P - 1) and
+    Every cut truncates toward zero, so the result is odd in ``magnitude``.
+    Oversized magnitudes keep their P most significant bits and the scale
+    drops by the bits cut; a scale above the ceiling truncates the magnitude
+    further, down to the ceiling.  The two cuts compose into one shift by
+    ``max(bitlen - P, scale - scale_max)``, the only step that needs the
+    absolute value.  A scale below the floor shifts the magnitude up when
+    the exact value still fits, and otherwise saturates at +/-(2**P - 1) and
     records the event on ``sat``.  Zero, and anything the ceiling truncates
     to zero, comes back as ``(0, 0)``; an in-format pair comes back unchanged.
-    The sign is noted once and put back on the fitted magnitude.
     """
-    if magnitude == 0:
+    if not magnitude:
         return 0, 0
-    negative = magnitude < 0
-    if negative:
-        magnitude = -magnitude
+    # bit_length ignores the sign, so only a cut looks at it
     k = magnitude.bit_length() - cfg.p_bits
+    if scale - cfg.scale_max > k:
+        k = scale - cfg.scale_max
     if k > 0:
-        magnitude >>= k
-        scale -= k
-    if scale > cfg.scale_max:
-        magnitude >>= scale - cfg.scale_max
-        if magnitude == 0:
+        magnitude = magnitude >> k if magnitude > 0 else -(-magnitude >> k)
+        if not magnitude:
             return 0, 0
-        scale = cfg.scale_max
-    elif scale < cfg.scale_min:
+        scale -= k
+    if scale < cfg.scale_min:
         lift = cfg.scale_min - scale
-        if (magnitude << lift) <= cfg.max_magnitude:
+        if magnitude.bit_length() + lift <= cfg.p_bits:
             magnitude <<= lift
         else:
-            magnitude = cfg.max_magnitude
+            magnitude = cfg.max_magnitude if magnitude > 0 else -cfg.max_magnitude
             if sat is not None:
                 sat.record()
         scale = cfg.scale_min
-    return -magnitude if negative else magnitude, scale
+    return magnitude, scale
 
 
 def handle_overflow(

@@ -123,8 +123,14 @@ def _add_pairs(pairs, cfg: ScaleConfig,
     live = [p for p in pairs if p[0]]
     if len(live) < 2:
         return live[0] if live else (0, 0)
-    top = max(s for _, s in live)
-    return fit(sum(m << (top - s) for m, s in live), top, cfg, sat)
+    top = live[0][1]
+    for _, s in live:
+        if s > top:
+            top = s
+    total = 0
+    for m, s in live:
+        total += m << (top - s)
+    return fit(total, top, cfg, sat)
 
 
 def _add(a, b, cfg: ScaleConfig,
@@ -200,6 +206,12 @@ def conv2d(
     max-scale-aligned sum per input channel, a second aligned sum across
     channels, then the bias folded in the same way.  Every stage result is
     renormalized before it feeds the next.
+
+    A pointwise (k = 1) channel sum is one product already cut to P bits,
+    which ``fit`` returns unchanged, so the pointwise sum across channels is
+    one :func:`_dot` over the channel column; a depthwise output has one
+    channel, so its window's dot is the channel sum.  Both give the bytes
+    and saturation counts of the two-stage sum.
     """
     if len(x.shape) != 4:
         raise ShapeError(f"input must be [B, I, H, W], got {x.shape}")
@@ -218,38 +230,48 @@ def conv2d(
         raise ShapeError(f"kernel {k} does not fit the padded input {x.shape} "
                          f"(padding {spec.padding})")
 
-    # Taps outside the input read zero pairs from a padded copy of each
-    # channel plane.  A zero operand adds no product to a sum, so a padding
-    # tap drops out exactly as a skipped tap would.
+    # Taps outside the input read zero pairs from a padded copy of the input
+    # planes, stacked channel after channel.  A zero operand adds no product
+    # to a sum, so a padding tap drops out exactly as a skipped tap would.
+    # Each window is a list of offsets into the stack from an output's start;
+    # each output channel has a list of (window, kernel) dots, summed across
+    # channels when there is more than one.
     pad, stride = spec.padding, spec.stride
     row = width + 2 * pad
+    plane = row * (height + 2 * pad)
     offsets = [ky * row + kx for ky in range(k) for kx in range(k)]
     starts = [oh * stride * row + ow * stride for oh in range(h_out) for ow in range(w_out)]
     wp = _pairs(weight.data)
-    kernels = [wp[j:j + k * k] for j in range(0, len(wp), k * k)]
     biases = _pairs(bias.data) if bias is not None else None
-    if spec.depthwise:
-        groups = [[(o // (out_ch // in_ch), kernels[o])] for o in range(out_ch)]
+    if spec.depthwise or k > 1:
+        taps = [[i * plane + d for d in offsets] for i in range(in_ch)]
+        kernels = [wp[j:j + k * k] for j in range(0, len(wp), k * k)]
+        if spec.depthwise:
+            groups = [[(o // (out_ch // in_ch), kernels[o])] for o in range(out_ch)]
+        else:
+            groups = [[(i, kernels[o * in_ch + i]) for i in range(in_ch)]
+                      for o in range(out_ch)]
     else:
-        groups = [[(i, kernels[o * in_ch + i]) for i in range(in_ch)]
-                  for o in range(out_ch)]
+        taps = [[i * plane for i in range(in_ch)]]
+        groups = [[(0, wp[o * in_ch:(o + 1) * in_ch])] for o in range(out_ch)]
     npos = len(starts)
     out: list[ScaledInt] = []
     for b in range(batch):
-        planes = []
+        stack = [(0, 0)] * (in_ch * plane)
         for i in range(in_ch):
-            plane = [(0, 0)] * (row * (height + 2 * pad))
             for ih in range(height):
                 src = ((b * in_ch + i) * height + ih) * width
-                dst = (ih + pad) * row + pad
-                plane[dst:dst + width] = _pairs(x.data[src:src + width])
-            planes.append(plane)
+                dst = i * plane + (ih + pad) * row + pad
+                stack[dst:dst + width] = _pairs(x.data[src:src + width])
         image: list[ScaledInt] = [ZERO] * (out_ch * npos)
         for pos, st in enumerate(starts):
-            windows = [[plane[st + d] for d in offsets] for plane in planes]
+            windows = [[stack[st + d] for d in tap] for tap in taps]
             for o, group in enumerate(groups):
-                acc = _add_pairs([_dot(windows[i], ker, cfg, sat) for i, ker in group],
-                                 cfg, sat)
+                if len(group) == 1:
+                    acc = _dot(windows[group[0][0]], group[0][1], cfg, sat)
+                else:
+                    acc = _add_pairs([_dot(windows[i], ker, cfg, sat) for i, ker in group],
+                                     cfg, sat)
                 if biases is not None:
                     acc = _add(acc, biases[o], cfg, sat)
                 image[o * npos + pos] = ScaledInt.from_signed(*acc)

@@ -47,28 +47,36 @@ def ref_conv2d(x: FTensor, weight: FTensor, bias: FTensor | None,
                spec: ConvSpec) -> FTensor:
     batch, in_ch, height, width = x.shape
     out_ch, k = spec.out_channels, spec.kernel
+    stride, pad = spec.stride, spec.padding
     w_ch = 1 if spec.depthwise else in_ch
-    h_out = (height + 2 * spec.padding - k) // spec.stride + 1
-    w_out = (width + 2 * spec.padding - k) // spec.stride + 1
+    h_out = (height + 2 * pad - k) // stride + 1
+    w_out = (width + 2 * pad - k) // stride + 1
     multiplier = out_ch // in_ch if spec.depthwise else 0
+
+    def taps(n_out: int, n_in: int) -> list[list[tuple[int, int]]]:
+        # (kernel index, input index) of each output index's in-range taps
+        return [[(t, i) for t in range(k) if 0 <= (i := n * stride - pad + t) < n_in]
+                for n in range(n_out)]
+
+    # Offsets are worked out once per output row and column, and summed in
+    # the same order as a loop that checks every tap: channel, ky, kx.
+    rows = [[(ky * k, ih * width) for ky, ih in r] for r in taps(h_out, height)]
+    cols = taps(w_out, width)
+    xd, wd = x.data, weight.data
     out = []
     for b in range(batch):
         for o in range(out_ch):
-            channels = [o // multiplier] if spec.depthwise else list(range(in_ch))
-            for oh in range(h_out):
-                for ow in range(w_out):
+            channels = [o // multiplier] if spec.depthwise else range(in_ch)
+            bases = [((o * w_ch + ci) * k * k, (b * in_ch + i) * height * width)
+                     for ci, i in enumerate(channels)]
+            for r in rows:
+                for c in cols:
                     acc = 0.0
-                    for ci, i in enumerate(channels):
-                        for ky in range(k):
-                            ih = oh * spec.stride - spec.padding + ky
-                            if not 0 <= ih < height:
-                                continue
-                            for kx in range(k):
-                                iw = ow * spec.stride - spec.padding + kx
-                                if not 0 <= iw < width:
-                                    continue
-                                acc += (x.data[((b * in_ch + i) * height + ih) * width + iw]
-                                        * weight.data[((o * w_ch + ci) * k + ky) * k + kx])
+                    for wb, xb in bases:
+                        for wr, xr in r:
+                            wi, xi = wb + wr, xb + xr
+                            for kx, iw in c:
+                                acc += xd[xi + iw] * wd[wi + kx]
                     if bias is not None:
                         acc += bias.data[o]
                     out.append(acc)

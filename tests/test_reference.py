@@ -150,6 +150,8 @@ def test_ref_conv2d_matches_oracle(k, stride, padding):
             got, want = ref.ref_conv2d(x, w, b, spec), oracle_ref_conv2d(x, w, b, spec)
             assert got.shape == want.shape
             assert got.data == want.data
+            # a tap-less output sums to 0.0, never -0.0
+            assert list(map(float.hex, got.data)) == list(map(float.hex, want.data))
 
 
 class TestMetrics:
