@@ -243,17 +243,17 @@ def conv2d(
     starts = [oh * stride * row + ow * stride for oh in range(h_out) for ow in range(w_out)]
     wp = _pairs(weight.data)
     biases = _pairs(bias.data) if bias is not None else None
-    if spec.depthwise or k > 1:
-        taps = [[i * plane + d for d in offsets] for i in range(in_ch)]
-        kernels = [wp[j:j + k * k] for j in range(0, len(wp), k * k)]
-        if spec.depthwise:
-            groups = [[(o // (out_ch // in_ch), kernels[o])] for o in range(out_ch)]
-        else:
-            groups = [[(i, kernels[o * in_ch + i]) for i in range(in_ch)]
-                      for o in range(out_ch)]
-    else:
+    kernels = [wp[j:j + k * k] for j in range(0, len(wp), k * k)]
+    taps = [[i * plane + d for d in offsets] for i in range(in_ch)]
+    if spec.depthwise:
+        groups = [[(o // (out_ch // in_ch), kernels[o])] for o in range(out_ch)]
+    elif k == 1:
+        # pointwise: one window holding every channel's tap, one dot per output
         taps = [[i * plane for i in range(in_ch)]]
         groups = [[(0, wp[o * in_ch:(o + 1) * in_ch])] for o in range(out_ch)]
+    else:
+        groups = [[(i, kernels[o * in_ch + i]) for i in range(in_ch)]
+                  for o in range(out_ch)]
     npos = len(starts)
     out: list[ScaledInt] = []
     for b in range(batch):
