@@ -1,15 +1,15 @@
 """Scaled-integer arithmetic on (magnitude, power-of-two scale) pairs.
 
-A quantity is stored as an unsigned P-bit ``magnitude``, a sign flag and a
-small signed ``scale``; it represents ``(-1)**negative * magnitude / 2**scale``.
-The four primitives (multiply, add, subtract, divide) and the overflow
-normalizer work exclusively with integer arithmetic, compare and shift;
-division is one exact integer floor division.  The normalizer and the
-division also exist on signed ``(magnitude, scale)`` int pairs, as
-:func:`fit` and :func:`quotient`, which take the sign themselves;
-:func:`handle_overflow` and :func:`scale_div` wrap them.  Floating point
-enters only through :func:`quantize` and :func:`dequantize`, the
-conversion layer at the boundary of the integer domain.
+A quantity is one signed int pair ``(magnitude, scale)``, a signed P-bit
+magnitude and a small signed scale, standing for ``magnitude / 2**scale``.
+The normalizer :func:`fit` and the division :func:`quotient` take and
+return plain pairs; :class:`ScaledInt` is the same pair boxed as a
+``tuple`` subclass, and each primitive (multiply, add, subtract, divide,
+shift) is one ``fit`` or ``quotient`` call on its operands' pairs, boxed.
+They work exclusively with integer arithmetic, compare and shift; division
+is one exact integer floor division.  Floating point enters only through
+:func:`quantize` and :func:`dequantize`, the conversion layer at the
+boundary of the integer domain.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 GELU_SERIES_LINEAR = "series-linear"
 GELU_SERIES_CUBED = "series-cubed"
@@ -123,59 +124,67 @@ class SaturationCounter:
         self.count += 1
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ScaledInt:
-    """One quantized scalar: ``(-1)**negative * magnitude / 2**scale``.
+class ScaledInt(tuple):
+    """One quantized scalar, the pair ``(signed_magnitude, scale)`` standing
+    for ``signed_magnitude / 2**scale``.
 
-    Zero is canonical: magnitude 0 forces ``negative=False`` and ``scale=0``.
-    The constructor stores the slots through their descriptors, past the
-    frozen ``__setattr__``; the dataclass still supplies the rest.
+    It is the same signed int pair that :func:`fit` and :func:`quotient`
+    return and every kernel computes on, boxed as a ``tuple`` subclass, so a
+    kernel boxes a pair with ``tuple.__new__(ScaledInt, pair)`` and reads it
+    by index or unpacking.  ``ScaledInt(magnitude, scale, negative)`` takes
+    an unsigned magnitude and a sign flag; :meth:`from_signed` takes the
+    signed value.  Zero is canonical, ``(0, 0)``.  Ordering, concatenation
+    and repetition are refused, as for any value object.
     """
 
-    magnitude: int
-    scale: int = 0
-    negative: bool = False
+    __slots__ = ()
+    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __mul__ = __rmul__ = None
 
-    def __init__(self, magnitude: int, scale: int = 0, negative: bool = False):
+    def __new__(cls, magnitude: int, scale: int = 0, negative: bool = False):
         if magnitude <= 0:
             if magnitude:
                 raise ValueError("magnitude must be unsigned; use from_signed()")
-            scale, negative = 0, False
-        _SET_MAGNITUDE(self, magnitude)
-        _SET_SCALE(self, scale)
-        _SET_NEGATIVE(self, negative)
+            return ZERO
+        return tuple.__new__(cls, (-magnitude if negative else magnitude, scale))
 
     @classmethod
     def from_signed(cls, value: int, scale: int = 0) -> "ScaledInt":
-        return cls(-value, scale, True) if value < 0 else cls(value, scale)
+        return tuple.__new__(cls, (value, scale)) if value else ZERO
+
+    signed_magnitude = property(itemgetter(0))
+    scale = property(itemgetter(1))
 
     @property
-    def signed_magnitude(self) -> int:
-        return -self.magnitude if self.negative else self.magnitude
+    def magnitude(self) -> int:
+        return abs(self[0])
+
+    @property
+    def negative(self) -> bool:
+        return self[0] < 0
 
     def is_zero(self) -> bool:
-        return self.magnitude == 0
+        return not self[0]
+
+    def __getnewargs__(self):
+        return self.magnitude, self[1], self[0] < 0
+
+    def __repr__(self) -> str:
+        return (f"ScaledInt(magnitude={self.magnitude}, scale={self[1]}, "
+                f"negative={self[0] < 0})")
 
 
-_SET_MAGNITUDE = ScaledInt.magnitude.__set__
-_SET_SCALE = ScaledInt.scale.__set__
-_SET_NEGATIVE = ScaledInt.negative.__set__
-
-ZERO = ScaledInt(0)
+ZERO = tuple.__new__(ScaledInt, (0, 0))
 ONE = ScaledInt(1, 0)
 
 
 def negate(q: ScaledInt) -> ScaledInt:
-    if q.magnitude == 0:
-        return ZERO
-    return ScaledInt(q.magnitude, q.scale, not q.negative)
+    return tuple.__new__(ScaledInt, (-q[0], q[1]))
 
 
 def dequantize(q: ScaledInt) -> float:
     """Exact conversion back to FP64.  Boundary/reference use only; nothing in
     the integer compute path calls this."""
-    value = math.ldexp(q.magnitude, -q.scale)
-    return -value if q.negative else value
+    return math.ldexp(q[0], -q[1])
 
 
 def quantize(value: float, cfg: ScaleConfig = DEFAULT_CONFIG) -> ScaledInt:
@@ -198,13 +207,13 @@ def quantize(value: float, cfg: ScaleConfig = DEFAULT_CONFIG) -> ScaledInt:
     scale = cfg.p_bits - math.frexp(av)[1]
     if scale > cfg.scale_max:
         scale = cfg.scale_max
-    magnitude = round(math.ldexp(av, scale))
-    if magnitude > cfg.max_magnitude:
+    # round() is half-to-even on either sign, so the signed value rounds as
+    # its absolute value does
+    magnitude = round(math.ldexp(value, scale))
+    if abs(magnitude) > cfg.max_magnitude:
         scale -= 1
-        magnitude = round(math.ldexp(av, scale))
-    if magnitude == 0:
-        return ZERO
-    return ScaledInt(magnitude, scale, value < 0)
+        magnitude = round(math.ldexp(value, scale))
+    return tuple.__new__(ScaledInt, (magnitude, scale)) if magnitude else ZERO
 
 
 def fit(
@@ -255,9 +264,10 @@ def handle_overflow(
     negative: bool = False,
     sat: SaturationCounter | None = None,
 ) -> ScaledInt:
-    """:func:`fit` as a :class:`ScaledInt` with the given sign."""
-    magnitude, scale = fit(raw_magnitude, raw_scale, cfg, sat)
-    return ScaledInt(magnitude, scale, negative) if magnitude else ZERO
+    """:func:`fit` of ``raw_magnitude`` with the given sign, as a
+    :class:`ScaledInt`."""
+    return tuple.__new__(ScaledInt, fit(-raw_magnitude if negative else raw_magnitude,
+                                        raw_scale, cfg, sat))
 
 
 def scale_mul(
@@ -266,16 +276,8 @@ def scale_mul(
     cfg: ScaleConfig = DEFAULT_CONFIG,
     sat: SaturationCounter | None = None,
 ) -> ScaledInt:
-    """Product: magnitudes multiply, scales add, signs xor."""
-    if a.magnitude == 0 or b.magnitude == 0:
-        return ZERO
-    return handle_overflow(
-        a.magnitude * b.magnitude,
-        a.scale + b.scale,
-        cfg,
-        a.negative != b.negative,
-        sat,
-    )
+    """Product: signed magnitudes multiply, scales add."""
+    return tuple.__new__(ScaledInt, fit(a[0] * b[0], a[1] + b[1], cfg, sat))
 
 
 def scale_add(
@@ -289,15 +291,13 @@ def scale_add(
     The finer-scaled operand keeps its bits; the coarser one is shifted left
     into a wide temporary.  Exact cancellation yields canonical zero.
     """
-    if a.magnitude == 0:
+    if not a[0]:
         return b
-    if b.magnitude == 0:
+    if not b[0]:
         return a
-    s = a.scale if a.scale >= b.scale else b.scale
-    total = (a.signed_magnitude << (s - a.scale)) + (b.signed_magnitude << (s - b.scale))
-    if total == 0:
-        return ZERO
-    return handle_overflow(abs(total), s, cfg, total < 0, sat)
+    s = a[1] if a[1] >= b[1] else b[1]
+    return tuple.__new__(ScaledInt, fit((a[0] << (s - a[1])) + (b[0] << (s - b[1])), s,
+                                        cfg, sat))
 
 
 def scale_sub(
@@ -318,9 +318,7 @@ def shift_scale(
 ) -> ScaledInt:
     """Multiply by ``2**-delta`` via a scale adjustment (no magnitude bits move
     unless the adjusted scale leaves the stored range)."""
-    if q.magnitude == 0:
-        return ZERO
-    return handle_overflow(q.magnitude, q.scale + delta, cfg, q.negative, sat)
+    return tuple.__new__(ScaledInt, fit(q[0], q[1] + delta, cfg, sat))
 
 
 def quotient(
@@ -354,7 +352,5 @@ def scale_div(
     cfg: ScaleConfig = DEFAULT_CONFIG,
     sat: SaturationCounter | None = None,
 ) -> ScaledInt:
-    """:func:`quotient` of the magnitudes, with the signs stripped first and
-    reapplied to the result."""
-    magnitude, scale = quotient(a.magnitude, b.magnitude, a.scale - b.scale, cfg, sat)
-    return ScaledInt(magnitude, scale, a.negative != b.negative) if magnitude else ZERO
+    """:func:`quotient` of the signed magnitudes."""
+    return tuple.__new__(ScaledInt, quotient(a[0], b[0], a[1] - b[1], cfg, sat))

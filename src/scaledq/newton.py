@@ -20,6 +20,7 @@ from .core import (
     SaturationCounter,
     ScaleConfig,
     ScaledInt,
+    ZERO,
     handle_overflow,
 )
 
@@ -50,7 +51,8 @@ def default_seed(cfg: ScaleConfig) -> ScaledInt:
     :func:`newton_inv_sqrt`.  1622 more, from 19.375 up, settle at the scale
     the first step gave the iterate (7), with a magnitude below 32, so too
     few bits are left for the result; 46 below 2**-10 are still growing.
-    ROADMAP item 1 holds the fix, an exponent seed.
+    The ROADMAP item on ``layer_norm`` at small spread holds the fix, an
+    exponent seed.
     """
     return ScaledInt(1, min(6, cfg.scale_max))
 
@@ -71,9 +73,10 @@ def newton_inv_sqrt(
     :func:`default_seed` for how many inputs that reaches.  Returns the
     final iterate plus the full trace.
     """
-    if x.magnitude == 0 or x.negative:
+    xm, xe = x
+    if xm <= 0:
         raise DomainError("inverse square root needs a positive input")
-    if y0.magnitude == 0 or y0.negative:
+    if y0[0] <= 0:
         raise DomainError("inverse square root needs a positive seed")
     if iters < 0:
         raise DomainError(f"iteration count must be non-negative, got {iters}")
@@ -81,18 +84,18 @@ def newton_inv_sqrt(
     y = y0
     entries = [(0, y0)]
     for j in range(iters):
-        mag, scale = y.magnitude, y.scale
+        mag, scale = y
         if mag == 0:
             entries.append((j + 1, y))
             continue
-        shift = 2 * scale + x.scale
-        wide = x.magnitude * mag * mag * mag
+        shift = 2 * scale + xe
+        wide = xm * mag * mag * mag
         cubic = wide >> shift if shift >= 0 else wide << -shift
         d = 3 * mag - cubic
         if d <= 0:
             # Seed violated the convergence bound; pin at zero rather than
             # oscillate with a negative iterate.
-            y = ScaledInt(0)
+            y = ZERO
             entries.append((j + 1, y))
             continue
         if j == 0:

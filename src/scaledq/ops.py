@@ -3,10 +3,12 @@
 Every operator performs integer arithmetic only; converting results back to
 floating point is the job of the reference/benchmark layer.  A multi-term sum
 aligns every term to the set's maximum scale, adds wide in a fixed order and
-normalizes once.  The operators compute on signed ``(magnitude, scale)`` int
-pairs, each step ending in ``core.fit`` or ``core.quotient``, bit-identical to
-composing the ``core`` primitives; every sum of products runs through
-:func:`_dot`, and a :class:`ScaledInt` is built only per output element.
+normalizes once.  The operators compute on the ``(magnitude, scale)`` pairs
+their :class:`ScaledInt` elements are, each step ending in ``core.fit`` or
+``core.quotient``, bit-identical to composing the ``core`` primitives; every
+sum of products runs through :func:`_dot`, and each output pair is boxed once
+with ``tuple.__new__(ScaledInt, pair)``.  Operands that ``_dot`` reads many
+times are first copied to exact tuples, which CPython unpacks faster.
 """
 
 from __future__ import annotations
@@ -94,26 +96,10 @@ def sum_aligned(
     """Sum a term set at the maximum scale with one final normalization.
 
     Zero terms drop out; a single surviving term is returned bit-identical,
-    which keeps identity kernels and zero biases exact.
+    the same object, which keeps identity kernels and zero biases exact.
     """
-    live = [t for t in terms if t.magnitude]
-    if not live:
-        return ZERO
-    if len(live) == 1:
-        return live[0]
-    s = max(t.scale for t in live)
-    total = 0
-    for t in live:
-        total += t.signed_magnitude << (s - t.scale)
-    if total == 0:
-        return ZERO
-    return handle_overflow(abs(total), s, cfg, total < 0, sat)
-
-
-def _pairs(elements: Sequence[ScaledInt]) -> list[tuple[int, int]]:
-    """Elements as the ``(signed_magnitude, scale)`` int pairs the kernels
-    read; built per call (or per row), never kept on a tensor."""
-    return [(-e.magnitude if e.negative else e.magnitude, e.scale) for e in elements]
+    acc = _add_pairs(terms, cfg, sat)
+    return acc if type(acc) is ScaledInt else tuple.__new__(ScaledInt, acc)
 
 
 def _add_pairs(pairs, cfg: ScaleConfig,
@@ -241,8 +227,10 @@ def conv2d(
     plane = row * (height + 2 * pad)
     offsets = [ky * row + kx for ky in range(k) for kx in range(k)]
     starts = [oh * stride * row + ow * stride for oh in range(h_out) for ow in range(w_out)]
-    wp = _pairs(weight.data)
-    biases = _pairs(bias.data) if bias is not None else None
+    # _dot reads the stack and the kernels many times; CPython unpacks only
+    # exact tuples on its fast path, so they are copied out of the boxes once.
+    wp = list(map(tuple, weight.data))
+    biases = bias.data if bias is not None else None
     kernels = [wp[j:j + k * k] for j in range(0, len(wp), k * k)]
     taps = [[i * plane + d for d in offsets] for i in range(in_ch)]
     if spec.depthwise:
@@ -262,7 +250,7 @@ def conv2d(
             for ih in range(height):
                 src = ((b * in_ch + i) * height + ih) * width
                 dst = i * plane + (ih + pad) * row + pad
-                stack[dst:dst + width] = _pairs(x.data[src:src + width])
+                stack[dst:dst + width] = map(tuple, x.data[src:src + width])
         image: list[ScaledInt] = [ZERO] * (out_ch * npos)
         for pos, st in enumerate(starts):
             windows = [[stack[st + d] for d in tap] for tap in taps]
@@ -274,7 +262,7 @@ def conv2d(
                                      cfg, sat)
                 if biases is not None:
                     acc = _add(acc, biases[o], cfg, sat)
-                image[o * npos + pos] = ScaledInt.from_signed(*acc)
+                image[o * npos + pos] = tuple.__new__(ScaledInt, acc)
         out.extend(image)
     return QTensor((batch, out_ch, h_out, w_out), tuple(out))
 
@@ -294,17 +282,18 @@ def linear(
         raise ShapeError(f"input trailing dim must be {in_f}, got {x.shape}")
     if bias is not None and bias.shape != (out_f,):
         raise ShapeError(f"bias must be ({out_f},), got {bias.shape}")
-    wp = _pairs(weight.data)
+    # exact-tuple copies for _dot's unpacking fast path, as in conv2d
+    wp = list(map(tuple, weight.data))
     wrows = [wp[o * in_f:(o + 1) * in_f] for o in range(out_f)]
-    biases = _pairs(bias.data) if bias is not None else None
+    biases = bias.data if bias is not None else None
     out: list[ScaledInt] = []
     for r in range(x.size // in_f):
-        row = _pairs(x.data[r * in_f:(r + 1) * in_f])
+        row = list(map(tuple, x.data[r * in_f:(r + 1) * in_f]))
         for o, wrow in enumerate(wrows):
             acc = _dot(row, wrow, cfg, sat)
             if biases is not None:
                 acc = _add(acc, biases[o], cfg, sat)
-            out.append(ScaledInt.from_signed(*acc))
+            out.append(tuple.__new__(ScaledInt, acc))
     return QTensor(x.shape[:-1] + (out_f,), tuple(out))
 
 
@@ -318,12 +307,13 @@ def matmul(
         raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
     m, k = a.shape
     _, n = b.shape
-    bp = _pairs(b.data)
+    # exact-tuple copies for _dot's unpacking fast path, as in conv2d
+    bp = list(map(tuple, b.data))
     cols = [bp[j::n] for j in range(n)]
     out: list[ScaledInt] = []
     for i in range(m):
-        row = _pairs(a.data[i * k:(i + 1) * k])
-        out.extend(ScaledInt.from_signed(*_dot(row, col, cfg, sat)) for col in cols)
+        row = list(map(tuple, a.data[i * k:(i + 1) * k]))
+        out.extend(tuple.__new__(ScaledInt, _dot(row, col, cfg, sat)) for col in cols)
     return QTensor((m, n), tuple(out))
 
 
@@ -355,12 +345,11 @@ def layer_norm(
     if params.gamma.shape != (n,):
         raise ShapeError(f"gamma/beta must be ({n},), got {params.gamma.shape}")
     count = fit(n, 0, cfg)
-    eps = (params.eps.signed_magnitude, params.eps.scale)
-    gamma, beta = _pairs(params.gamma.data), _pairs(params.beta.data)
+    gamma, beta = params.gamma.data, params.beta.data
     seed = default_seed(cfg)
     out: list[ScaledInt] = []
     for r in range(0, x.size, n):
-        row = _pairs(x.data[r:r + n])
+        row = x.data[r:r + n]
         if row.count(row[0]) == n:
             out.extend(params.beta.data)
             continue
@@ -370,12 +359,11 @@ def layer_norm(
             out.extend(params.beta.data)
             continue
         var = _div(_dot(devs, devs, cfg, sat), count, cfg, sat)
-        inv_std, _ = newton_inv_sqrt(ScaledInt.from_signed(*_add(var, eps, cfg, sat)),
-                                     seed, cfg.newton_iters, cfg, sat)
-        inv = (inv_std.signed_magnitude, inv_std.scale)
-        out.extend(ScaledInt.from_signed(
-            *_add(_mul(_mul(d, inv, cfg, sat), g, cfg, sat), b, cfg, sat))
-            for d, g, b in zip(devs, gamma, beta))
+        inv, _ = newton_inv_sqrt(tuple.__new__(ScaledInt, _add(var, params.eps, cfg, sat)),
+                                 seed, cfg.newton_iters, cfg, sat)
+        out.extend(tuple.__new__(ScaledInt,
+                                 _add(_mul(_mul(d, inv, cfg, sat), g, cfg, sat), b, cfg, sat))
+                   for d, g, b in zip(devs, gamma, beta))
     return QTensor(x.shape, tuple(out))
 
 
@@ -393,11 +381,11 @@ def softmax(
     if len(xs) < 1:
         raise ShapeError(f"softmax needs at least one element, got {len(xs)}")
     nums = []
-    for x in _pairs(xs):
+    for x in xs:
         m, s = _mul(x, x, cfg, sat)
         nums.append(_add_pairs((_ONE, x, fit(m, s + 1, cfg, sat)), cfg, sat))
     den = _add_pairs(nums, cfg, sat)
-    return [ScaledInt.from_signed(*_div(num, den, cfg, sat)) for num in nums]
+    return [tuple.__new__(ScaledInt, _div(num, den, cfg, sat)) for num in nums]
 
 
 def softmax_tensor(
@@ -432,7 +420,6 @@ def gelu(
     continuation of the underlying tanh series.
     """
     variant = variant or cfg.gelu_variant
-    x = (x.signed_magnitude, x.scale)
     x3 = _mul(_mul(x, x, cfg, sat), x, cfg, sat)
     a = _dot(((102, 7), (18, 9)), (x, x3), cfg, sat)
     if variant == GELU_SERIES_LINEAR:
@@ -446,7 +433,7 @@ def gelu(
         else:
             raise ValueError(f"unknown gelu variant {variant!r}")
     m, s = _mul(x, gate, cfg, sat)
-    return ScaledInt.from_signed(*fit(m, s + 1, cfg, sat))
+    return tuple.__new__(ScaledInt, fit(m, s + 1, cfg, sat))
 
 
 def gelu_map(
@@ -459,7 +446,7 @@ def gelu_map(
 
 
 def relu(x: ScaledInt) -> ScaledInt:
-    return ZERO if x.negative else x
+    return ZERO if x[0] < 0 else x
 
 
 def relu_map(x: QTensor) -> QTensor:

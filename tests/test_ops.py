@@ -1,6 +1,7 @@
 """Tensor operator tests against independent FP64 oracles."""
 
 import hashlib
+import json
 import math
 import random
 
@@ -50,6 +51,7 @@ from scaledq.ops import (
     transpose,
 )
 from scaledq import reference as ref
+from scaledq.bench import load_tensor
 
 CFG = ScaleConfig()
 
@@ -543,6 +545,58 @@ def test_pinned_operator_values(name):
     sat = SaturationCounter()
     out = _pinned_cases()[name](sat)
     assert (value_digest(out), sat.count) == PINNED_VALUES[name]
+
+
+def _output_cases():
+    """Each public operator's output elements, by name, as functions of a
+    scratch directory; the pinned cases plus zero and cancelling operands."""
+    a, b = ScaledInt(122, 3, True), ScaledInt(33, 7)
+    x = rand_tensor(random.Random(7), (3, 6))
+
+    def loaded(tmp_path):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"shape": [3], "kind": "scaled",
+                                    "data": [[-7, 2], [0, 0], [5, -3]]}))
+        return load_tensor(str(path), CFG).data
+
+    def inv_sqrt(_):
+        y, trace = newton_inv_sqrt(ScaledInt(122, 3), default_seed(CFG), 20, CFG)
+        pinned, _ = newton_inv_sqrt(ScaledInt(255, -15), default_seed(CFG), 3, CFG)
+        return [y, pinned, *(e for _, e in trace.entries)]
+
+    return {
+        **{name: (lambda _, case=case: case(None).data)
+           for name, case in _pinned_cases().items()},
+        "relu-map": lambda _: relu_map(x).data,
+        "softmax": lambda _: softmax(x.data[:6], CFG),
+        **{f"gelu-{variant}": (lambda _, variant=variant:
+                               [gelu(e, CFG, variant=variant) for e in x.data])
+           for variant in GELU_VARIANTS},
+        "sum-aligned-0-live": lambda _: [sum_aligned([ZERO, ZERO], CFG), sum_aligned([], CFG)],
+        "sum-aligned-1-live": lambda _: [sum_aligned([ZERO, a], CFG)],
+        "sum-aligned-3-live": lambda _: [sum_aligned([a, b, ScaledInt(1, -2)], CFG),
+                                         sum_aligned([a, b, negate(b), negate(a)], CFG)],
+        "negate": lambda _: [negate(a), negate(ZERO)],
+        "handle-overflow": lambda _: [handle_overflow(1020, 0, CFG),
+                                      handle_overflow(7, 18, CFG),
+                                      handle_overflow(200, -20, CFG, True)],
+        "scale-mul": lambda _: [scale_mul(a, b, CFG), scale_mul(a, ZERO, CFG)],
+        "scale-add": lambda _: [scale_add(a, b, CFG), scale_add(a, negate(a), CFG)],
+        "scale-sub": lambda _: [scale_sub(a, b, CFG), scale_sub(a, a, CFG)],
+        "scale-div": lambda _: [scale_div(a, b, CFG), scale_div(ZERO, b, CFG)],
+        "shift-scale": lambda _: [shift_scale(a, 2, CFG), shift_scale(a, 40, CFG)],
+        "quantize": lambda _: [quantize(v, CFG) for v in (-15.25, 0.2561, 2 ** -16, 0.0)],
+        "load-tensor": loaded,
+        "newton-inv-sqrt": inv_sqrt,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_output_cases()))
+def test_every_output_element_is_a_scaled_int(name, tmp_path):
+    """No operator leaks a plain ``(magnitude, scale)`` pair: readers such as
+    ``tensor_digest`` use the named attributes."""
+    out = list(_output_cases()[name](tmp_path))
+    assert out and all(type(e) is ScaledInt for e in out)
 
 
 def test_pinned_inputs_reach_both_range_edges():
