@@ -50,7 +50,7 @@ from scaledq.ops import (
     sum_aligned,
     transpose,
 )
-from scaledq import reference as ref
+from scaledq import ops, reference as ref
 from scaledq.bench import load_tensor
 
 CFG = ScaleConfig()
@@ -885,6 +885,69 @@ def test_gelu_exhaustive_matches_scalar_oracle(variant):
     want = [oracle_gelu(e, CFG, want_sat, variant) for e in values]
     assert got == want
     assert got_sat.count == want_sat.count > 0
+
+
+
+# --- each distinct input evaluated once per call ---------------------------
+# gelu_map and softmax_tensor evaluate each distinct input pair once per call
+# and replay its saturations on every repeat; the per-element gelu and the
+# row-by-row softmax are their oracle.
+
+def repeating_tensor(rng, shape, cfg):
+    """Elements drawn from a pool of eight pairs, so most of them repeat.
+    The pool holds the largest value of either sign, whose square saturates
+    at the scale floor."""
+    top = cfg.max_magnitude
+    pool = list(rand_tensor(rng, (5,), cfg).data) + [
+        ScaledInt(top, cfg.scale_min), ScaledInt(top, cfg.scale_min, True), ZERO]
+    return QTensor(shape, tuple(rng.choice(pool) for _ in range(math.prod(shape))))
+
+
+@pytest.mark.parametrize("p_bits", [4, 8, 12])
+@pytest.mark.parametrize("scale_bits", [3, 5, 6])
+@pytest.mark.parametrize("counted", [True, False], ids=["sat", "no-sat"])
+def test_distinct_inputs_once_match_plain_evaluation(p_bits, scale_bits, counted):
+    cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    rng = random.Random(p_bits * 100 + scale_bits)
+    n = 10
+    x = repeating_tensor(rng, (6, n), cfg)
+    big = ScaledInt(cfg.max_magnitude, cfg.scale_min)
+    own = SaturationCounter()
+    scale_mul(big, big, cfg, own)
+    assert x.data.count(big) > 1 and own.count == 1
+    cases = [(lambda sat: softmax_tensor(x, cfg, sat).data,
+              lambda sat: tuple(e for r in range(0, x.size, n)
+                                for e in softmax(x.data[r:r + n], cfg, sat)))]
+    for variant in GELU_VARIANTS:
+        cases.append((lambda sat, v=variant: gelu_map(x, cfg, sat, v).data,
+                      lambda sat, v=variant: tuple(gelu(e, cfg, sat, v) for e in x.data)))
+    saturations = 0
+    for once, plain in cases:
+        if counted:
+            got_sat, want_sat = SaturationCounter(), SaturationCounter()
+            assert once(got_sat) == plain(want_sat)
+            assert got_sat.count == want_sat.count
+            saturations += want_sat.count
+        else:
+            assert once(None) == plain(None)
+    assert saturations > 0 or not counted
+
+
+@pytest.mark.parametrize("name, op", [
+    ("gelu", lambda x: gelu_map(x, CFG, SaturationCounter())),
+    ("_softmax_numerator", lambda x: softmax_tensor(x, CFG, SaturationCounter())),
+], ids=["gelu_map", "softmax_tensor"])
+def test_distinct_inputs_are_evaluated_again_on_every_call(monkeypatch, name, op):
+    """The memo lives for one call: a cache kept between calls would make
+    no evaluation the second time."""
+    x = qt((3, 4), [0.5, -1.25, 3.0] * 4)
+    fn = getattr(ops, name)
+    calls = []
+    monkeypatch.setattr(ops, name, lambda *args: calls.append(args[0]) or fn(*args))
+    first = op(x)
+    assert len(calls) == 3
+    assert op(x) == first
+    assert len(calls) == 6
 
 
 def _empty(shape):
