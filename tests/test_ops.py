@@ -930,7 +930,8 @@ def test_distinct_inputs_once_match_plain_evaluation(p_bits, scale_bits, counted
             saturations += want_sat.count
         else:
             assert once(None) == plain(None)
-    assert saturations > 0 or not counted
+    if counted:
+        assert saturations > 0
 
 
 @pytest.mark.parametrize("name, op", [
