@@ -285,6 +285,10 @@ def _cmd_gelu_curve(args, out) -> int:
         raise UsageError(f"--steps {args.steps} is outside [2, {MAX_ELEMENTS}]")
     variant = args.variant or cfg.gelu_variant
     step = (args.stop - args.start) / (args.steps - 1)
+    # The points run monotonically from the first to the last, so quantizing
+    # those two refuses an out-of-range curve before any row is written.
+    for i in (0, args.steps - 1):
+        quantize(args.start + step * i, cfg)
     xs = (args.start + step * i for i in range(args.steps))
     rows = ({"x": x, "quantized": dequantize(gelu(quantize(x, cfg), cfg, variant=variant)),
              "exact": ref_gelu_exact(x)} for x in xs)

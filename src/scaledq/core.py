@@ -261,13 +261,10 @@ def handle_overflow(
     raw_magnitude: int,
     raw_scale: int,
     cfg: ScaleConfig = DEFAULT_CONFIG,
-    negative: bool = False,
     sat: SaturationCounter | None = None,
 ) -> ScaledInt:
-    """:func:`fit` of ``raw_magnitude`` with the given sign, as a
-    :class:`ScaledInt`."""
-    return tuple.__new__(ScaledInt, fit(-raw_magnitude if negative else raw_magnitude,
-                                        raw_scale, cfg, sat))
+    """:func:`fit` of the signed ``raw_magnitude``, as a :class:`ScaledInt`."""
+    return tuple.__new__(ScaledInt, fit(raw_magnitude, raw_scale, cfg, sat))
 
 
 def scale_mul(

@@ -7,8 +7,9 @@ half-up.  The very first update instead folds its halving into the scale
 (``scale += 1``) so a tiny seed magnitude such as 1 is not wiped out before
 the iteration can grow.  After the first step the stored scale only moves
 when a magnitude outgrows P bits.  Once a halved update equals the iterate's
-magnitude, every later step would return the same in-format value, so the
-rest of the trace is filled with it and no further step is computed.
+magnitude, or the iterate is zero, every later step would return the same
+value, so the rest of the trace is filled with it and no further step is
+computed.
 """
 
 from __future__ import annotations
@@ -85,9 +86,6 @@ def newton_inv_sqrt(
     entries = [(0, y0)]
     for j in range(iters):
         mag, scale = y
-        if mag == 0:
-            entries.append((j + 1, y))
-            continue
         shift = 2 * scale + xe
         wide = xm * mag * mag * mag
         cubic = wide >> shift if shift >= 0 else wide << -shift
@@ -96,18 +94,20 @@ def newton_inv_sqrt(
             # Seed violated the convergence bound; pin at zero rather than
             # oscillate with a negative iterate.
             y = ZERO
-            entries.append((j + 1, y))
-            continue
-        if j == 0:
-            scale += 1
         else:
-            d = (d + 1) >> 1
-            if d == mag:
-                # A fixed point: y is in format, so this and every later
-                # step return y unchanged and cannot saturate.
-                entries.extend((i, y) for i in range(j + 1, iters + 1))
-                break
-        y = handle_overflow(d, scale, cfg, False, sat)
+            if j == 0:
+                scale += 1
+            else:
+                d = (d + 1) >> 1
+                if d == mag:
+                    break
+            y = handle_overflow(d, scale, cfg, sat)
         entries.append((j + 1, y))
+        if not y[0]:
+            break
+    # An early stop leaves y at a fixed point: in format with a halved update
+    # equal to its magnitude, or zero, whose update pins it at zero.  Every
+    # later step returns y unchanged and cannot saturate, so y fills the rest.
+    entries.extend((i, y) for i in range(len(entries), iters + 1))
     trace = NewtonTrace(input=x, iters=iters, entries=tuple(entries))
     return y, trace

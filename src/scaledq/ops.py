@@ -38,13 +38,16 @@ class ShapeError(ValueError):
 
 
 @dataclass(frozen=True)
-class QTensor:
-    """Shaped, row-major array of scaled integers (one scale per element)."""
+class Tensor:
+    """Shaped, row-major array; :class:`QTensor` and the FP64 layer's
+    ``FTensor`` are its two kinds."""
 
     shape: tuple[int, ...]
-    data: tuple[ScaledInt, ...]
+    data: tuple
 
     def __post_init__(self):
+        if min(self.shape, default=0) < 0:
+            raise ShapeError(f"shape {self.shape} has a negative dimension")
         n = math.prod(self.shape)
         if n != len(self.data):
             raise ShapeError(f"shape {self.shape} needs {n} elements, got {len(self.data)}")
@@ -52,6 +55,10 @@ class QTensor:
     @property
     def size(self) -> int:
         return len(self.data)
+
+
+class QTensor(Tensor):
+    """Shaped, row-major array of scaled integers (one scale per element)."""
 
 
 @dataclass(frozen=True)
@@ -282,19 +289,9 @@ def linear(
         raise ShapeError(f"input trailing dim must be {in_f}, got {x.shape}")
     if bias is not None and bias.shape != (out_f,):
         raise ShapeError(f"bias must be ({out_f},), got {bias.shape}")
-    # exact-tuple copies for _dot's unpacking fast path, as in conv2d
-    wp = list(map(tuple, weight.data))
-    wrows = [wp[o * in_f:(o + 1) * in_f] for o in range(out_f)]
-    biases = bias.data if bias is not None else None
-    out: list[ScaledInt] = []
-    for r in range(x.size // in_f):
-        row = list(map(tuple, x.data[r * in_f:(r + 1) * in_f]))
-        for o, wrow in enumerate(wrows):
-            acc = _dot(row, wrow, cfg, sat)
-            if biases is not None:
-                acc = _add(acc, biases[o], cfg, sat)
-            out.append(tuple.__new__(ScaledInt, acc))
-    return QTensor(x.shape[:-1] + (out_f,), tuple(out))
+    wrows = [weight.data[o * in_f:(o + 1) * in_f] for o in range(out_f)]
+    return QTensor(x.shape[:-1] + (out_f,),
+                   _row_dots(x, wrows, bias.data if bias is not None else None, cfg, sat))
 
 
 def matmul(
@@ -305,16 +302,29 @@ def matmul(
 ) -> QTensor:
     if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    m, k = a.shape
-    _, n = b.shape
+    n = b.shape[1]
+    return QTensor((a.shape[0], n),
+                   _row_dots(a, [b.data[j::n] for j in range(n)], None, cfg, sat))
+
+
+def _row_dots(x: QTensor, wrows, biases, cfg: ScaleConfig,
+              sat: SaturationCounter | None) -> tuple[ScaledInt, ...]:
+    """Each trailing-axis row of ``x`` dotted with each of ``wrows``, plus
+    ``biases[o]`` when given; the one row loop of :func:`linear` and
+    :func:`matmul`.  Rows are counted from the shape, so an empty trailing
+    axis gives a zero dot per output."""
+    width = x.shape[-1]
     # exact-tuple copies for _dot's unpacking fast path, as in conv2d
-    bp = list(map(tuple, b.data))
-    cols = [bp[j::n] for j in range(n)]
+    wrows = [list(map(tuple, w)) for w in wrows]
     out: list[ScaledInt] = []
-    for i in range(m):
-        row = list(map(tuple, a.data[i * k:(i + 1) * k]))
-        out.extend(tuple.__new__(ScaledInt, _dot(row, col, cfg, sat)) for col in cols)
-    return QTensor((m, n), tuple(out))
+    for r in range(math.prod(x.shape[:-1])):
+        row = list(map(tuple, x.data[r * width:(r + 1) * width]))
+        for o, wrow in enumerate(wrows):
+            acc = _dot(row, wrow, cfg, sat)
+            if biases is not None:
+                acc = _add(acc, biases[o], cfg, sat)
+            out.append(tuple.__new__(ScaledInt, acc))
+    return tuple(out)
 
 
 def transpose(a: QTensor) -> QTensor:
@@ -499,13 +509,24 @@ def relu_map(x: QTensor) -> QTensor:
     return QTensor(x.shape, tuple(relu(e) for e in x.data))
 
 
-def _inv_sqrt_of_count(d_m: int, cfg: ScaleConfig,
-                       sat: SaturationCounter | None) -> ScaledInt:
+def _inv_root(q: QTensor, k: QTensor, v: QTensor, d_m: int, cfg: ScaleConfig,
+              sat: SaturationCounter | None) -> ScaledInt:
+    """Both attentions' front end: their shape check and ``1/sqrt(d_m)``,
+    computed once per call via the quantized Newton iteration."""
+    if q.shape != k.shape or q.shape != v.shape or len(q.shape) != 2:
+        raise ShapeError(f"attention expects matching [T, d] tensors, "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
     if d_m < 1:
         raise ShapeError(f"attention head dimension must be positive, got {d_m}")
     scaled, _ = newton_inv_sqrt(handle_overflow(d_m, 0, cfg), default_seed(cfg),
                                 cfg.newton_iters, cfg, sat)
     return scaled
+
+
+def _scaled(t: QTensor, factor: ScaledInt, cfg: ScaleConfig,
+            sat: SaturationCounter | None) -> QTensor:
+    """Every element of ``t`` times ``factor`` through ``scale_mul``."""
+    return QTensor(t.shape, tuple(scale_mul(e, factor, cfg, sat) for e in t.data))
 
 
 def attention(
@@ -518,18 +539,12 @@ def attention(
 ) -> QTensor:
     """Scaled dot-product attention ``softmax(Q K^T / sqrt(d_m)) V``.
 
-    The ``1/sqrt(d_m)`` factor is computed once per call via the quantized
-    Newton iteration and reused across the whole score matrix.
+    The ``1/sqrt(d_m)`` factor is computed once per call and reused across
+    the whole score matrix.
     """
-    if q.shape != k.shape or q.shape != v.shape or len(q.shape) != 2:
-        raise ShapeError(f"attention expects matching [T, d] tensors, "
-                         f"got {q.shape}, {k.shape}, {v.shape}")
-    inv_root = _inv_sqrt_of_count(d_m, cfg, sat)
-    scores = matmul(q, transpose(k), cfg, sat)
-    scaled = QTensor(scores.shape,
-                     tuple(scale_mul(e, inv_root, cfg, sat) for e in scores.data))
-    weights = softmax_tensor(scaled, cfg, sat)
-    return matmul(weights, v, cfg, sat)
+    inv_root = _inv_root(q, k, v, d_m, cfg, sat)
+    scores = _scaled(matmul(q, transpose(k), cfg, sat), inv_root, cfg, sat)
+    return matmul(softmax_tensor(scores, cfg, sat), v, cfg, sat)
 
 
 def factorized_attention(
@@ -545,11 +560,7 @@ def factorized_attention(
     The key softmax runs over the token axis, independently per feature
     column, so the context matrix is only ``d x d``.
     """
-    if q.shape != k.shape or q.shape != v.shape or len(q.shape) != 2:
-        raise ShapeError(f"attention expects matching [T, d] tensors, "
-                         f"got {q.shape}, {k.shape}, {v.shape}")
-    inv_root = _inv_sqrt_of_count(d_m, cfg, sat)
+    inv_root = _inv_root(q, k, v, d_m, cfg, sat)
     # the rows of K^T are the per-feature token columns
     context = matmul(softmax_tensor(transpose(k), cfg, sat), v, cfg, sat)
-    q_scaled = QTensor(q.shape, tuple(scale_mul(e, inv_root, cfg, sat) for e in q.data))
-    return matmul(q_scaled, context, cfg, sat)
+    return matmul(_scaled(q, inv_root, cfg, sat), context, cfg, sat)

@@ -11,32 +11,18 @@ operators use, isolating rounding error from approximation error;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .core import GELU_SERIES_CUBED, GELU_SERIES_CUBED_CORRECTED, GELU_SERIES_LINEAR, dequantize
-from .ops import ConvSpec, QTensor, ShapeError
+from .ops import ConvSpec, QTensor, ShapeError, Tensor
 
 # Dyadic series constants shared with the quantized gelu: 102/2^7 and 18/2^9.
 GELU_C1 = 102.0 / 128.0
 GELU_C3 = 18.0 / 512.0
 
 
-@dataclass(frozen=True)
-class FTensor:
+class FTensor(Tensor):
     """Shaped, row-major array of floats."""
-
-    shape: tuple[int, ...]
-    data: tuple[float, ...]
-
-    def __post_init__(self):
-        n = math.prod(self.shape)
-        if n != len(self.data):
-            raise ShapeError(f"shape {self.shape} needs {n} elements, got {len(self.data)}")
-
-    @property
-    def size(self) -> int:
-        return len(self.data)
 
 
 def dequantize_tensor(q: QTensor) -> FTensor:
@@ -85,9 +71,8 @@ def ref_conv2d(x: FTensor, weight: FTensor, bias: FTensor | None,
 
 def ref_linear(x: FTensor, weight: FTensor, bias: FTensor | None) -> FTensor:
     out_f, in_f = weight.shape
-    rows = x.size // in_f
     out = []
-    for r in range(rows):
+    for r in range(math.prod(x.shape[:-1])):
         for o in range(out_f):
             acc = 0.0
             for i in range(in_f):
@@ -99,16 +84,7 @@ def ref_linear(x: FTensor, weight: FTensor, bias: FTensor | None) -> FTensor:
 
 
 def ref_matmul(a: FTensor, b: FTensor) -> FTensor:
-    m, k = a.shape
-    _, n = b.shape
-    out = []
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(k):
-                acc += a.data[i * k + t] * b.data[t * n + j]
-            out.append(acc)
-    return FTensor((m, n), tuple(out))
+    return ref_linear(a, ref_transpose(b), None)
 
 
 def ref_transpose(a: FTensor) -> FTensor:
@@ -174,29 +150,28 @@ def ref_newton_inv_sqrt(x: float, y0: float, iters: int) -> tuple[float, list[fl
     return y, seq
 
 
+def _softmax_rows(x: FTensor) -> FTensor:
+    """:func:`ref_softmax_series` on each trailing-axis row."""
+    n = x.shape[-1]
+    return FTensor(x.shape, tuple(e for r in range(math.prod(x.shape[:-1]))
+                                  for e in ref_softmax_series(x.data[r * n:(r + 1) * n])))
+
+
+def _scaled_by_inv_root(t: FTensor, d_m: int) -> FTensor:
+    inv_root = 1.0 / math.sqrt(d_m)
+    return FTensor(t.shape, tuple(e * inv_root for e in t.data))
+
+
 def ref_attention(q: FTensor, k: FTensor, v: FTensor, d_m: int) -> FTensor:
     """Attention with the same truncated-series softmax the quantized
     operator uses, so differences reflect rounding alone."""
-    tokens, feats = q.shape
-    inv_root = 1.0 / math.sqrt(d_m)
-    scores = ref_matmul(q, ref_transpose(k))
-    weights = []
-    for i in range(tokens):
-        row = [scores.data[i * tokens + j] * inv_root for j in range(tokens)]
-        weights.extend(ref_softmax_series(row))
-    return ref_matmul(FTensor((tokens, tokens), tuple(weights)), v)
+    scores = _scaled_by_inv_root(ref_matmul(q, ref_transpose(k)), d_m)
+    return ref_matmul(_softmax_rows(scores), v)
 
 
 def ref_factorized_attention(q: FTensor, k: FTensor, v: FTensor, d_m: int) -> FTensor:
-    tokens, feats = q.shape
-    inv_root = 1.0 / math.sqrt(d_m)
-    cols = []
-    for j in range(feats):
-        cols.append(ref_softmax_series([k.data[t * feats + j] for t in range(tokens)]))
-    sk_t = FTensor((feats, tokens), tuple(e for col in cols for e in col))
-    context = ref_matmul(sk_t, v)
-    q_scaled = FTensor(q.shape, tuple(e * inv_root for e in q.data))
-    return ref_matmul(q_scaled, context)
+    context = ref_matmul(_softmax_rows(ref_transpose(k)), v)
+    return ref_matmul(_scaled_by_inv_root(q, d_m), context)
 
 
 def errors(quantized: QTensor, reference: FTensor) -> Iterator[float]:

@@ -251,6 +251,13 @@ class TestTensorFiles:
         with pytest.raises(UsageError):
             load_tensor(str(tmp_path / "missing.json"), CFG)
 
+    @pytest.mark.parametrize("kind,entry", [("f64", 0.5), ("scaled", [1, 0])])
+    def test_negative_dimension_refused(self, tmp_path, kind, entry):
+        p = tmp_path / "neg.json"
+        p.write_text(json.dumps({"shape": [-2, -2], "kind": kind, "data": [entry] * 4}))
+        with pytest.raises(UsageError, match=r"shape \(-2, -2\) has a negative dimension"):
+            load_tensor(str(p), CFG)
+
     @pytest.mark.parametrize("payload", [
         {"shape": [2], "kind": "scaled", "data": [1, 2]},
         {"shape": [1], "kind": "scaled", "data": [[1, 2, 3]]},

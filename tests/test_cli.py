@@ -223,6 +223,16 @@ class TestBench:
         assert err.startswith("scaledq: error:") and named in err and err.count("\n") == 1
         assert not report.exists()
 
+    @pytest.mark.parametrize("kind,entry", [("f64", 0.5), ("scaled", [1, 0])])
+    def test_negative_dimension_exit_1(self, capsys, tmp_path, kind, entry):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"shape": [-2, -2], "kind": kind, "data": [entry] * 4}))
+        code, out, err = run_cli(capsys, "bench", "softmax", "--height", "2", "--width", "2",
+                                 "--trials", "1", "--input-file", str(path))
+        assert (code, out) == (1, "")
+        assert err == (f"scaledq: error: bad tensor file {path}: "
+                       f"shape (-2, -2) has a negative dimension\n")
+
     def test_f64_int_past_fp64_range_exit_1(self, capsys, tmp_path):
         path = tmp_path / "x.json"
         path.write_text(json.dumps({"shape": [1], "kind": "f64", "data": [10 ** 400]}))
@@ -307,6 +317,12 @@ class TestGeluCurve:
         assert float(mid[0]) == 0.0
         assert float(mid[1]) == 0.0
         assert float(mid[2]) == 0.0
+
+    def test_out_of_range_end_refused_before_any_row(self, capsys):
+        code, out, err = run_cli(capsys, "gelu-curve", "--start", "0", "--stop", "2e7",
+                                 "--steps", "5")
+        assert (code, out) == (2, "")
+        assert err == "scaledq: numeric error: magnitude 20000000.0 exceeds representable range\n"
 
     def test_bad_steps(self, capsys):
         code, _, _ = run_cli(capsys, "gelu-curve", "--steps", "1")

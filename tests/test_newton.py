@@ -120,8 +120,10 @@ class TestDomain:
         assert default_seed(narrow).scale == narrow.scale_max
 
 
-def plain_newton_trace(x, y0, iters, cfg):
-    """Every step of the iteration computed in full, with no early stop."""
+def plain_newton_trace(x, y0, iters, cfg, zeros=None):
+    """Every step of the iteration computed in full, with no early stop.
+    ``zeros``, when given, counts how the iterate first reaches zero: by a
+    pin (an update that is not positive) or by a flush at the scale ceiling."""
     y, entries = y0, [(0, y0)]
     for j in range(iters):
         if y.magnitude:
@@ -130,23 +132,43 @@ def plain_newton_trace(x, y0, iters, cfg):
             d = 3 * y.magnitude - (wide >> shift if shift >= 0 else wide << -shift)
             if d <= 0:
                 y = ScaledInt(0)
+                route = "pin"
             elif j == 0:
                 y = handle_overflow(d, y.scale + 1, cfg)
+                route = "flush"
             else:
                 y = handle_overflow((d + 1) >> 1, y.scale, cfg)
+                route = "flush"
+            if zeros is not None and not y.magnitude:
+                zeros[route] += 1
         entries.append((j + 1, y))
     return entries
+
+
+def check_every_input(cfg):
+    """Every positive input's trace from the default seed against the plain
+    iteration; returns how many iterates reached zero, by each route."""
+    seed = default_seed(cfg)
+    zeros = {"pin": 0, "flush": 0}
+    for scale in range(cfg.scale_min, cfg.scale_max + 1):
+        for mag in range(1, cfg.max_magnitude + 1):
+            x = ScaledInt(mag, scale)
+            want = plain_newton_trace(x, seed, 20, cfg, zeros)
+            for iters in (0, 1, 2, 20):
+                final, trace = newton_inv_sqrt(x, seed, iters, cfg)
+                assert trace.entries == tuple(want[:iters + 1]), (mag, scale, iters)
+                assert final == want[iters][1]
+    return zeros
 
 
 def test_trace_matches_plain_iteration_on_every_input():
     """The fixed-point stop leaves every trace as the full iteration gives it,
     for all 255 * 32 positive inputs of the default format."""
-    seed = default_seed(CFG)
-    for scale in range(CFG.scale_min, CFG.scale_max + 1):
-        for mag in range(1, CFG.max_magnitude + 1):
-            x = ScaledInt(mag, scale)
-            want = plain_newton_trace(x, seed, 20, CFG)
-            for iters in (0, 1, 2, 20):
-                final, trace = newton_inv_sqrt(x, seed, iters, CFG)
-                assert trace.entries == tuple(want[:iters + 1]), (mag, scale, iters)
-                assert final == want[iters][1]
+    assert check_every_input(CFG) == {"pin": 2430, "flush": 0}
+
+
+def test_trace_matches_plain_iteration_on_every_narrow_input():
+    """The same on the 255 * 8 inputs of a 3-bit scale, where the seed sits
+    at the scale ceiling and the first step's scale increment flushes some
+    iterates to zero; so both routes to the zero stop are taken."""
+    assert check_every_input(ScaleConfig(scale_bits=3)) == {"pin": 1035, "flush": 124}

@@ -73,6 +73,14 @@ class TestQTensor:
         with pytest.raises(ShapeError):
             QTensor((2, 2), (ZERO,) * 3)
 
+    @pytest.mark.parametrize("shape", [(-2, -2), (-1, -4), (4, -1, -1)])
+    def test_negative_dimension_refused(self, shape):
+        # each shape's product is the element count, 4
+        with pytest.raises(ShapeError, match="negative dimension"):
+            QTensor(shape, (ZERO,) * 4)
+        with pytest.raises(ShapeError, match="negative dimension"):
+            ref.FTensor(shape, (0.0,) * 4)
+
     def test_conv_spec_validation(self):
         with pytest.raises(ShapeError):
             ConvSpec(3, 4, 1, depthwise=True)
@@ -190,6 +198,15 @@ class TestLinear:
         want = ref.ref_linear(ref.dequantize_tensor(x), ref.dequantize_tensor(w),
                               ref.dequantize_tensor(b))
         assert ref.mse(got, want) <= limit
+
+
+def test_empty_inner_axis_gives_zeros_plus_bias():
+    """A dot over an empty axis sums no products: zero, plus the bias."""
+    x = QTensor((2, 0), ())
+    b = qt((3,), [0.25, -0.5, 0.75])
+    assert linear(x, QTensor((3, 0), ()), None, CFG) == QTensor((2, 3), (ZERO,) * 6)
+    assert linear(x, QTensor((3, 0), ()), b, CFG) == QTensor((2, 3), b.data * 2)
+    assert matmul(x, QTensor((0, 3), ()), CFG) == QTensor((2, 3), (ZERO,) * 6)
 
 
 class TestMatmul:
@@ -579,7 +596,7 @@ def _output_cases():
         "negate": lambda _: [negate(a), negate(ZERO)],
         "handle-overflow": lambda _: [handle_overflow(1020, 0, CFG),
                                       handle_overflow(7, 18, CFG),
-                                      handle_overflow(200, -20, CFG, True)],
+                                      handle_overflow(-200, -20, CFG)],
         "scale-mul": lambda _: [scale_mul(a, b, CFG), scale_mul(a, ZERO, CFG)],
         "scale-add": lambda _: [scale_add(a, b, CFG), scale_add(a, negate(a), CFG)],
         "scale-sub": lambda _: [scale_sub(a, b, CFG), scale_sub(a, a, CFG)],

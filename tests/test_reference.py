@@ -154,6 +154,70 @@ def test_ref_conv2d_matches_oracle(k, stride, padding):
             assert list(map(float.hex, got.data)) == list(map(float.hex, want.data))
 
 
+def oracle_ref_matmul(a, b):
+    """``ref_matmul`` as its own row-times-column loop, kept verbatim."""
+    m, k = a.shape
+    _, n = b.shape
+    out = []
+    for i in range(m):
+        for j in range(n):
+            acc = 0.0
+            for t in range(k):
+                acc += a.data[i * k + t] * b.data[t * n + j]
+            out.append(acc)
+    return ref.FTensor((m, n), tuple(out))
+
+
+def oracle_ref_attention(q, k, v, d_m):
+    """``ref_attention`` with its softmax loop written out, kept verbatim."""
+    tokens, feats = q.shape
+    inv_root = 1.0 / math.sqrt(d_m)
+    scores = oracle_ref_matmul(q, ref.ref_transpose(k))
+    weights = []
+    for i in range(tokens):
+        row = [scores.data[i * tokens + j] * inv_root for j in range(tokens)]
+        weights.extend(ref.ref_softmax_series(row))
+    return oracle_ref_matmul(ref.FTensor((tokens, tokens), tuple(weights)), v)
+
+
+def oracle_ref_factorized_attention(q, k, v, d_m):
+    """``ref_factorized_attention`` with its per-column softmax loop, kept
+    verbatim."""
+    tokens, feats = q.shape
+    inv_root = 1.0 / math.sqrt(d_m)
+    cols = []
+    for j in range(feats):
+        cols.append(ref.ref_softmax_series([k.data[t * feats + j] for t in range(tokens)]))
+    sk_t = ref.FTensor((feats, tokens), tuple(e for col in cols for e in col))
+    context = oracle_ref_matmul(sk_t, v)
+    q_scaled = ref.FTensor(q.shape, tuple(e * inv_root for e in q.data))
+    return oracle_ref_matmul(q_scaled, context)
+
+
+def assert_same_floats(got, want):
+    assert got.shape == want.shape
+    assert list(map(float.hex, got.data)) == list(map(float.hex, want.data))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ref_matmul_and_attentions_match_oracles(seed):
+    """The FP64 twins the error metrics score against keep the summation
+    order of their plain loops, on random shapes."""
+    rng = random.Random(seed)
+    m, k, n = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+    for inner in (k, 0):
+        a = ref.FTensor((m, inner), _spread_floats(rng, m * inner))
+        b = ref.FTensor((inner, n), _spread_floats(rng, inner * n))
+        assert_same_floats(ref.ref_matmul(a, b), oracle_ref_matmul(a, b))
+    tokens, feats = rng.randint(1, 6), rng.randint(1, 6)
+    q, kk, v = (ref.FTensor((tokens, feats), _spread_floats(rng, tokens * feats))
+                for _ in range(3))
+    d_m = rng.randint(1, 64)
+    assert_same_floats(ref.ref_attention(q, kk, v, d_m), oracle_ref_attention(q, kk, v, d_m))
+    assert_same_floats(ref.ref_factorized_attention(q, kk, v, d_m),
+                       oracle_ref_factorized_attention(q, kk, v, d_m))
+
+
 class TestMetrics:
     def test_identical_is_zero(self):
         q = QTensor((2,), (ScaledInt(3, 2), ScaledInt(1, 0, True)))
