@@ -71,6 +71,8 @@ def ref_conv2d(x: FTensor, weight: FTensor, bias: FTensor | None,
 
 def ref_linear(x: FTensor, weight: FTensor, bias: FTensor | None) -> FTensor:
     out_f, in_f = weight.shape
+    if x.shape[-1:] != (in_f,):
+        raise ShapeError(f"input trailing dim must be {in_f}, got {x.shape}")
     out = []
     for r in range(math.prod(x.shape[:-1])):
         for o in range(out_f):

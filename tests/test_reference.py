@@ -77,6 +77,13 @@ class TestRefOps:
         out = ref.ref_linear(x, w, b)
         assert out.data == (2.5, 4.5)
 
+    def test_linear_and_matmul_refuse_mismatched_shapes(self):
+        x = ref.FTensor((2, 3), (1.0,) * 6)
+        with pytest.raises(ShapeError, match="trailing dim must be 2"):
+            ref.ref_linear(x, ref.FTensor((1, 2), (1.0,) * 2), None)
+        with pytest.raises(ShapeError, match="trailing dim must be 2"):
+            ref.ref_matmul(x, ref.FTensor((2, 2), (1.0,) * 4))
+
     def test_conv_matches_linear_for_1x1(self):
         rng = random.Random(3)
         xs = [rng.random() for _ in range(8)]
