@@ -244,6 +244,10 @@ def _cmd_invsqrt(args, out) -> int:
                              f"2**{args.scale} = {dequantize(x)!r}")
     else:
         x = quantize(args.value, cfg)
+        if args.value > 0 and not x[0]:
+            raise DomainError(f"VALUE {args.value!r} quantizes to zero, as every magnitude "
+                              f"up to {cfg.zero_below!r} does; inverse square root needs a "
+                              f"positive input")
     seed = default_seed(cfg)
     y0 = _stored("y0-", seed.magnitude if args.y0_int is None else args.y0_int,
                  seed.scale if args.y0_scale is None else args.y0_scale, cfg)

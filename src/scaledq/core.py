@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 
 GELU_SERIES_LINEAR = "series-linear"
@@ -50,6 +49,13 @@ class ScaleConfig:
     ``newton_iters`` is the default iteration count for the inverse square
     root, at most ``MAX_NEWTON_ITERS``.  ``p_bits + 2**(scale_bits - 1)`` is
     at most 1023, so FP64 holds the largest value at the conversion boundary.
+
+    ``__post_init__`` sets the derived bounds ``max_magnitude``, ``scale_min``,
+    ``scale_max``, ``max_value`` and ``zero_below`` once, as plain instance
+    attributes: not fields, so ``fields``, ``asdict``, ``==`` and ``hash`` see
+    only the four parameters, and not properties, because CPython cannot
+    specialize a load that a class descriptor shadows and ``fit`` reads them
+    on every call.
     """
 
     p_bits: int = 8
@@ -71,29 +77,12 @@ class ScaleConfig:
                              f"got {self.newton_iters}")
         if self.gelu_variant not in GELU_VARIANTS:
             raise ValueError(f"gelu_variant must be one of {GELU_VARIANTS}")
-
-    @cached_property
-    def max_magnitude(self) -> int:
-        return (1 << self.p_bits) - 1
-
-    @cached_property
-    def scale_min(self) -> int:
-        return -(1 << (self.scale_bits - 1))
-
-    @cached_property
-    def scale_max(self) -> int:
-        return (1 << (self.scale_bits - 1)) - 1
-
-    @cached_property
-    def max_value(self) -> float:
-        """Largest representable magnitude, ``(2**P - 1) * 2**-scale_min``."""
-        return math.ldexp(self.max_magnitude, -self.scale_min)
-
-    @cached_property
-    def zero_below(self) -> float:
-        """Half the finest step, ``2**-(scale_max + 1)``: :func:`quantize`
-        stores any smaller magnitude as zero."""
-        return math.ldexp(1, -self.scale_max - 1)
+        put = object.__setattr__
+        put(self, "max_magnitude", (1 << self.p_bits) - 1)
+        put(self, "scale_min", -(1 << (self.scale_bits - 1)))
+        put(self, "scale_max", (1 << (self.scale_bits - 1)) - 1)
+        put(self, "max_value", math.ldexp(self.max_magnitude, -self.scale_min))
+        put(self, "zero_below", math.ldexp(1, -self.scale_max - 1))
 
     @property
     def bits_per_element(self) -> int:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .core import (
     DomainError,
+    MAX_NEWTON_ITERS,
     SaturationCounter,
     ScaleConfig,
     ScaledInt,
@@ -71,8 +72,9 @@ def newton_inv_sqrt(
     ``y0 < sqrt(3/x)``, which the default seed satisfies only for
     ``x < 3 * 2**12``.  A step whose update is not positive (the bound was
     violated) pins the iterate to zero without any signal; see
-    :func:`default_seed` for how many inputs that reaches.  Returns the
-    final iterate plus the full trace.
+    :func:`default_seed` for how many inputs that reaches.  ``iters`` is at
+    most ``MAX_NEWTON_ITERS``, as for a config.  Returns the final iterate
+    plus the full trace.
     """
     xm, xe = x
     if xm <= 0:
@@ -81,9 +83,11 @@ def newton_inv_sqrt(
         raise DomainError("inverse square root needs a positive seed")
     if iters < 0:
         raise DomainError(f"iteration count must be non-negative, got {iters}")
+    if iters > MAX_NEWTON_ITERS:
+        raise DomainError(f"iteration count must be at most {MAX_NEWTON_ITERS}, got {iters}")
 
     y = y0
-    entries = [(0, y0)]
+    ys = [y0]
     for j in range(iters):
         mag, scale = y
         shift = 2 * scale + xe
@@ -102,12 +106,12 @@ def newton_inv_sqrt(
                 if d == mag:
                     break
             y = handle_overflow(d, scale, cfg, sat)
-        entries.append((j + 1, y))
+        ys.append(y)
         if not y[0]:
             break
     # An early stop leaves y at a fixed point: in format with a halved update
     # equal to its magnitude, or zero, whose update pins it at zero.  Every
     # later step returns y unchanged and cannot saturate, so y fills the rest.
-    entries.extend((i, y) for i in range(len(entries), iters + 1))
-    trace = NewtonTrace(input=x, iters=iters, entries=tuple(entries))
+    ys += [y] * (iters + 1 - len(ys))
+    trace = NewtonTrace(input=x, iters=iters, entries=tuple(enumerate(ys)))
     return y, trace

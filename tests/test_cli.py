@@ -138,6 +138,22 @@ class TestInvsqrt:
         assert err.startswith("scaledq: error:") and "diverges" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["1e-300", "1.52587890625e-05"])
+    def test_positive_value_that_quantizes_to_zero_exit_2(self, capsys, value):
+        # 2**-16, the default format's zero_below, rounds half-to-even to zero too
+        code, out, err = run_cli(capsys, "invsqrt", value)
+        assert code == 2
+        assert out == ""
+        assert err == (f"scaledq: numeric error: VALUE {float(value)!r} quantizes to zero, "
+                       f"as every magnitude up to 1.52587890625e-05 does; inverse square "
+                       f"root needs a positive input\n")
+
+    @pytest.mark.parametrize("argv", [["0"], ["--", "-1"]])
+    def test_non_positive_value_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "invsqrt", *argv)
+        assert (code, out) == (2, "")
+        assert err == "scaledq: numeric error: inverse square root needs a positive input\n"
+
     def test_default_seed_fits_narrow_scale_range(self, capsys):
         code, out, _ = run_cli(capsys, "invsqrt", "4", "--scale-bits", "3")
         assert code == 0

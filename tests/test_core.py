@@ -5,6 +5,7 @@ Derived expectations are checked against exact rational arithmetic
 """
 
 import copy
+import dataclasses
 import math
 import pickle
 import random
@@ -162,6 +163,74 @@ class TestScaledInt:
 
     def test_newton_iters_bound_is_inclusive(self):
         assert ScaleConfig(newton_iters=MAX_NEWTON_ITERS).newton_iters == MAX_NEWTON_ITERS
+
+
+BOUNDS = ("max_magnitude", "scale_min", "scale_max", "max_value", "zero_below")
+FORMATS = [(2, 2), (8, 5), (12, 6), (511, 10), (767, 9), (1007, 5)]
+
+
+def bounds(cfg):
+    return {name: getattr(cfg, name) for name in BOUNDS}
+
+
+class TestConfigBounds:
+    """The derived bounds are plain instance attributes set at construction:
+    outside the dataclass fields and consistent through every copy."""
+
+    @pytest.mark.parametrize("p_bits,scale_bits", FORMATS)
+    def test_each_bound_equals_its_formula(self, p_bits, scale_bits):
+        cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+        half = 2 ** (scale_bits - 1)
+        assert bounds(cfg) == {"max_magnitude": 2 ** p_bits - 1, "scale_min": -half,
+                               "scale_max": half - 1,
+                               "max_value": float((2 ** p_bits - 1) * 2 ** half),
+                               "zero_below": float(Fraction(1, 2 ** half))}
+        assert Fraction(cfg.zero_below) == Fraction(1, 2 ** half)
+
+    @pytest.mark.parametrize("p_bits,scale_bits", FORMATS)
+    def test_bounds_are_not_fields(self, p_bits, scale_bits):
+        cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+        params = {"p_bits": p_bits, "scale_bits": scale_bits, "newton_iters": 20,
+                  "gelu_variant": "series-linear"}
+        assert [f.name for f in dataclasses.fields(cfg)] == list(params)
+        assert dataclasses.asdict(cfg) == params
+        assert repr(cfg) == (f"ScaleConfig(p_bits={p_bits}, scale_bits={scale_bits}, "
+                             f"newton_iters=20, gelu_variant='series-linear')")
+        assert hash(cfg) == hash(tuple(params.values()))
+        twin = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+        for name in BOUNDS:
+            object.__setattr__(twin, name, -1)
+        assert twin == cfg and hash(twin) == hash(cfg) and repr(twin) == repr(cfg)
+        assert dataclasses.asdict(twin) == params
+
+    @pytest.mark.parametrize("p_bits,scale_bits", FORMATS)
+    def test_replace_recomputes_bounds(self, p_bits, scale_bits):
+        cfg = dataclasses.replace(ScaleConfig(p_bits=p_bits, scale_bits=scale_bits), p_bits=12)
+        assert bounds(cfg) == bounds(ScaleConfig(p_bits=12, scale_bits=scale_bits))
+        assert cfg.max_magnitude == 4095
+
+    @pytest.mark.parametrize("p_bits,scale_bits", FORMATS)
+    @pytest.mark.parametrize("clone", [lambda c: pickle.loads(pickle.dumps(c)),
+                                       copy.copy, copy.deepcopy])
+    def test_copies_keep_bounds(self, p_bits, scale_bits, clone):
+        cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+        got = clone(cfg)
+        assert got == cfg and bounds(got) == bounds(cfg)
+        assert vars(got) == vars(cfg)
+
+    @pytest.mark.parametrize("p_bits,scale_bits", FORMATS)
+    def test_bounds_cannot_be_assigned(self, p_bits, scale_bits):
+        cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+        before = bounds(cfg)
+        for name in BOUNDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, name, 0)
+        assert bounds(cfg) == before
+
+    def test_no_bound_is_a_class_attribute(self):
+        # A property or cached_property of the same name would shadow the
+        # instance value and cost a descriptor call on every read in fit.
+        assert not set(BOUNDS) & set(vars(ScaleConfig))
 
 
 class TestQuantize:

@@ -114,6 +114,10 @@ class TestDomain:
         with pytest.raises(DomainError, match=f"non-negative, got {iters}$"):
             newton_inv_sqrt(GOLDEN_X, SEED, iters, CFG)
 
+    def test_iteration_count_above_cap_named(self):
+        with pytest.raises(DomainError, match="at most 4096, got 4097$"):
+            newton_inv_sqrt(GOLDEN_X, SEED, 4097, CFG)
+
     def test_default_seed(self):
         assert default_seed(CFG) == ScaledInt(1, 6)
         narrow = ScaleConfig(scale_bits=3)
