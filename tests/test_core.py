@@ -185,7 +185,6 @@ class TestConfigBounds:
                                "scale_max": half - 1,
                                "max_value": float((2 ** p_bits - 1) * 2 ** half),
                                "zero_below": float(Fraction(1, 2 ** half))}
-        assert Fraction(cfg.zero_below) == Fraction(1, 2 ** half)
 
     @pytest.mark.parametrize("p_bits,scale_bits", FORMATS)
     def test_bounds_are_not_fields(self, p_bits, scale_bits):
@@ -196,7 +195,6 @@ class TestConfigBounds:
         assert dataclasses.asdict(cfg) == params
         assert repr(cfg) == (f"ScaleConfig(p_bits={p_bits}, scale_bits={scale_bits}, "
                              f"newton_iters=20, gelu_variant='series-linear')")
-        assert hash(cfg) == hash(tuple(params.values()))
         twin = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
         for name in BOUNDS:
             object.__setattr__(twin, name, -1)
@@ -228,8 +226,8 @@ class TestConfigBounds:
         assert bounds(cfg) == before
 
     def test_no_bound_is_a_class_attribute(self):
-        # A property or cached_property of the same name would shadow the
-        # instance value and cost a descriptor call on every read in fit.
+        # A property or cached_property of the same name is a class
+        # descriptor, which keeps CPython from specializing fit's reads.
         assert not set(BOUNDS) & set(vars(ScaleConfig))
 
 
