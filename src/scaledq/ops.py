@@ -458,6 +458,9 @@ def _each_distinct(fn, xs, cfg: ScaleConfig,
 
 
 _ONE = (1, 0)
+# The series coefficients of gelu's A as (magnitude, scale) pairs: 102/2^7 on
+# x and 18/2^9 on x^3.  reference.GELU_C1 and GELU_C3 are their values.
+GELU_SERIES = ((102, 7), (18, 9))
 
 
 def gelu(
@@ -475,7 +478,7 @@ def gelu(
     """
     variant = variant or cfg.gelu_variant
     x3 = _mul(_mul(x, x, cfg, sat), x, cfg, sat)
-    a = _dot(((102, 7), (18, 9)), (x, x3), cfg, sat)
+    a = _dot(GELU_SERIES, (x, x3), cfg, sat)
     if variant == GELU_SERIES_LINEAR:
         gate = _add(_ONE, a, cfg, sat)
     else:

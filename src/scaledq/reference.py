@@ -14,11 +14,10 @@ import math
 from typing import Iterator, Sequence
 
 from .core import GELU_SERIES_CUBED, GELU_SERIES_CUBED_CORRECTED, GELU_SERIES_LINEAR, dequantize
-from .ops import ConvSpec, QTensor, ShapeError, Tensor
+from .ops import GELU_SERIES, ConvSpec, QTensor, ShapeError, Tensor
 
-# Dyadic series constants shared with the quantized gelu: 102/2^7 and 18/2^9.
-GELU_C1 = 102.0 / 128.0
-GELU_C3 = 18.0 / 512.0
+# The quantized gelu's dyadic series constants, 102/2^7 and 18/2^9, as floats.
+GELU_C1, GELU_C3 = (math.ldexp(m, -s) for m, s in GELU_SERIES)
 
 
 class FTensor(Tensor):

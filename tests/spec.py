@@ -1,0 +1,78 @@
+"""The format's arithmetic on plain int pairs, stated once for the tests.
+
+One rule, T (:func:`cut`), truncates an exact rational toward zero to P bits
+and clamps it to +/-``max_value``, recording a saturation on ``sat``.  ``fit``
+and ``quotient`` are T and the primitives compose them: ``handle_overflow`` is
+``fit``, ``shift_scale(q, d)`` is ``fit(q[0], q[1] + d)`` and
+``scale_sub(a, b)`` is ``scale_add(a, -b)``.  ``quantize`` rounds instead.
+"""
+
+import math
+
+from scaledq.core import DivisionByZero, RangeError
+
+
+def cut(num, den, grid, cfg, sat):
+    """T: ``num / den`` cut toward zero to P bits at scale at most ``grid``.
+    A floor of a floor is the floor, so ``m >> k`` is the value at grid - k."""
+    m = (abs(num) << grid) // abs(den) if grid >= 0 else abs(num) // (abs(den) << -grid)
+    k = max(m.bit_length() - cfg.p_bits, 0)
+    m, grid = m >> k, grid - k
+    if grid < cfg.scale_min:
+        m, grid = cfg.max_magnitude, cfg.scale_min
+        sat.record()
+    return ((m if (num < 0) == (den < 0) else -m), grid) if m else (0, 0)
+
+
+def fit(m, s, cfg, sat):
+    """T of ``m / 2**s``, no finer than ``s``, on the format's scales."""
+    grid = min(max(s, cfg.scale_min), cfg.scale_max)
+    return cut(m, 1 << s, grid, cfg, sat) if s >= 0 else cut(m << -s, 1, grid, cfg, sat)
+
+
+def quotient(a, b, s, cfg, sat):
+    """T of ``a / b / 2**s`` at the finest scale that fits in P bits."""
+    if not b:
+        raise DivisionByZero("scaled division by zero")
+    a, b = (a << -s, b) if s < 0 else (a, b << s)
+    return cut(a, b, cfg.scale_max, cfg, sat)
+
+
+def sum_aligned(terms, cfg, sat):
+    """The exact sum of the nonzero terms, fitted at their largest scale."""
+    top = max([s for m, s in terms if m], default=0)
+    return fit(sum([m << (top - s) for m, s in terms if m]), top, cfg, sat)
+
+
+def scale_mul(a, b, cfg, sat):
+    return fit(a[0] * b[0], a[1] + b[1], cfg, sat)
+
+
+def scale_add(a, b, cfg, sat):
+    return sum_aligned((a, b), cfg, sat)
+
+
+def scale_div(a, b, cfg, sat):
+    return quotient(a[0], b[0], a[1] - b[1], cfg, sat)
+
+
+def dot(xs, ws, cfg, sat):
+    return sum_aligned([scale_mul(x, w, cfg, sat) for x, w in zip(xs, ws)], cfg, sat)
+
+
+def quantize(value, cfg):
+    """``value`` rounded half to even at the largest scale up to ``scale_max``
+    whose magnitude fits; ``RangeError`` past ``max_value`` or not finite."""
+    if not math.isfinite(value):
+        raise RangeError(f"cannot quantize non-finite value {value!r}")
+    num, den = value.as_integer_ratio()  # den is a power of two
+    if abs(num) > cfg.max_magnitude * den << -cfg.scale_min:
+        raise RangeError(f"magnitude {abs(value)!r} exceeds representable range")
+    # no scale above P - 1 - floor(log2 |value|) fits, so the search starts there
+    for s in range(min(cfg.scale_max, cfg.p_bits - 1 - abs(num).bit_length()
+                       + den.bit_length()), cfg.scale_min - 1, -1):
+        d = den << max(-s, 0)
+        m, r = divmod(abs(num) << max(s, 0), d)
+        m += 2 * r > d or (2 * r == d and m & 1)
+        if m <= cfg.max_magnitude:
+            return ((m if num > 0 else -m), s) if m else (0, 0)

@@ -286,6 +286,8 @@ class TestTensorFiles:
 
 # SHA-256 of CLI reports, pinned so a refactor that changes any byte fails.
 GOLDEN = [
+    (("bench", "suite"),
+     "e0163be4bb869140e9f30d6764a462c59b4fe5ff1469cf35a0fcdae1d724f4c9"),
     (("bench", "suite", "--trials", "3", "--height", "8"),
      "6d213d3a56264113701f16c8b1e6627aea76b66a3e0214a189d36c31e5fcc9c6"),
     (("div-sweep",),

@@ -1,7 +1,9 @@
-"""Arithmetic primitive tests: worked examples plus randomized properties.
+"""Arithmetic primitive tests: worked examples, randomized properties, and
+checks against the specification.
 
 Derived expectations are checked against exact rational arithmetic
-(``fractions.Fraction``), never against the code under test.
+(``fractions.Fraction``) or against the integer specification in
+``tests/spec.py``, never against the code under test.
 """
 
 import copy
@@ -15,6 +17,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spec
+from scaledq import core
 from scaledq.core import (
     MAX_NEWTON_ITERS,
     DivisionByZero,
@@ -476,44 +480,10 @@ def test_determinism_bit_identical():
 
 
 # ---------------------------------------------------------------------------
-# quotient against the recursive long division it replaced, on value and
-# saturation count (the two store some exact quotients in different forms),
-# and its storage form against quantize's
+# fit, quotient and quantize against the specification in tests/spec.py: the
+# same (magnitude, scale) pair, or the same error, and the same running
+# saturation count on every call
 # ---------------------------------------------------------------------------
-
-ORACLE_DIV_T_MAX = 5
-
-
-def oracle_quotient(dividend, divisor, scale, cfg, sat=None):
-    """The recursive scaled long division ``quotient`` used to run, kept
-    verbatim with its minimum of ``ORACLE_DIV_T_MAX`` extraction rounds."""
-    if divisor == 0:
-        raise DivisionByZero("scaled division by zero")
-    if dividend == 0:
-        return 0, 0
-    acc = 0
-    acc_scale = 0
-    rounds = 0
-    max_mag = cfg.max_magnitude
-    while True:
-        if dividend < divisor:
-            c = 1
-            while (dividend << c) <= divisor:
-                c += 1
-            dividend <<= c
-            scale += c
-        q, rem = divmod(dividend, divisor)
-        if acc == 0:
-            acc, acc_scale = q, scale
-        else:
-            acc = (acc << (scale - acc_scale)) + q
-            acc_scale = scale
-        rounds += 1
-        if rem == 0 or (acc > max_mag and rounds >= ORACLE_DIV_T_MAX):
-            break
-        dividend = rem
-    return fit(acc, acc_scale, cfg, sat)
-
 
 def _with_counts(fn, cases, cfg):
     """``fn(*case, cfg, sat)`` over ``cases``, each result with the running
@@ -521,11 +491,6 @@ def _with_counts(fn, cases, cfg):
     same way."""
     sat = SaturationCounter()
     return [(*fn(*case, cfg, sat), sat.count) for case in cases]
-
-
-def _values(quotients):
-    """Each ``(magnitude, scale, count)`` as its exact value and the count."""
-    return [(as_fraction(ScaledInt(m, s)), count) for m, s, count in quotients]
 
 
 def assert_quantize_form(quotients, cfg):
@@ -541,7 +506,7 @@ def assert_quantize_form(quotients, cfg):
 def test_quotient_matches_long_division_exhaustive(scale):
     cases = [(a, b, scale) for a in range(1, 256) for b in range(1, 256)]
     got = _with_counts(quotient, cases, CFG)
-    assert _values(got) == _values(_with_counts(oracle_quotient, cases, CFG))
+    assert got == _with_counts(spec.quotient, cases, CFG)
     assert_quantize_form(got, CFG)
 
 
@@ -560,7 +525,7 @@ def test_quotient_matches_long_division_sampled(p_bits, scale_bits):
         u, t = rng.randint(1, 1 << p_bits), rng.randint(0, wide)
         cases += [(a, b, scale), (a * u, u << t, scale), (0, b, scale)]
     got = _with_counts(quotient, cases, cfg)
-    assert _values(got) == _values(_with_counts(oracle_quotient, cases, cfg))
+    assert got == _with_counts(spec.quotient, cases, cfg)
     assert_quantize_form(got, cfg)
     assert got[-1][2] > 0  # the floor saturates somewhere in the sample
 
@@ -575,36 +540,6 @@ def _negated(results):
     return [(-m, s, count) for m, s, count in results]
 
 
-def oracle_fit(magnitude, scale, cfg=CFG, sat=None):
-    """``fit`` as it stood with two negations, kept verbatim: the scalar
-    oracles of the kernel tests normalize through ``fit`` itself, so only an
-    independent copy can catch a fault in it."""
-    if magnitude == 0:
-        return 0, 0
-    negative = magnitude < 0
-    if negative:
-        magnitude = -magnitude
-    k = magnitude.bit_length() - cfg.p_bits
-    if k > 0:
-        magnitude >>= k
-        scale -= k
-    if scale > cfg.scale_max:
-        magnitude >>= scale - cfg.scale_max
-        if magnitude == 0:
-            return 0, 0
-        scale = cfg.scale_max
-    elif scale < cfg.scale_min:
-        lift = cfg.scale_min - scale
-        if (magnitude << lift) <= cfg.max_magnitude:
-            magnitude <<= lift
-        else:
-            magnitude = cfg.max_magnitude
-            if sat is not None:
-                sat.record()
-        scale = cfg.scale_min
-    return -magnitude if negative else magnitude, scale
-
-
 @pytest.mark.parametrize("scale", [CFG.scale_min - 9, CFG.scale_min - 1, CFG.scale_min, 0,
                                    CFG.scale_max, CFG.scale_max + 1, CFG.scale_max + 17])
 def test_fit_is_odd_exhaustive(scale):
@@ -612,8 +547,8 @@ def test_fit_is_odd_exhaustive(scale):
     got = _with_counts(fit, [(m, scale) for m in mags], CFG)
     negated = _with_counts(fit, [(-m, scale) for m in mags], CFG)
     assert negated == _negated(got)
-    assert got == _with_counts(oracle_fit, [(m, scale) for m in mags], CFG)
-    assert negated == _with_counts(oracle_fit, [(-m, scale) for m in mags], CFG)
+    assert got == _with_counts(spec.fit, [(m, scale) for m in mags], CFG)
+    assert negated == _with_counts(spec.fit, [(-m, scale) for m in mags], CFG)
     assert (got[-1][2] > 0) == (scale <= CFG.scale_min)
 
 
@@ -629,8 +564,8 @@ def test_fit_is_odd_sampled(p_bits, scale_bits):
     negated_cases = [(-m, s) for m, s in cases]
     negated = _with_counts(fit, negated_cases, cfg)
     assert negated == _negated(got)
-    assert got == _with_counts(oracle_fit, cases, cfg)
-    assert negated == _with_counts(oracle_fit, negated_cases, cfg)
+    assert got == _with_counts(spec.fit, cases, cfg)
+    assert negated == _with_counts(spec.fit, negated_cases, cfg)
     assert got[-1][2] > 0  # the floor saturates somewhere in the sample
 
 
@@ -651,31 +586,81 @@ def test_signed_int_level_examples():
 
 
 # ---------------------------------------------------------------------------
-# quantize against the form it had before its range check was one
-# comparison: the same ScaledInt, or the same error type and message, on
-# the range edges, the non-finite values, subnormals and seeded floats over
-# every binade
+# Every case of two small formats against the specification, byte for byte
+# and with saturation counts: fit and handle_overflow on every magnitude up
+# to 2**(2P+2) at scales 2P+3 past each edge, quotient on every pair of
+# signed P-bit magnitudes at scales P+2 past each edge, the scalar primitives
+# on every pair of stored values, and shift_scale to 2P+3 past each edge
 # ---------------------------------------------------------------------------
 
-def oracle_quantize(value, cfg=CFG):
-    """``quantize`` with its three range checks and ``min()``, kept verbatim."""
-    if math.isnan(value) or math.isinf(value):
-        raise RangeError(f"cannot quantize non-finite value {value!r}")
-    av = abs(value)
-    if av > math.ldexp(cfg.max_magnitude, -cfg.scale_min):
-        raise RangeError(f"magnitude {av!r} exceeds representable range")
-    if av < math.ldexp(1.0, -cfg.scale_max - 1):
-        return ZERO
-    exp = math.frexp(av)[1]
-    scale = min(cfg.scale_max, cfg.p_bits - exp)
-    magnitude = round(math.ldexp(av, scale))
-    if magnitude > cfg.max_magnitude:
-        scale -= 1
-        magnitude = round(math.ldexp(av, scale))
-    if magnitude == 0:
-        return ZERO
-    return ScaledInt(magnitude, scale, value < 0)
+SMALL_FORMATS = [(4, 3), (5, 3)]
 
+
+def _scales_past_edges(cfg, reach):
+    return range(cfg.scale_min - reach, cfg.scale_max + reach + 1)
+
+
+def stored_values(cfg):
+    """Every stored pair of the format: zero, then each nonzero signed
+    magnitude at each scale."""
+    mags = [m for m in range(-cfg.max_magnitude, cfg.max_magnitude + 1) if m]
+    return [ZERO] + [ScaledInt.from_signed(m, s)
+                     for s in range(cfg.scale_min, cfg.scale_max + 1) for m in mags]
+
+
+@pytest.mark.parametrize("p_bits,scale_bits", SMALL_FORMATS)
+def test_fit_matches_spec_on_every_wide_magnitude(p_bits, scale_bits):
+    cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    top = 1 << (2 * p_bits + 2)
+    cases = [(m, s) for s in _scales_past_edges(cfg, 2 * p_bits + 3)
+             for m in range(-top, top + 1)]
+    want = _with_counts(spec.fit, cases, cfg)
+    assert _with_counts(fit, cases, cfg) == want
+    assert _with_counts(handle_overflow, cases, cfg) == want
+    assert want[-1][2] > 0
+
+
+@pytest.mark.parametrize("p_bits,scale_bits", SMALL_FORMATS)
+def test_quotient_matches_spec_on_every_magnitude_pair(p_bits, scale_bits):
+    cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    mags = range(-cfg.max_magnitude, cfg.max_magnitude + 1)
+    cases = [(a, b, s) for s in _scales_past_edges(cfg, p_bits + 2)
+             for a in mags for b in mags if b]
+    want = _with_counts(spec.quotient, cases, cfg)
+    assert _with_counts(quotient, cases, cfg) == want
+    assert want[-1][2] > 0
+
+
+@pytest.mark.parametrize("name", ["scale_mul", "scale_add", "scale_div"])
+@pytest.mark.parametrize("p_bits,scale_bits", SMALL_FORMATS)
+def test_primitive_matches_spec_on_every_value_pair(name, p_bits, scale_bits):
+    cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    values = stored_values(cfg)
+    divisors = values[1:] if name == "scale_div" else values
+    cases = [(a, b) for a in values for b in divisors]
+    want = _with_counts(getattr(spec, name), cases, cfg)
+    assert _with_counts(getattr(core, name), cases, cfg) == want
+    if name == "scale_add":
+        # a - b is a + (-b), and negation maps the stored values onto themselves
+        negated = [negate(b) for b in values]
+        assert _with_counts(scale_sub, [(a, b) for a in values for b in negated], cfg) == want
+
+
+@pytest.mark.parametrize("p_bits,scale_bits", SMALL_FORMATS)
+def test_shift_scale_matches_spec_past_both_edges(p_bits, scale_bits):
+    cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    span = cfg.scale_max - cfg.scale_min + 2 * p_bits + 3
+    cases = [(q, delta) for q in stored_values(cfg) for delta in range(-span, span + 1)]
+    want = _with_counts(spec.fit, [(m, s + delta) for (m, s), delta in cases], cfg)
+    assert _with_counts(shift_scale, cases, cfg) == want
+    assert want[-1][2] > 0
+
+
+# ---------------------------------------------------------------------------
+# quantize against the specification: the same ScaledInt, or the same error
+# type and message, on the range edges, the non-finite values, subnormals and
+# seeded floats over every binade
+# ---------------------------------------------------------------------------
 
 def _quantize_outcome(fn, value, cfg):
     try:
@@ -722,6 +707,6 @@ def test_quantize_matches_oracle(p_bits, scale_bits):
     outcomes = {"zero": 0, "value": 0, "error": 0}
     for v in values:
         got = _quantize_outcome(quantize, v, cfg)
-        assert got == _quantize_outcome(oracle_quantize, v, cfg), v
+        assert got == _quantize_outcome(spec.quantize, v, cfg), v
         outcomes["error" if type(got) is tuple else "value" if got.magnitude else "zero"] += 1
     assert min(outcomes.values()) > 1000, outcomes

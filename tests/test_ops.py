@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import spec
 from scaledq.core import (
     GELU_SERIES_CUBED,
     GELU_SERIES_CUBED_CORRECTED,
@@ -626,6 +627,37 @@ def test_pinned_inputs_reach_both_range_edges():
                 if a.magnitude and b.magnitude]
     assert sat.count > 0
     assert any(p.is_zero() for p in products)
+
+
+# --- _dot and sum_aligned against the specification in tests/spec.py -------
+
+SPEC_FORMATS = [(8, 5)] + [(p, s) for p in (2, 4, 12) for s in (3, 5, 6)]
+
+
+@pytest.mark.parametrize("p_bits,scale_bits", SPEC_FORMATS)
+def test_dot_and_sum_aligned_match_spec(p_bits, scale_bits):
+    """Random dots of 0 to 8 terms over the whole format, zeros included, give
+    the specification's pair, so its value in its stored form, with the same
+    running saturation count; a single live term comes back as itself."""
+    cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    rng = random.Random(p_bits * 100 + scale_bits)
+    got_sat, want_sat = SaturationCounter(), SaturationCounter()
+    singles = 0
+    for _ in range(2000):
+        n = rng.randint(0, 8)
+        xs, ws = (rand_tensor(rng, (n,), cfg).data for _ in range(2))
+        assert ops._dot(xs, ws, cfg, got_sat) == spec.dot(xs, ws, cfg, want_sat)
+        assert got_sat.count == want_sat.count
+        got = sum_aligned(xs, cfg, got_sat)
+        assert got == spec.sum_aligned(xs, cfg, want_sat)
+        assert got_sat.count == want_sat.count
+        live = [x for x in xs if x.magnitude]
+        if len(live) == 1:
+            assert got is live[0]
+            singles += 1
+    assert want_sat.count > 0 and singles > 0
+    assert ops._dot((), (), cfg, got_sat) == spec.dot((), (), cfg, want_sat) == (0, 0)
+    assert sum_aligned((), cfg) == ZERO
 
 
 # --- the fused kernel against the scalar primitives -------------------------
