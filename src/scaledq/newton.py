@@ -53,10 +53,29 @@ def default_seed(cfg: ScaleConfig) -> ScaledInt:
     :func:`newton_inv_sqrt`.  1622 more, from 19.375 up, settle at the scale
     the first step gave the iterate (7), with a magnitude below 32, so too
     few bits are left for the result; 46 below 2**-10 are still growing.
-    The ROADMAP item on ``layer_norm`` at small spread holds the fix, an
-    exponent seed.
+    ``layer_norm`` seeds from :func:`exponent_seed` instead.
     """
     return ScaledInt(1, min(6, cfg.scale_max))
+
+
+def exponent_seed(x: ScaledInt, cfg: ScaleConfig) -> ScaledInt:
+    """Seed ``2**-ceil(e/2)`` for ``x`` in ``[2**e, 2**(e+1))``, held at full
+    width: magnitude ``2**(P-1)`` at scale ``ceil(e/2) + P - 1``, through
+    :func:`handle_overflow`.
+
+    ``x * y0**2`` lies in ``[1/2, 2)``, inside the convergence bound
+    ``y0 < sqrt(3/x)``, and the iterate starts with P significant bits, so
+    the scale the first step gives it has room for the result (I-BERT's
+    integer square-root seed, Kim et al., ICML 2021).  On every positive
+    input of the default format the iterate never reaches zero, and below
+    ``2**20`` it is within 2**-5 (relative) of ``1/sqrt(x)`` after at most
+    3 steps.  Where ``2**-ceil(e/2)`` is finer than the scale ceiling, the
+    seed is the finest step, ``(1, scale_max)``.
+    """
+    m, s = x
+    e = m.bit_length() - 1 - s
+    return handle_overflow(1 << (cfg.p_bits - 1),
+                           min(-(-e // 2), cfg.scale_max) + cfg.p_bits - 1, cfg)
 
 
 def newton_inv_sqrt(
@@ -70,7 +89,8 @@ def newton_inv_sqrt(
 
     Requires positive ``x`` and ``y0``; convergence additionally needs
     ``y0 < sqrt(3/x)``, which the default seed satisfies only for
-    ``x < 3 * 2**12``.  A step whose update is not positive (the bound was
+    ``x < 3 * 2**12`` and :func:`exponent_seed` wherever it is not the
+    finest step.  A step whose update is not positive (the bound was
     violated) pins the iterate to zero without any signal; see
     :func:`default_seed` for how many inputs that reaches.  ``iters`` is at
     most ``MAX_NEWTON_ITERS``, as for a config.  Returns the final iterate

@@ -30,7 +30,7 @@ from .core import (
     quotient,
     scale_mul,
 )
-from .newton import default_seed, newton_inv_sqrt
+from .newton import default_seed, exponent_seed, newton_inv_sqrt
 
 
 class ShapeError(ValueError):
@@ -343,34 +343,44 @@ def layer_norm(
 ) -> QTensor:
     """Standardize each trailing-axis vector, then apply the affine pair.
 
-    Mean and (population) variance come from aligned sums and scaled
-    division; the inverse square root of ``var + eps`` runs the quantized
-    Newton iteration.  A row of identical stored values, or one whose
-    quantized deviations all vanish (one value stored in different forms),
-    short-circuits to beta and never consults eps.
+    The mean is never cut.  With ``top`` the row's largest scale, each
+    element is the integer ``a_i = m_i << (top - s_i)`` on that grid, and
+    ``A`` is their sum, so each deviation ``d_i = fit(n*a_i - A, top)`` stands
+    for ``n * (x_i - mean)`` and is cut once.  ``var = dot(d, d) / n`` is then
+    ``n**2`` times the (population) variance, so the quantized Newton
+    iteration, seeded by :func:`~scaledq.newton.exponent_seed`, runs on
+    ``var + fit(eps_m * n**2, eps_s)`` and its ``1/sqrt`` carries the
+    ``1/n`` that turns each ``d_i`` into a standardized value.  The output is
+    ``d_i * inv * gamma_i + beta_i``.  The factor ``n`` leaves the
+    deviations ``n`` times and the variance ``n**2`` times less headroom
+    below ``max_value`` than the plain statistics.  A row of identical
+    stored values, or one whose deviations all vanish (one value stored in
+    different forms), short-circuits to beta and never consults eps.
     """
     n = x.shape[-1] if x.shape else 0
     if n < 1:
         raise ShapeError(f"layer_norm needs a non-empty trailing axis, got {x.shape}")
     if params.gamma.shape != (n,):
         raise ShapeError(f"gamma/beta must be ({n},), got {params.gamma.shape}")
-    count = fit(n, 0, cfg)
     gamma, beta = params.gamma.data, params.beta.data
-    seed = default_seed(cfg)
+    eps_m, eps_s = params.eps
     out: list[ScaledInt] = []
     for r in range(0, x.size, n):
         row = x.data[r:r + n]
         if row.count(row[0]) == n:
-            out.extend(params.beta.data)
+            out.extend(beta)
             continue
-        mm, ms = _div(_add_pairs(row, cfg, sat), count, cfg, sat)
-        devs = [_add(e, (-mm, ms), cfg, sat) for e in row]
+        top = max([s for _, s in row])
+        grid = [m << (top - s) for m, s in row]
+        total = sum(grid)
+        devs = [fit(n * a - total, top, cfg, sat) for a in grid]
         if not any(m for m, _ in devs):
-            out.extend(params.beta.data)
+            out.extend(beta)
             continue
-        var = _div(_dot(devs, devs, cfg, sat), count, cfg, sat)
-        inv, _ = newton_inv_sqrt(tuple.__new__(ScaledInt, _add(var, params.eps, cfg, sat)),
-                                 seed, cfg.newton_iters, cfg, sat)
+        vm, vs = _dot(devs, devs, cfg, sat)
+        var = tuple.__new__(ScaledInt, _add(quotient(vm, n, vs, cfg, sat),
+                                            fit(eps_m * n * n, eps_s, cfg, sat), cfg, sat))
+        inv, _ = newton_inv_sqrt(var, exponent_seed(var, cfg), cfg.newton_iters, cfg, sat)
         out.extend(tuple.__new__(ScaledInt,
                                  _add(_mul(_mul(d, inv, cfg, sat), g, cfg, sat), b, cfg, sat))
                    for d, g, b in zip(devs, gamma, beta))

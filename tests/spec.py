@@ -4,7 +4,8 @@ One rule, T (:func:`cut`), truncates an exact rational toward zero to P bits
 and clamps it to +/-``max_value``, recording a saturation on ``sat``.  ``fit``
 and ``quotient`` are T and the primitives compose them: ``handle_overflow`` is
 ``fit``, ``shift_scale(q, d)`` is ``fit(q[0], q[1] + d)`` and
-``scale_sub(a, b)`` is ``scale_add(a, -b)``.  ``quantize`` rounds instead.
+``scale_sub(a, b)`` is ``scale_add(a, -b)``.  ``quantize`` rounds instead, and
+the Newton step (:func:`newton`) has a rule of its own.
 """
 
 import math
@@ -76,3 +77,32 @@ def quantize(value, cfg):
         m += 2 * r > d or (2 * r == d and m & 1)
         if m <= cfg.max_magnitude:
             return ((m if num > 0 else -m), s) if m else (0, 0)
+
+
+def exponent_seed(x, cfg):
+    """``2**-c`` for ``x`` in ``[2**e, 2**(e+1))`` and ``c = ceil(e/2)``, no
+    finer than the scale ceiling, as ``fit`` holds ``2**(P-1)`` at scale
+    ``c + P - 1``."""
+    e = abs(x[0]).bit_length() - 1 - x[1]
+    return fit(1 << (cfg.p_bits - 1), min((e + 1) // 2, cfg.scale_max) + cfg.p_bits - 1,
+               cfg, None)
+
+
+def newton(x, y, iters, cfg, sat):
+    """The iterates of ``y <- y * (3 - x*y**2) / 2`` from seed ``y``, every
+    step computed.  On the magnitudes, ``d = 3*m - x*m**3`` with the cubic
+    cut toward zero to the iterate's scale by one shift; ``d <= 0`` pins the
+    iterate at zero, where it stays.  The first step halves by adding one to
+    the scale, ``fit(d, s + 1)``; later ones round half-up, ``fit((d + 1) >> 1, s)``."""
+    (xm, xs), ys = x, [y]
+    for j in range(iters):
+        m, s = y
+        if m:
+            cubic, k = xm * m ** 3, 2 * s + xs
+            d = 3 * m - (cubic >> k if k >= 0 else cubic << -k)
+            if d <= 0:
+                y = (0, 0)
+            else:
+                y = fit(d, s + 1, cfg, sat) if j == 0 else fit((d + 1) >> 1, s, cfg, sat)
+        ys.append(y)
+    return ys

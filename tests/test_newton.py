@@ -10,8 +10,10 @@ import random
 
 import pytest
 
-from scaledq.core import DomainError, ScaleConfig, ScaledInt, dequantize, handle_overflow
-from scaledq.newton import NewtonTrace, default_seed, newton_inv_sqrt
+import spec
+from scaledq.core import (DomainError, SaturationCounter, ScaleConfig, ScaledInt, dequantize,
+                          handle_overflow)
+from scaledq.newton import NewtonTrace, default_seed, exponent_seed, newton_inv_sqrt
 from scaledq.reference import ref_newton_inv_sqrt
 
 CFG = ScaleConfig()
@@ -194,3 +196,44 @@ def test_trace_matches_plain_iteration_on_every_narrow_input():
     inputs that end far off, the 799 not at zero settle at the ceiling."""
     assert check_every_input(ScaleConfig(scale_bits=3)) == {
         "pin": 1035, "flush": 124, "zero": 1159, "settled": 799, "moving": 0}
+
+
+def test_exponent_seed_on_every_input():
+    """All 255 * 32 positive inputs of the default format from
+    ``exponent_seed``: no iterate reaches zero, each trace is the spec's
+    iteration, and every input below 2**20 is within 2**-5 (relative) of
+    ``1/sqrt(x)`` from step 4 on.  Above 2**20, ``1/sqrt(x)`` is below
+    2**-10, and at the scale ceiling of 15 it keeps at most 5 bits, so 309
+    of those 784 inputs end farther off; the smallest is 1 269 760."""
+    far = []
+    for scale in range(CFG.scale_min, CFG.scale_max + 1):
+        for mag in range(1, CFG.max_magnitude + 1):
+            x = ScaledInt(mag, scale)
+            seed = exponent_seed(x, CFG)
+            _, trace = newton_inv_sqrt(x, seed, 20, CFG)
+            ys = [y for _, y in trace.entries]
+            assert ys == spec.newton(x, seed, 20, CFG, SaturationCounter()), (mag, scale)
+            assert all(y.magnitude for y in ys), (mag, scale)
+            exact = 1 / math.sqrt(dequantize(x))
+            off = [abs(dequantize(y) - exact) > exact * 2 ** -5 for y in ys[4:]]
+            if dequantize(x) < 2 ** 20:
+                assert not any(off), (mag, scale)
+            elif off[-1]:
+                far.append(dequantize(x))
+    assert len(far) == 309 and min(far) == 1269760
+
+
+@pytest.mark.parametrize("cfg", [ScaleConfig(), ScaleConfig(scale_bits=3),
+                                 ScaleConfig(p_bits=2), ScaleConfig(p_bits=12, scale_bits=3)])
+def test_exponent_seed_matches_spec(cfg):
+    """The seed is the spec's on every positive input, including formats
+    whose scale ceiling holds it at the finest step; there the iteration
+    may pin the iterate at zero, as the spec does."""
+    for scale in range(cfg.scale_min, cfg.scale_max + 1):
+        for mag in range(1, cfg.max_magnitude + 1, max(1, cfg.max_magnitude // 255)):
+            x = ScaledInt(mag, scale)
+            seed = exponent_seed(x, cfg)
+            assert seed == spec.exponent_seed(x, cfg) and seed.magnitude, (mag, scale)
+            _, trace = newton_inv_sqrt(x, seed, 6, cfg)
+            assert [y for _, y in trace.entries] == spec.newton(
+                x, seed, 6, cfg, SaturationCounter()), (mag, scale)
