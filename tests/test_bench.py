@@ -287,9 +287,9 @@ class TestTensorFiles:
 # SHA-256 of CLI reports, pinned so a refactor that changes any byte fails.
 GOLDEN = [
     (("bench", "suite"),
-     "e0163be4bb869140e9f30d6764a462c59b4fe5ff1469cf35a0fcdae1d724f4c9"),
+     "26944ddfc451b2d64adc741fd55ace0506b8dfa5ed1d83c5e0e1776eac2c8b2f"),
     (("bench", "suite", "--trials", "3", "--height", "8"),
-     "6d213d3a56264113701f16c8b1e6627aea76b66a3e0214a189d36c31e5fcc9c6"),
+     "88ced5328e206a04b6f1f2888c1ae4a2c37c3cdd80dbfb8364e6d7bfd19728dd"),
     (("div-sweep",),
      "105aef91e8579d92e89f9cedb3c01764404fae44d42c2a5b18c85153ce3cf286"),
     (("div-sweep", "--json"),

@@ -501,10 +501,12 @@ BENCH_UNREAD = {
     "suite": ("--batch", "--in-channels", "--out-channels", "--kernel", "--width",
               "--weight-mode", "--input-file", "--gelu-variant"),
 }
-# A value for each bench setting that differs from its default.
+# A value for each bench setting that differs from its default.  From the
+# exponent seed, layer_norm's Newton iteration settles within 2 steps at
+# these sizes, so only 1 step gives a report other than the default's.
 BENCH_VALUES = {"--batch": "2", "--in-channels": "1", "--out-channels": "6", "--kernel": "2",
                 "--height": "4", "--width": "4", "--trials": "2", "--weight-mode": "identity",
-                "--p-bits": "6", "--scale-bits": "4", "--newton-iters": "3",
+                "--p-bits": "6", "--scale-bits": "4", "--newton-iters": "1",
                 "--gelu-variant": "series-cubed", "--seed": "3"}
 FILE_FLAGS = ("--input-file", "--config")
 BENCH_READ = [(row, flag) for row in BENCH_UNREAD for flag in (*BENCH_VALUES, *FILE_FLAGS)

@@ -21,9 +21,9 @@ import workloads  # noqa: E402
 
 SEED0_SHA256 = {
     "conv": "a55edb1a5df7959dd23e740f1e0f0b538eb6423eaf6aad60c15f294e1b357be3",
-    "encoder": "3155493d089e6d515ea440dec982cb9af9f8098db311ff079e2c78e656638f93",
-    "norm": "d36d97e5d7612b22456748ef4f96d0279e301334ec582527343cedd20c359481",
-    "suite": "c0035f16306c213e6acd4d945581e2f5119062250ec1b022ba26399508f0bd49",
+    "encoder": "b801295d8364beec4d88806fec1734d7c75bc8cc8cd6432d1a0f2dbcad6a1892",
+    "norm": "242ad9d7ec9fb49f8c17eaa5430948aca322128c366057f27a5f7a705811baa8",
+    "suite": "277e0b9cb6fb6413960b780f33b3aba0fdedcbb4e399a1ba8237a1cf08884d1e",
 }
 
 
