@@ -344,17 +344,19 @@ def layer_norm(
     """Standardize each trailing-axis vector, then apply the affine pair.
 
     The mean is never cut.  With ``top`` the row's largest scale, each
-    element is the integer ``a_i = m_i << (top - s_i)`` on that grid, and
-    ``A`` is their sum, so each deviation ``d_i = fit(n*a_i - A, top)`` stands
-    for ``n * (x_i - mean)`` and is cut once.  ``var = dot(d, d) / n`` is then
-    ``n**2`` times the (population) variance, so the quantized Newton
-    iteration, seeded by :func:`~scaledq.newton.exponent_seed`, runs on
-    ``var + fit(eps_m * n**2, eps_s)`` and its ``1/sqrt`` carries the
-    ``1/n`` that turns each ``d_i`` into a standardized value.  The output is
-    ``d_i * inv * gamma_i + beta_i``.  The factor ``n`` leaves the
-    deviations ``n`` times and the variance ``n**2`` times less headroom
-    below ``max_value`` than the plain statistics.  A row of identical
-    stored values, or one whose deviations all vanish (one value stored in
+    element is the integer ``a_i = m_i << (top - s_i)`` on that grid and
+    ``A`` is their sum, so ``n*a_i - A`` is ``n * (x_i - mean)``, exact.
+    Each deviation ``d_i`` is that integer fitted once, at scale ``grid``:
+    ``top``, or coarser where the row's largest deviation would leave no
+    room to square and sum ``n`` of them below ``max_value``.  So
+    ``d_i = c * (x_i - mean)`` with ``c = n * 2**(top - grid)``, and
+    ``dot(d, d) / n`` is ``c**2`` times the (population) variance.  The
+    quantized Newton iteration, seeded by
+    :func:`~scaledq.newton.exponent_seed`, runs on that plus
+    ``fit(eps_m * n**2, eps_s + 2*(grid - top))``, ``c**2 * eps``, so its
+    ``1/sqrt`` carries the ``1/c`` that standardizes each ``d_i``.  The
+    output is ``d_i * inv * gamma_i + beta_i``.  A row of identical stored
+    values, or one whose deviations all vanish (one value stored in
     different forms), short-circuits to beta and never consults eps.
     """
     n = x.shape[-1] if x.shape else 0
@@ -364,6 +366,9 @@ def layer_norm(
         raise ShapeError(f"gamma/beta must be ({n},), got {params.gamma.shape}")
     gamma, beta = params.gamma.data, params.beta.data
     eps_m, eps_s = params.eps
+    # n deviations below 2**room square and sum below 2**(P - 1 - scale_min),
+    # under max_value, so the variance numerator never saturates
+    room = (cfg.p_bits - 1 - cfg.scale_min - n.bit_length()) // 2
     out: list[ScaledInt] = []
     for r in range(0, x.size, n):
         row = x.data[r:r + n]
@@ -371,15 +376,20 @@ def layer_norm(
             out.extend(beta)
             continue
         top = max([s for _, s in row])
-        grid = [m << (top - s) for m, s in row]
-        total = sum(grid)
-        devs = [fit(n * a - total, top, cfg, sat) for a in grid]
+        aligned = [m << (top - s) for m, s in row]
+        total = sum(aligned)
+        exact = [n * a - total for a in aligned]
+        grid = max(max(exact), -min(exact)).bit_length() - room
+        if grid < top:
+            grid = top
+        devs = [fit(v, grid, cfg, sat) for v in exact]
         if not any(m for m, _ in devs):
             out.extend(beta)
             continue
         vm, vs = _dot(devs, devs, cfg, sat)
         var = tuple.__new__(ScaledInt, _add(quotient(vm, n, vs, cfg, sat),
-                                            fit(eps_m * n * n, eps_s, cfg, sat), cfg, sat))
+                                            fit(eps_m * n * n, eps_s + 2 * (grid - top),
+                                                cfg, sat), cfg, sat))
         inv, _ = newton_inv_sqrt(var, exponent_seed(var, cfg), cfg.newton_iters, cfg, sat)
         out.extend(tuple.__new__(ScaledInt,
                                  _add(_mul(_mul(d, inv, cfg, sat), g, cfg, sat), b, cfg, sat))

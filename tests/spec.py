@@ -93,7 +93,8 @@ def newton(x, y, iters, cfg, sat):
     step computed.  On the magnitudes, ``d = 3*m - x*m**3`` with the cubic
     cut toward zero to the iterate's scale by one shift; ``d <= 0`` pins the
     iterate at zero, where it stays.  The first step halves by adding one to
-    the scale, ``fit(d, s + 1)``; later ones round half-up, ``fit((d + 1) >> 1, s)``."""
+    the scale, ``fit(d, s + 1)``; later ones round half-up,
+    ``fit((d + 1) >> 1, s)``."""
     (xm, xs), ys = x, [y]
     for j in range(iters):
         m, s = y

@@ -226,9 +226,10 @@ def test_exponent_seed_on_every_input():
 @pytest.mark.parametrize("cfg", [ScaleConfig(), ScaleConfig(scale_bits=3),
                                  ScaleConfig(p_bits=2), ScaleConfig(p_bits=12, scale_bits=3)])
 def test_exponent_seed_matches_spec(cfg):
-    """The seed is the spec's on every positive input, including formats
-    whose scale ceiling holds it at the finest step; there the iteration
-    may pin the iterate at zero, as the spec does."""
+    """The seed and six steps from it are the spec's on every positive
+    input (every 16th magnitude at P = 12), also in formats whose scale
+    ceiling holds the seed at the finest step, where the iteration may pin
+    the iterate at zero as the spec does."""
     for scale in range(cfg.scale_min, cfg.scale_max + 1):
         for mag in range(1, cfg.max_magnitude + 1, max(1, cfg.max_magnitude // 255)):
             x = ScaledInt(mag, scale)

@@ -287,6 +287,24 @@ class TestLayerNorm:
         for r in range(0, rows * n, n):
             assert max(abs(g - w) for g, w in zip(got[r:r + n], want[r:r + n])) <= 2 ** -5, r
 
+    @pytest.mark.parametrize("n", [64, 256, 768])
+    def test_wide_rows_keep_headroom(self, n):
+        """Transformer widths at spreads up to 2**18: no saturation, and each
+        row within 2**-5 of FP64.  Deviations of ``n * (x - mean)`` on the
+        row's scale would overflow the variance numerator here (n = 256 at
+        spread 8 was off by 6.4); the coarser grid keeps them in range."""
+        rng = random.Random(n)
+        for log_spread in (3, 6, 10, 14, 18):
+            spread = 2.0 ** log_spread
+            mean = spread * rng.uniform(-1, 1)
+            x = qt((1, n), [mean + spread * rng.uniform(-1, 1) for _ in range(n)])
+            sat = SaturationCounter()
+            got = deq(layer_norm(x, self.params(n), CFG, sat))
+            want = ref.ref_layer_norm(ref.dequantize_tensor(x), [1.0] * n, [0.0] * n,
+                                      2.0 ** -15).data
+            assert sat.count == 0, log_spread
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 2 ** -5, log_spread
+
 
 class TestSoftmax:
     def test_length_one(self):
@@ -858,12 +876,16 @@ def test_out_of_format_bias_passes_through_like_scale_add():
 # from tests/spec.py, softmax's and gelu's from the scalar primitives.
 
 def spec_layer_norm(x, params, cfg, sat):
-    """``layer_norm`` composed from the spec: the exact ``n * (x_i - mean)``
-    on the row's largest scale fitted once, ``dot`` and ``quotient`` for
-    ``n**2`` times the variance, ``fit`` for ``n**2 * eps``, and the Newton
-    rule from the exponent seed."""
+    """``layer_norm`` composed from the spec.  Each deviation is the exact
+    ``n * (x_i - mean)`` on the row's largest scale ``top``, fitted once at
+    the grid ``top``, or at the finest coarser one that keeps every
+    deviation under ``2**room``, so their ``n`` squares sum below
+    ``2**(P - 1 - scale_min)``.  ``dot`` and ``quotient`` give ``c**2`` times
+    the variance, with ``c = n * 2**(top - grid)``, ``fit`` gives
+    ``c**2 * eps``, and the Newton rule runs from the exponent seed."""
     n = x.shape[-1]
     (em, es), out = params.eps, []
+    room = (cfg.p_bits - 1 - cfg.scale_min - n.bit_length()) // 2
     for r in range(x.size // n):
         row = x.data[r * n:(r + 1) * n]
         if all(e == row[0] for e in row[1:]):
@@ -871,13 +893,15 @@ def spec_layer_norm(x, params, cfg, sat):
             continue
         top = max(s for _, s in row)
         total = sum(m << (top - s) for m, s in row)
-        devs = [spec.fit(n * (m << (top - s)) - total, top, cfg, sat) for m, s in row]
+        exact = [n * (m << (top - s)) - total for m, s in row]
+        grid = max(top, max(abs(v) for v in exact).bit_length() - room)
+        devs = [spec.fit(v, grid, cfg, sat) for v in exact]
         if not any(m for m, _ in devs):
             out.extend(params.beta.data)
             continue
         vm, vs = spec.dot(devs, devs, cfg, sat)
         var = spec.scale_add(spec.quotient(vm, n, vs, cfg, sat),
-                             spec.fit(em * n * n, es, cfg, sat), cfg, sat)
+                             spec.fit(em * n * n, es + 2 * (grid - top), cfg, sat), cfg, sat)
         if var[0] <= 0:
             raise DomainError("inverse square root needs a positive input")
         inv = spec.newton(var, spec.exponent_seed(var, cfg), cfg.newton_iters, cfg, sat)[-1]
