@@ -195,16 +195,11 @@ def conv2d(
 ) -> QTensor:
     """2-D convolution over ``x[B, I, H, W]``.
 
-    Per output element: elementwise products across the kernel window, a
-    max-scale-aligned sum per input channel, a second aligned sum across
-    channels, then the bias folded in the same way.  Every stage result is
-    renormalized before it feeds the next.
-
-    A pointwise (k = 1) channel sum is one product already cut to P bits,
-    which ``fit`` returns unchanged, so the pointwise sum across channels is
-    one :func:`_dot` over the channel column; a depthwise output has one
-    channel, so its window's dot is the channel sum.  Both give the bytes
-    and saturation counts of the two-stage sum.
+    Each output element is one :func:`_dot` over its whole receptive field,
+    the ``k*k`` taps of every input channel it reads in channel, row, column
+    order, so it is normalized once per output; the bias is then folded in by
+    one aligned add.  A dense conv is :func:`linear` over its patches, and a
+    depthwise conv is that per channel group.
     """
     if len(x.shape) != 4:
         raise ShapeError(f"input must be [B, I, H, W], got {x.shape}")
@@ -226,29 +221,23 @@ def conv2d(
     # Taps outside the input read zero pairs from a padded copy of the input
     # planes, stacked channel after channel.  A zero operand adds no product
     # to a sum, so a padding tap drops out exactly as a skipped tap would.
-    # Each window is a list of offsets into the stack from an output's start;
-    # each output channel has a list of (window, kernel) dots, summed across
-    # channels when there is more than one.
+    # Each window is a list of offsets into the stack from an output's start,
+    # over the w_ch channels of one group: all of them for a dense conv, one
+    # for a depthwise one.  Output channel o reads window o // (out_ch / groups)
+    # with its flat kernel slice, laid out in the window's order.
     pad, stride = spec.padding, spec.stride
     row = width + 2 * pad
     plane = row * (height + 2 * pad)
     offsets = [ky * row + kx for ky in range(k) for kx in range(k)]
     starts = [oh * stride * row + ow * stride for oh in range(h_out) for ow in range(w_out)]
+    taps = [[(g * w_ch + c) * plane + d for c in range(w_ch) for d in offsets]
+            for g in range(in_ch // w_ch)]
     # _dot reads the stack and the kernels many times; CPython unpacks only
     # exact tuples on its fast path, so they are copied out of the boxes once.
     wp = list(map(tuple, weight.data))
+    per = w_ch * k * k
+    groups = [(o // (out_ch // len(taps)), wp[o * per:(o + 1) * per]) for o in range(out_ch)]
     biases = bias.data if bias is not None else None
-    kernels = [wp[j:j + k * k] for j in range(0, len(wp), k * k)]
-    taps = [[i * plane + d for d in offsets] for i in range(in_ch)]
-    if spec.depthwise:
-        groups = [[(o // (out_ch // in_ch), kernels[o])] for o in range(out_ch)]
-    elif k == 1:
-        # pointwise: one window holding every channel's tap, one dot per output
-        taps = [[i * plane for i in range(in_ch)]]
-        groups = [[(0, wp[o * in_ch:(o + 1) * in_ch])] for o in range(out_ch)]
-    else:
-        groups = [[(i, kernels[o * in_ch + i]) for i in range(in_ch)]
-                  for o in range(out_ch)]
     npos = len(starts)
     out: list[ScaledInt] = []
     for b in range(batch):
@@ -261,12 +250,8 @@ def conv2d(
         image: list[ScaledInt] = [ZERO] * (out_ch * npos)
         for pos, st in enumerate(starts):
             windows = [[stack[st + d] for d in tap] for tap in taps]
-            for o, group in enumerate(groups):
-                if len(group) == 1:
-                    acc = _dot(windows[group[0][0]], group[0][1], cfg, sat)
-                else:
-                    acc = _add_pairs([_dot(windows[i], ker, cfg, sat) for i, ker in group],
-                                     cfg, sat)
+            for o, (g, kernel) in enumerate(groups):
+                acc = _dot(windows[g], kernel, cfg, sat)
                 if biases is not None:
                     acc = _add(acc, biases[o], cfg, sat)
                 image[o * npos + pos] = tuple.__new__(ScaledInt, acc)

@@ -698,38 +698,40 @@ def test_dot_and_sum_aligned_match_spec(p_bits, scale_bits):
     assert sum_aligned((), cfg) == ZERO
 
 
-# --- the fused kernel against the scalar primitives -------------------------
+# --- the fused kernel against the spec and the scalar primitives -----------
 # conv2d, linear and matmul run a fused multiply-accumulate on int pairs; the
-# functions below are the plain scalar composition it must match bit for bit.
+# functions below are the composition they must match bit for bit: conv2d's
+# from tests/spec.py, linear's and matmul's from the scalar primitives.
 
 def oracle_dot(xs, ws, cfg, sat):
     return sum_aligned([scale_mul(x, w, cfg, sat) for x, w in zip(xs, ws)], cfg, sat)
 
 
-def oracle_conv2d(x, w, bias, spec, cfg, sat):
+def spec_conv2d(x, w, bias, conv, cfg, sat):
+    """``conv2d`` composed from the spec: each output is one ``dot`` over the
+    in-range taps of the channels it reads, in channel, ky, kx order, then
+    ``scale_add`` of the bias."""
     batch, in_ch, height, width = x.shape
-    out_ch, k, s, p = spec.out_channels, spec.kernel, spec.stride, spec.padding
-    w_ch = 1 if spec.depthwise else in_ch
+    out_ch, k, s, p = conv.out_channels, conv.kernel, conv.stride, conv.padding
+    w_ch = 1 if conv.depthwise else in_ch
     h_out, w_out = (height + 2 * p - k) // s + 1, (width + 2 * p - k) // s + 1
     out = []
     for b in range(batch):
         for o in range(out_ch):
-            chans = [o // (out_ch // in_ch)] if spec.depthwise else range(in_ch)
+            chans = [o // (out_ch // in_ch)] if conv.depthwise else range(in_ch)
             for oh in range(h_out):
                 for ow in range(w_out):
-                    per_channel = []
+                    xs, ws = [], []
                     for ci, i in enumerate(chans):
-                        xs, ws = [], []
                         for ky in range(k):
                             for kx in range(k):
                                 ih, iw = oh * s - p + ky, ow * s - p + kx
                                 if 0 <= ih < height and 0 <= iw < width:
                                     xs.append(x.data[((b * in_ch + i) * height + ih) * width + iw])
                                     ws.append(w.data[((o * w_ch + ci) * k + ky) * k + kx])
-                        per_channel.append(oracle_dot(xs, ws, cfg, sat))
-                    acc = sum_aligned(per_channel, cfg, sat)
+                    acc = spec.dot(xs, ws, cfg, sat)
                     if bias is not None:
-                        acc = scale_add(acc, bias.data[o], cfg, sat)
+                        acc = spec.scale_add(acc, bias.data[o], cfg, sat)
                     out.append(acc)
     return QTensor((batch, out_ch, h_out, w_out), tuple(out))
 
@@ -772,15 +774,15 @@ def _differential_cases(cfg, rng):
     w_point, w_point_depth = t(3, 2, 1, 1), t(4, 1, 1, 1)
     return [
         ("pointwise", lambda sat: conv2d(x, w_point, b3, point, cfg, sat),
-         lambda sat: oracle_conv2d(x, w_point, b3, point, cfg, sat)),
+         lambda sat: spec_conv2d(x, w_point, b3, point, cfg, sat)),
         ("depthwise-pointwise", lambda sat: conv2d(x, w_point_depth, None, point_depth, cfg, sat),
-         lambda sat: oracle_conv2d(x, w_point_depth, None, point_depth, cfg, sat)),
+         lambda sat: spec_conv2d(x, w_point_depth, None, point_depth, cfg, sat)),
         ("conv2d", lambda sat: conv2d(x, w_dense, b3, dense, cfg, sat),
-         lambda sat: oracle_conv2d(x, w_dense, b3, dense, cfg, sat)),
+         lambda sat: spec_conv2d(x, w_dense, b3, dense, cfg, sat)),
         ("conv2d-nobias", lambda sat: conv2d(x, w_dense, None, dense, cfg, sat),
-         lambda sat: oracle_conv2d(x, w_dense, None, dense, cfg, sat)),
+         lambda sat: spec_conv2d(x, w_dense, None, dense, cfg, sat)),
         ("depthwise", lambda sat: conv2d(x, w_depth, b4, depth, cfg, sat),
-         lambda sat: oracle_conv2d(x, w_depth, b4, depth, cfg, sat)),
+         lambda sat: spec_conv2d(x, w_depth, b4, depth, cfg, sat)),
         ("linear", lambda sat: linear(rows, w_lin, b_lin, cfg, sat),
          lambda sat: oracle_linear(rows, w_lin, b_lin, cfg, sat)),
         ("linear-nobias", lambda sat: linear(rows, w_lin, None, cfg, sat),
@@ -805,6 +807,64 @@ def test_fused_kernel_matches_scalar_oracle(p_bits, scale_bits):
             assert got_sat.count == want_sat.count, name
             saturations += want_sat.count
     assert saturations > 0
+
+
+def im2col(x, conv, channels):
+    """One row per image and output position: the ``k*k`` taps of each of
+    ``channels`` in channel, ky, kx order, ZERO where a tap falls outside."""
+    batch, in_ch, height, width = x.shape
+    k, s, p = conv.kernel, conv.stride, conv.padding
+    h_out, w_out = (height + 2 * p - k) // s + 1, (width + 2 * p - k) // s + 1
+    rows = []
+    for b in range(batch):
+        for oh in range(h_out):
+            for ow in range(w_out):
+                for i in channels:
+                    for ky in range(k):
+                        for kx in range(k):
+                            ih, iw = oh * s - p + ky, ow * s - p + kx
+                            inside = 0 <= ih < height and 0 <= iw < width
+                            rows.append(x.data[((b * in_ch + i) * height + ih) * width + iw]
+                                        if inside else ZERO)
+    return QTensor((batch * h_out * w_out, len(channels) * k * k), tuple(rows))
+
+
+@pytest.mark.parametrize("p_bits,scale_bits", [(8, 5), (4, 3)])
+@pytest.mark.parametrize("conv", [
+    ConvSpec(3, 4, 3, stride=2, padding=2),
+    ConvSpec(3, 4, 1),
+    ConvSpec(3, 4, 5, padding=1),
+    ConvSpec(3, 6, 3, stride=2, padding=2, depthwise=True),
+    ConvSpec(3, 3, 1, depthwise=True),
+], ids=["dense-k3", "dense-k1", "dense-k5", "depthwise-k3", "depthwise-k1"])
+def test_conv_is_linear_over_its_patches(p_bits, scale_bits, conv):
+    """A conv equals ``linear`` over its im2col patch rows with the weight
+    flattened to ``[O, C*k*k]``, byte for byte with the same saturation
+    count; a depthwise conv equals it per channel group."""
+    cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    rng = random.Random(p_bits * 100 + conv.kernel)
+    x = rand_tensor(rng, (2, 3, 7, 6), cfg)
+    w_ch = 1 if conv.depthwise else conv.in_channels
+    per = w_ch * conv.kernel ** 2
+    w = rand_tensor(rng, (conv.out_channels, w_ch, conv.kernel, conv.kernel), cfg)
+    bias = rand_tensor(rng, (conv.out_channels,), cfg)
+    got_sat, want_sat = SaturationCounter(), SaturationCounter()
+    got = conv2d(x, w, bias, conv, cfg, got_sat)
+    n_groups = conv.in_channels // w_ch
+    mult = conv.out_channels // n_groups
+    per_group = []
+    for g in range(n_groups):
+        outs = range(g * mult, (g + 1) * mult)
+        per_group.append(linear(
+            im2col(x, conv, range(g * w_ch, (g + 1) * w_ch)),
+            QTensor((mult, per), w.data[g * mult * per:(g + 1) * mult * per]),
+            QTensor((mult,), tuple(bias.data[o] for o in outs)), cfg, want_sat))
+    batch, _, h_out, w_out = got.shape
+    npos = h_out * w_out
+    want = tuple(per_group[o // mult].data[(b * npos + pos) * mult + o % mult]
+                 for b in range(batch) for o in range(conv.out_channels) for pos in range(npos))
+    assert got.data == want
+    assert got_sat.count == want_sat.count > 0
 
 
 def test_fused_kernel_exhaustive_8bit_products():
