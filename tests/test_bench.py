@@ -301,7 +301,7 @@ GOLDEN = [
     (("bench", "linear", "--height", "4", "--width", "4", "--trials", "2"),
      "591151b880f91db55e3ffc849f1ed9c72e61194617e15f48186cf0f3e3020931"),
     (("bench", "conv2d", "--kernel", "3", "--height", "6", "--width", "6", "--trials", "2"),
-     "cbb07d0c610810d845118d381e38766d384292b46a09ae4f386e7a3669f8ead2"),
+     "7acefcfdbc74d6bc984eebd708d4e575128b75a6fb8340a70c05a11ea1707170"),
     (("quantize", "15.25"),
      "2ec3293994e4caad0d11c79a1935b6735f26b9a7ed3431971319f5f2a3efaf6d"),
     (("quantize", "-0.3", "--json"),

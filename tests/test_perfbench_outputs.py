@@ -20,7 +20,7 @@ if PERFBENCH not in sys.path:
 import workloads  # noqa: E402
 
 SEED0_SHA256 = {
-    "conv": "a55edb1a5df7959dd23e740f1e0f0b538eb6423eaf6aad60c15f294e1b357be3",
+    "conv": "5afe203f910614247d9daa4270cec69a65fe93e4d43f3967b0f629699186022a",
     "encoder": "b801295d8364beec4d88806fec1734d7c75bc8cc8cd6432d1a0f2dbcad6a1892",
     "norm": "242ad9d7ec9fb49f8c17eaa5430948aca322128c366057f27a5f7a705811baa8",
     "suite": "277e0b9cb6fb6413960b780f33b3aba0fdedcbb4e399a1ba8237a1cf08884d1e",
