@@ -856,11 +856,10 @@ def test_conv_is_linear_over_its_patches(p_bits, scale_bits, conv):
     mult = conv.out_channels // n_groups
     per_group = []
     for g in range(n_groups):
-        outs = range(g * mult, (g + 1) * mult)
         per_group.append(linear(
             im2col(x, conv, range(g * w_ch, (g + 1) * w_ch)),
             QTensor((mult, per), w.data[g * mult * per:(g + 1) * mult * per]),
-            QTensor((mult,), tuple(bias.data[o] for o in outs)), cfg, want_sat))
+            QTensor((mult,), bias.data[g * mult:(g + 1) * mult]), cfg, want_sat))
     batch, _, h_out, w_out = got.shape
     npos = h_out * w_out
     want = tuple(per_group[o // mult].data[(b * npos + pos) * mult + o % mult]
