@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from operator import mul
+from typing import NamedTuple, Sequence
 
 from .core import (
     ZERO,
@@ -149,40 +150,89 @@ def _div(a, b, cfg: ScaleConfig,
     return quotient(a[0], b[0], a[1] - b[1], cfg, sat)
 
 
-def _dot(xs, ws, cfg: ScaleConfig,
-         sat: SaturationCounter | None) -> tuple[int, int]:
-    """Fused multiply-accumulate on two equal-length pair sequences, the one
-    path for every sum of products in this module.
+class _Fixed(NamedTuple):
+    """A sequence of pairs converted for :func:`_dot` by :func:`_fixed`."""
 
-    Bit-identical to ``sum_aligned([scale_mul(x, w) ...])``.  Each product's
-    cut to P bits and :func:`fit`'s shift down to the scale ceiling compose
-    into one shift toward zero by ``max(bitlen - P, scale - scale_max)``,
-    taken inline; a product cut to zero drops out, and :func:`fit` is called
-    only below the floor.  The live products, all in range, are added at
-    scale ``scale_max``, shifted down once to the largest live scale, where
-    ``sum_aligned`` aligns them, and fitted once.  Integer addition does not
-    depend on order; ``fit`` keeps one in-format term.
+    ints: list[int]   # each value as the exact integer m << (scale_max - s)
+    reach: int        # the largest scale_max - s of a short value, else 0
+    pairs: Sequence   # the pairs themselves, read only where reach says so
+
+
+# The reach of a sequence holding a scale above scale_max.  Its values are not
+# on the grid, so every dot with it reads its pairs.
+_OFF_GRID = 1 << 62
+
+
+def _fixed(pairs, cfg: ScaleConfig) -> _Fixed:
+    """``pairs`` as :func:`_dot` reads them: each ``(m, s)`` as the integer
+    ``m << (scale_max - s)``, its exact value on the ``2**-scale_max`` grid.
+
+    A short value, nonzero with fewer than P bits, is the one kind whose
+    stored form can set the scale of a dot's result (``(2, 1)`` and
+    ``(1, 0)`` are one integer); ``reach`` bounds how far below the ceiling
+    such a value's scale lies.
     """
-    p_bits, lo, hi = cfg.p_bits, cfg.scale_min, cfg.scale_max
-    total, top = 0, lo
-    for (xm, xe), (wm, we) in zip(xs, ws):
-        if xm and wm:
-            m = xm * wm
-            s = xe + we
-            k = m.bit_length() - p_bits
-            if s - hi > k:
-                k = s - hi
-            if k > 0:
-                m = m >> k if m > 0 else -(-m >> k)
-                if not m:
-                    continue
-                s -= k
-            if s < lo:
-                m, s = fit(m, s, cfg, sat)
-            total += m << (hi - s)
-            if s > top:
-                top = s
-    return fit(total >> (hi - top), top, cfg, sat)
+    hi, half = cfg.scale_max, 1 << (cfg.p_bits - 1)
+    try:
+        ints = [m << (hi - s) for m, s in pairs]
+    except ValueError:  # a negative shift: a scale above the ceiling
+        return _Fixed([0] * len(pairs), _OFF_GRID, pairs)
+    return _Fixed(ints, max([hi - s for m, s in pairs if m and -half < m < half],
+                            default=0), pairs)
+
+
+def _dot(a: _Fixed, b: _Fixed, cfg: ScaleConfig,
+         sat: SaturationCounter | None) -> tuple[int, int]:
+    """Fused multiply-accumulate on two equal-length operands from
+    :func:`_fixed`, the one path for every sum of products in this module;
+    bit-identical to ``sum_aligned([scale_mul(x, w) ...])``.
+
+    Each product ``y`` is exact at ``2**-(2*scale_max)``.  With ``n`` its bit
+    length, it is live iff ``n > scale_max``, and :func:`fit`'s cut of it, to
+    P bits and no finer than the ceiling, is ``y & product_masks[n]`` on
+    ``|y|``.  Past the last mask the product saturates at the floor: it adds
+    ``+/-max_magnitude`` at ``scale_min`` and counts once.  The exact total
+    is cut at ``c = max(n_min - P, scale_max)`` for the shortest live
+    product, the largest scale ``sum_aligned`` aligns at (no finer than the
+    floor), and fitted once.
+
+    The integers lose one thing, the stored form.  A product of two short
+    values (see :func:`_fixed`) that is itself short and finer than the
+    ceiling is aligned at its stored scale, not at its bits.  That moves the
+    result only where the operands' ``reach`` sums past ``scale_max`` and the
+    total has fewer than P significant bits; such a dot, and one off the
+    grid, is summed from the pairs as its definition reads.
+    """
+    xs, x_reach, x_pairs = a
+    ws, w_reach, w_pairs = b
+    masks, hi = cfg.product_masks, cfg.scale_max
+    limit = len(masks) - 1
+    total, shortest, floors = 0, limit, 0
+    for y in map(mul, xs, ws):
+        n = y.bit_length()
+        if n > hi:
+            if n > limit:
+                floors += 1
+                floor = cfg.max_magnitude << (2 * hi - cfg.scale_min)
+                total += floor if y > 0 else -floor
+            elif y > 0:
+                total += y & masks[n]
+            else:
+                total -= -y & masks[n]
+            if n < shortest:
+                shortest = n
+    reach = x_reach + w_reach
+    if reach > hi and (reach >= _OFF_GRID
+                       or total & -total > abs(total) >> (cfg.p_bits - 1)):
+        return _add_pairs([_mul(x, w, cfg, sat) for x, w in zip(x_pairs, w_pairs)],
+                          cfg, sat)
+    if floors and sat is not None:
+        for _ in range(floors):
+            sat.record()
+    c = shortest - cfg.p_bits
+    if c < hi:
+        c = hi
+    return fit(total >> c, 2 * hi - c, cfg, sat)
 
 
 def conv2d(
@@ -218,7 +268,7 @@ def conv2d(
         raise ShapeError(f"kernel {k} does not fit the padded input {x.shape} "
                          f"(padding {spec.padding})")
 
-    # Taps outside the input read zero pairs from a padded copy of the input
+    # Taps outside the input read zeros from a padded copy of the input
     # planes, stacked channel after channel.  A zero operand adds no product
     # to a sum, so a padding tap drops out exactly as a skipped tap would.
     # Each window is a list of offsets into the stack from an output's start,
@@ -232,24 +282,35 @@ def conv2d(
     starts = [oh * stride * row + ow * stride for oh in range(h_out) for ow in range(w_out)]
     taps = [[(g * w_ch + c) * plane + d for c in range(w_ch) for d in offsets]
             for g in range(in_ch // w_ch)]
-    # _dot reads the stack and the kernels many times; CPython unpacks only
-    # exact tuples on its fast path, so they are copied out of the boxes once.
-    wp = list(map(tuple, weight.data))
+    kw = _fixed(weight.data, cfg)
     per = w_ch * k * k
-    groups = [(o // (out_ch // len(taps)), wp[o * per:(o + 1) * per]) for o in range(out_ch)]
+    groups = [(o // (out_ch // len(taps)),
+               _Fixed(kw.ints[o * per:(o + 1) * per], kw.reach, kw.pairs[o * per:(o + 1) * per]))
+              for o in range(out_ch)]
     biases = bias.data if bias is not None else None
     npos = len(starts)
-    out: list[ScaledInt] = []
-    for b in range(batch):
-        stack = [(0, 0)] * (in_ch * plane)
+    size = in_ch * height * width
+
+    def padded(flat, zero):
+        stack = [zero] * (in_ch * plane)
         for i in range(in_ch):
             for ih in range(height):
-                src = ((b * in_ch + i) * height + ih) * width
+                src = (i * height + ih) * width
                 dst = i * plane + (ih + pad) * row + pad
-                stack[dst:dst + width] = map(tuple, x.data[src:src + width])
+                stack[dst:dst + width] = flat[src:src + width]
+        return stack
+
+    out: list[ScaledInt] = []
+    for b in range(batch):
+        img = _fixed(x.data[b * size:(b + 1) * size], cfg)
+        ints = padded(img.ints, 0)
+        # the pairs are stacked only where _dot may read them (see _dot)
+        pairs = padded(img.pairs, ZERO) if img.reach + kw.reach > cfg.scale_max else None
         image: list[ScaledInt] = [ZERO] * (out_ch * npos)
         for pos, st in enumerate(starts):
-            windows = [[stack[st + d] for d in tap] for tap in taps]
+            windows = [tuple.__new__(_Fixed, ([ints[st + d] for d in tap], img.reach,
+                                              pairs and [pairs[st + d] for d in tap]))
+                       for tap in taps]
             for o, (g, kernel) in enumerate(groups):
                 acc = _dot(windows[g], kernel, cfg, sat)
                 if biases is not None:
@@ -299,11 +360,10 @@ def _row_dots(x: QTensor, wrows, biases, cfg: ScaleConfig,
     :func:`matmul`.  Rows are counted from the shape, so an empty trailing
     axis gives a zero dot per output."""
     width = x.shape[-1]
-    # exact-tuple copies for _dot's unpacking fast path, as in conv2d
-    wrows = [list(map(tuple, w)) for w in wrows]
+    wrows = [_fixed(w, cfg) for w in wrows]
     out: list[ScaledInt] = []
     for r in range(math.prod(x.shape[:-1])):
-        row = list(map(tuple, x.data[r * width:(r + 1) * width]))
+        row = _fixed(x.data[r * width:(r + 1) * width], cfg)
         for o, wrow in enumerate(wrows):
             acc = _dot(row, wrow, cfg, sat)
             if biases is not None:
@@ -371,7 +431,8 @@ def layer_norm(
         if not any(m for m, _ in devs):
             out.extend(beta)
             continue
-        vm, vs = _dot(devs, devs, cfg, sat)
+        fixed = _fixed(devs, cfg)
+        vm, vs = _dot(fixed, fixed, cfg, sat)
         var = tuple.__new__(ScaledInt, _add(quotient(vm, n, vs, cfg, sat),
                                             fit(eps_m * n * n, eps_s + 2 * (grid - top),
                                                 cfg, sat), cfg, sat))
@@ -483,7 +544,8 @@ def gelu(
     """
     variant = variant or cfg.gelu_variant
     x3 = _mul(_mul(x, x, cfg, sat), x, cfg, sat)
-    a = _dot(GELU_SERIES, (x, x3), cfg, sat)
+    (c1, c3) = GELU_SERIES
+    a = _add_pairs((_mul(c1, x, cfg, sat), _mul(c3, x3, cfg, sat)), cfg, sat)
     if variant == GELU_SERIES_LINEAR:
         gate = _add(_ONE, a, cfg, sat)
     else:

@@ -671,7 +671,9 @@ def test_pinned_inputs_reach_both_range_edges():
 
 # --- _dot and sum_aligned against the specification in tests/spec.py -------
 
-SPEC_FORMATS = [(8, 5)] + [(p, s) for p in (2, 4, 12) for s in (3, 5, 6)]
+# (12, 10) puts values up to 2**1035 on the 2**-scale_max grid, so the kernel's
+# products are ints of about 2000 bits.
+SPEC_FORMATS = [(8, 5)] + [(p, s) for p in (2, 4, 12) for s in (3, 5, 6)] + [(12, 10)]
 
 
 @pytest.mark.parametrize("p_bits,scale_bits", SPEC_FORMATS)
@@ -686,7 +688,8 @@ def test_dot_and_sum_aligned_match_spec(p_bits, scale_bits):
     for _ in range(2000):
         n = rng.randint(0, 8)
         xs, ws = (rand_tensor(rng, (n,), cfg).data for _ in range(2))
-        assert ops._dot(xs, ws, cfg, got_sat) == spec.dot(xs, ws, cfg, want_sat)
+        assert (ops._dot(ops._fixed(xs, cfg), ops._fixed(ws, cfg), cfg, got_sat)
+                == spec.dot(xs, ws, cfg, want_sat))
         assert got_sat.count == want_sat.count
         got = sum_aligned(xs, cfg, got_sat)
         assert got == spec.sum_aligned(xs, cfg, want_sat)
@@ -696,18 +699,128 @@ def test_dot_and_sum_aligned_match_spec(p_bits, scale_bits):
             assert got is live[0]
             singles += 1
     assert want_sat.count > 0 and singles > 0
-    assert ops._dot((), (), cfg, got_sat) == spec.dot((), (), cfg, want_sat) == (0, 0)
+    empty = ops._fixed((), cfg)
+    assert ops._dot(empty, empty, cfg, got_sat) == spec.dot((), (), cfg, want_sat) == (0, 0)
     assert sum_aligned((), cfg) == ZERO
 
 
-# --- the fused kernel against the spec and the scalar primitives -----------
-# conv2d, linear and matmul run a fused multiply-accumulate on int pairs; the
-# functions below are the composition they must match bit for bit: conv2d's
-# from tests/spec.py, linear's and matmul's from the scalar primitives.
+def _dot_and_count(xs, ws, cfg):
+    """``ops._dot`` of two pair sequences and its saturations, asserted equal
+    to ``spec.dot``'s."""
+    got_sat, want_sat = SaturationCounter(), SaturationCounter()
+    got = ops._dot(ops._fixed(xs, cfg), ops._fixed(ws, cfg), cfg, got_sat)
+    assert (got, got_sat.count) == (spec.dot(xs, ws, cfg, want_sat), want_sat.count)
+    return got, got_sat.count
 
-def oracle_dot(xs, ws, cfg, sat):
-    return sum_aligned([scale_mul(x, w, cfg, sat) for x, w in zip(xs, ws)], cfg, sat)
 
+def _products_of_bit_length(cfg, n, rng, count=30):
+    """Up to ``count`` in-format pairs ``(x, w)`` whose product, held as
+    ``_dot`` holds it (an integer at ``2**-(2*scale_max)``), has ``n`` bits.
+    Magnitudes are drawn by bit length, so short ones are as likely as
+    full ones."""
+    lo, hi = cfg.scale_min, cfg.scale_max
+    found = []
+    for _ in range(50 * count):
+        xm, wm = (rng.choice((-1, 1)) * rng.randint(1, (1 << rng.randint(1, cfg.p_bits)) - 1)
+                  for _ in range(2))
+        total = 2 * hi + (xm * wm).bit_length() - n  # the two scales sum to this
+        first, last = max(lo, total - hi), min(hi, total - lo)
+        if first <= last:
+            xe = rng.randint(first, last)
+            found.append(((xm, xe), (wm, total - xe)))
+            if len(found) == count:
+                break
+    return found
+
+
+@pytest.mark.parametrize("p_bits,scale_bits", SPEC_FORMATS)
+def test_dot_at_each_edge_of_the_product_cut_matches_spec(p_bits, scale_bits):
+    """Products of exactly scale_max bits (flushed at the ceiling), scale_max
+    + 1 (the finest live one), the last mask's (the widest above the floor)
+    and one more (saturated at the floor) give ``spec.dot``'s pair and count:
+    alone, beside a term one step from zero, and cancelled by their negation.
+    A dot of saturated products counts one saturation for each, and one more
+    where their sum, +/-max_magnitude times the sum of their signs at the
+    floor, is past the floor too."""
+    cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    rng = random.Random(p_bits * 100 + scale_bits + 19)
+    hi, last = cfg.scale_max, len(cfg.product_masks) - 1
+    tiny, one = (1, hi), (1, 0)
+    for n, live, floors in ((hi, False, 0), (hi + 1, True, 0), (last, True, 0),
+                            (last + 1, True, 1)):
+        products = _products_of_bit_length(cfg, n, rng)
+        assert products, n
+        for x, w in products:
+            assert (ops._fixed([x], cfg).ints[0] * ops._fixed([w], cfg).ints[0]).bit_length() == n
+            got, count = _dot_and_count([x], [w], cfg)
+            assert (got != (0, 0), count) == (live, floors)
+            _dot_and_count([x, tiny], [w, one], cfg)
+            _dot_and_count([tiny, x], [(-1, 0), w], cfg)
+            assert _dot_and_count([x, (-x[0], x[1])], [w, w], cfg) == ((0, 0), 2 * floors)
+        if floors:
+            xs, ws = zip(*products)
+            signs = sum(1 if x[0] * w[0] > 0 else -1 for x, w in products)
+            assert _dot_and_count(xs, ws, cfg)[1] == len(products) + (abs(signs) > 1)
+
+
+def test_flushed_products_leave_the_alignment_to_live_ones():
+    """A product flushed at the ceiling adds nothing and sets no scale: beside
+    two full products that cancel to one unit at scale 0, the dot is (1, 0)."""
+    half = 1 << (CFG.p_bits - 1)
+    dead = ScaledInt(half, CFG.scale_max)  # its square is 2**14 at 2**-30
+    xs = [dead, ScaledInt(half + 1, 0), ScaledInt(half, 0, True)]
+    ws = [dead, ScaledInt(half, 7), ScaledInt(half, 7)]
+    assert _dot_and_count(xs, ws, CFG) == ((1, 0), 0)
+
+
+def test_short_operands_keep_their_stored_form():
+    """(2, 1) and (1, 0) are one integer on the grid, but ``spec.dot`` aligns
+    a short product at its stored scale, so each stored form gives its own
+    pair: through ``_dot`` and through ``linear``."""
+    two, one = ScaledInt(2, 1), ScaledInt(1, 0)
+    assert ops._fixed([two], CFG).ints == ops._fixed([one], CFG).ints
+    assert _dot_and_count([two], [one], CFG) == ((2, 1), 0)
+    assert _dot_and_count([one], [one], CFG) == ((1, 0), 0)
+    assert _dot_and_count([two, one, ZERO], [one, ScaledInt(1, 0, True), one], CFG) == ((0, 0), 0)
+    w = QTensor((1, 2), (one, ScaledInt(3, 2)))
+    for row in ((two, ScaledInt(5, 4)), (one, ScaledInt(10, 5))):
+        x = QTensor((1, 2), row)
+        assert linear(x, w, None, CFG).data == spec_linear(x, w, None, CFG, SaturationCounter()).data
+    assert linear(QTensor((1, 2), (two, ZERO)), w, None, CFG).data == (ScaledInt(2, 1),)
+
+
+@pytest.mark.parametrize("op", ["conv2d", "linear", "matmul"])
+def test_operands_above_the_scale_ceiling_match_spec(op):
+    """A hand-built value with a scale above scale_max lies off the
+    ``2**-scale_max`` grid; conv2d, linear and matmul read such an operand's
+    pairs and give the spec composition's bytes and count, live products
+    included."""
+    rng = random.Random(1900)
+    hi = CFG.scale_max
+    off = tuple(ScaledInt(rng.randint(1, 255), hi + rng.randint(1, 20), rng.random() < 0.5)
+                for _ in range(24))
+    x, w = rand_tensor(rng, (2, 2, 3, 4)), rand_tensor(rng, (3, 2, 2, 2))
+    x, w = QTensor(x.shape, x.data[:-24] + off), QTensor(w.shape, off)
+    flat_w = QTensor((3, 8), w.data)
+    calls = {
+        "conv2d": (lambda sat: conv2d(x, w, None, ConvSpec(2, 3, 2, padding=1), CFG, sat),
+                   lambda sat: spec_conv2d(x, w, None, ConvSpec(2, 3, 2, padding=1), CFG, sat)),
+        "linear": (lambda sat: linear(QTensor((6, 8), x.data), flat_w, None, CFG, sat),
+                   lambda sat: spec_linear(QTensor((6, 8), x.data), flat_w, None, CFG, sat)),
+        "matmul": (lambda sat: matmul(QTensor((6, 8), x.data), QTensor((8, 3), off), CFG, sat),
+                   lambda sat: spec_matmul(QTensor((6, 8), x.data), QTensor((8, 3), off), CFG, sat)),
+    }
+    fused, composed = calls[op]
+    got_sat, want_sat = SaturationCounter(), SaturationCounter()
+    got, want = fused(got_sat), composed(want_sat)
+    assert got.data == want.data and got_sat.count == want_sat.count
+    assert any(e.magnitude for e in got.data)
+
+
+# --- the fused kernel against the spec --------------------------------------
+# conv2d, linear and matmul run a fused multiply-accumulate on fixed-point
+# ints; the functions below are the composition from tests/spec.py they must
+# match bit for bit: one spec.dot per output, then spec.scale_add of the bias.
 
 def spec_conv2d(x, w, bias, conv, cfg, sat):
     """``conv2d`` composed from the spec: each output is one ``dot`` over the
@@ -738,23 +851,26 @@ def spec_conv2d(x, w, bias, conv, cfg, sat):
     return QTensor((batch, out_ch, h_out, w_out), tuple(out))
 
 
-def oracle_linear(x, w, bias, cfg, sat):
+def spec_linear(x, w, bias, cfg, sat):
+    """``linear`` composed from the spec: each output is one ``dot`` of an
+    input row with a weight row, then ``scale_add`` of the bias."""
     out_f, in_f = w.shape
     out = []
     for r in range(x.size // in_f):
         for o in range(out_f):
-            acc = oracle_dot(x.data[r * in_f:(r + 1) * in_f],
-                             w.data[o * in_f:(o + 1) * in_f], cfg, sat)
+            acc = spec.dot(x.data[r * in_f:(r + 1) * in_f],
+                           w.data[o * in_f:(o + 1) * in_f], cfg, sat)
             if bias is not None:
-                acc = scale_add(acc, bias.data[o], cfg, sat)
+                acc = spec.scale_add(acc, bias.data[o], cfg, sat)
             out.append(acc)
     return QTensor(x.shape[:-1] + (out_f,), tuple(out))
 
 
-def oracle_matmul(a, b, cfg, sat):
+def spec_matmul(a, b, cfg, sat):
+    """``matmul`` composed from the spec: one ``dot`` per row and column."""
     (m, k), (_, n) = a.shape, b.shape
     return QTensor((m, n), tuple(
-        oracle_dot(a.data[i * k:(i + 1) * k], b.data[j::n], cfg, sat)
+        spec.dot(a.data[i * k:(i + 1) * k], b.data[j::n], cfg, sat)
         for i in range(m) for j in range(n)))
 
 
@@ -786,11 +902,11 @@ def _differential_cases(cfg, rng):
         ("depthwise", lambda sat: conv2d(x, w_depth, b4, depth, cfg, sat),
          lambda sat: spec_conv2d(x, w_depth, b4, depth, cfg, sat)),
         ("linear", lambda sat: linear(rows, w_lin, b_lin, cfg, sat),
-         lambda sat: oracle_linear(rows, w_lin, b_lin, cfg, sat)),
+         lambda sat: spec_linear(rows, w_lin, b_lin, cfg, sat)),
         ("linear-nobias", lambda sat: linear(rows, w_lin, None, cfg, sat),
-         lambda sat: oracle_linear(rows, w_lin, None, cfg, sat)),
+         lambda sat: spec_linear(rows, w_lin, None, cfg, sat)),
         ("matmul", lambda sat: matmul(a, b, cfg, sat),
-         lambda sat: oracle_matmul(a, b, cfg, sat)),
+         lambda sat: spec_matmul(a, b, cfg, sat)),
     ]
 
 
