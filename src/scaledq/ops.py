@@ -5,10 +5,12 @@ floating point is the job of the reference/benchmark layer.  A multi-term sum
 aligns every term to the set's maximum scale, adds wide in a fixed order and
 normalizes once.  The operators compute on the ``(magnitude, scale)`` pairs
 their :class:`ScaledInt` elements are, each step ending in ``core.fit`` or
-``core.quotient``, bit-identical to composing the ``core`` primitives; every
-sum of products runs through :func:`_dot`, and each output pair is boxed once
-with ``tuple.__new__(ScaledInt, pair)``.  Operands that ``_dot`` reads many
-times are first copied to exact tuples, which CPython unpacks faster.
+``core.quotient``, bit-identical to composing the ``core`` primitives, and
+each output pair is boxed once with ``tuple.__new__(ScaledInt, pair)``.  The
+one exception is :func:`_dot`, through which every sum of products runs: a
+fixed-point accumulator on operands that :func:`_fixed` converts once per
+call, each value to the exact integer it is on the ``2**-scale_max`` grid.
+Only this module reads that form.
 """
 
 from __future__ import annotations
@@ -544,7 +546,7 @@ def gelu(
     """
     variant = variant or cfg.gelu_variant
     x3 = _mul(_mul(x, x, cfg, sat), x, cfg, sat)
-    (c1, c3) = GELU_SERIES
+    c1, c3 = GELU_SERIES
     a = _add_pairs((_mul(c1, x, cfg, sat), _mul(c3, x3, cfg, sat)), cfg, sat)
     if variant == GELU_SERIES_LINEAR:
         gate = _add(_ONE, a, cfg, sat)
