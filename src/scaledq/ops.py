@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .core import (
     ZERO,
@@ -152,38 +152,35 @@ def _div(a, b, cfg: ScaleConfig,
     return quotient(a[0], b[0], a[1] - b[1], cfg, sat)
 
 
-class _Fixed(NamedTuple):
-    """A sequence of pairs converted for :func:`_dot` by :func:`_fixed`."""
-
-    ints: list[int]   # each value as the exact integer m << (scale_max - s)
-    reach: int        # the largest scale_max - s of a short value, else 0
-    pairs: Sequence   # the pairs themselves, read only where reach says so
-
-
 # The reach of a sequence holding a scale above scale_max.  Its values are not
 # on the grid, so every dot with it reads its pairs.
 _OFF_GRID = 1 << 62
 
 
-def _fixed(pairs, cfg: ScaleConfig) -> _Fixed:
-    """``pairs`` as :func:`_dot` reads them: each ``(m, s)`` as the integer
-    ``m << (scale_max - s)``, its exact value on the ``2**-scale_max`` grid.
+def _fixed(pairs, cfg: ScaleConfig) -> tuple[list[int], int, Sequence]:
+    """``pairs`` as :func:`_dot` reads them: ``(ints, reach, pairs)``.
 
-    A short value, nonzero with fewer than P bits, is the one kind whose
-    stored form can set the scale of a dot's result (``(2, 1)`` and
-    ``(1, 0)`` are one integer); ``reach`` bounds how far below the ceiling
-    such a value's scale lies.
+    ``ints`` holds each ``(m, s)`` as the integer ``m << (scale_max - s)``,
+    its exact value on the ``2**-scale_max`` grid.  A short value, nonzero
+    with fewer than P bits, is the one kind whose stored form can set the
+    scale of a dot's result (``(2, 1)`` and ``(1, 0)`` are one integer), so
+    ``reach`` is the largest ``scale_max - s`` of a short value, 0 if there
+    is none, and the pairs come along for :func:`_dot` to read where the
+    reaches say so.
     """
     hi, half = cfg.scale_max, 1 << (cfg.p_bits - 1)
+    ints, low = [], hi
     try:
-        ints = [m << (hi - s) for m, s in pairs]
+        for m, s in pairs:
+            ints.append(m << (hi - s))
+            if s < low and m and -half < m < half:
+                low = s
     except ValueError:  # a negative shift: a scale above the ceiling
-        return _Fixed([0] * len(pairs), _OFF_GRID, pairs)
-    return _Fixed(ints, max([hi - s for m, s in pairs if m and -half < m < half],
-                            default=0), pairs)
+        return [0] * len(pairs), _OFF_GRID, pairs
+    return ints, hi - low, pairs
 
 
-def _dot(a: _Fixed, b: _Fixed, cfg: ScaleConfig,
+def _dot(a, b, cfg: ScaleConfig,
          sat: SaturationCounter | None) -> tuple[int, int]:
     """Fused multiply-accumulate on two equal-length operands from
     :func:`_fixed`, the one path for every sum of products in this module;
@@ -284,10 +281,10 @@ def conv2d(
     starts = [oh * stride * row + ow * stride for oh in range(h_out) for ow in range(w_out)]
     taps = [[(g * w_ch + c) * plane + d for c in range(w_ch) for d in offsets]
             for g in range(in_ch // w_ch)]
-    kw = _fixed(weight.data, cfg)
+    k_ints, k_reach, k_pairs = _fixed(weight.data, cfg)
     per = w_ch * k * k
     groups = [(o // (out_ch // len(taps)),
-               _Fixed(kw.ints[o * per:(o + 1) * per], kw.reach, kw.pairs[o * per:(o + 1) * per]))
+               (k_ints[o * per:(o + 1) * per], k_reach, k_pairs[o * per:(o + 1) * per]))
               for o in range(out_ch)]
     biases = bias.data if bias is not None else None
     npos = len(starts)
@@ -304,15 +301,14 @@ def conv2d(
 
     out: list[ScaledInt] = []
     for b in range(batch):
-        img = _fixed(x.data[b * size:(b + 1) * size], cfg)
-        ints = padded(img.ints, 0)
+        x_ints, x_reach, x_pairs = _fixed(x.data[b * size:(b + 1) * size], cfg)
+        ints = padded(x_ints, 0)
         # the pairs are stacked only where _dot may read them (see _dot)
-        pairs = padded(img.pairs, ZERO) if img.reach + kw.reach > cfg.scale_max else None
+        pairs = padded(x_pairs, ZERO) if x_reach + k_reach > cfg.scale_max else None
         image: list[ScaledInt] = [ZERO] * (out_ch * npos)
         for pos, st in enumerate(starts):
-            windows = [tuple.__new__(_Fixed, ([ints[st + d] for d in tap], img.reach,
-                                              pairs and [pairs[st + d] for d in tap]))
-                       for tap in taps]
+            windows = [([ints[st + d] for d in tap], x_reach,
+                        pairs and [pairs[st + d] for d in tap]) for tap in taps]
             for o, (g, kernel) in enumerate(groups):
                 acc = _dot(windows[g], kernel, cfg, sat)
                 if biases is not None:
@@ -430,10 +426,10 @@ def layer_norm(
         if grid < top:
             grid = top
         devs = [fit(v, grid, cfg, sat) for v in exact]
-        if not any(m for m, _ in devs):
+        fixed = _fixed(devs, cfg)
+        if not any(fixed[0]):
             out.extend(beta)
             continue
-        fixed = _fixed(devs, cfg)
         vm, vs = _dot(fixed, fixed, cfg, sat)
         var = tuple.__new__(ScaledInt, _add(quotient(vm, n, vs, cfg, sat),
                                             fit(eps_m * n * n, eps_s + 2 * (grid - top),
@@ -547,7 +543,7 @@ def gelu(
     variant = variant or cfg.gelu_variant
     x3 = _mul(_mul(x, x, cfg, sat), x, cfg, sat)
     c1, c3 = GELU_SERIES
-    a = _add_pairs((_mul(c1, x, cfg, sat), _mul(c3, x3, cfg, sat)), cfg, sat)
+    a = _add(_mul(c1, x, cfg, sat), _mul(c3, x3, cfg, sat), cfg, sat)
     if variant == GELU_SERIES_LINEAR:
         gate = _add(_ONE, a, cfg, sat)
     else:

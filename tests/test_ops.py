@@ -751,7 +751,9 @@ def test_dot_at_each_edge_of_the_product_cut_matches_spec(p_bits, scale_bits):
         products = _products_of_bit_length(cfg, n, rng)
         assert products, n
         for x, w in products:
-            assert (ops._fixed([x], cfg).ints[0] * ops._fixed([w], cfg).ints[0]).bit_length() == n
+            (xi,), _, _ = ops._fixed([x], cfg)
+            (wi,), _, _ = ops._fixed([w], cfg)
+            assert (xi * wi).bit_length() == n
             got, count = _dot_and_count([x], [w], cfg)
             assert (got != (0, 0), count) == (live, floors)
             _dot_and_count([x, tiny], [w, one], cfg)
@@ -778,14 +780,15 @@ def test_short_operands_keep_their_stored_form():
     a short product at its stored scale, so each stored form gives its own
     pair: through ``_dot`` and through ``linear``."""
     two, one = ScaledInt(2, 1), ScaledInt(1, 0)
-    assert ops._fixed([two], CFG).ints == ops._fixed([one], CFG).ints
+    assert ops._fixed([two], CFG)[0] == ops._fixed([one], CFG)[0]
     assert _dot_and_count([two], [one], CFG) == ((2, 1), 0)
     assert _dot_and_count([one], [one], CFG) == ((1, 0), 0)
     assert _dot_and_count([two, one, ZERO], [one, ScaledInt(1, 0, True), one], CFG) == ((0, 0), 0)
     w = QTensor((1, 2), (one, ScaledInt(3, 2)))
     for row in ((two, ScaledInt(5, 4)), (one, ScaledInt(10, 5))):
         x = QTensor((1, 2), row)
-        assert linear(x, w, None, CFG).data == spec_linear(x, w, None, CFG, SaturationCounter()).data
+        want = spec_linear(x, w, None, CFG, SaturationCounter())
+        assert linear(x, w, None, CFG).data == want.data
     assert linear(QTensor((1, 2), (two, ZERO)), w, None, CFG).data == (ScaledInt(2, 1),)
 
 
@@ -801,14 +804,14 @@ def test_operands_above_the_scale_ceiling_match_spec(op):
                 for _ in range(24))
     x, w = rand_tensor(rng, (2, 2, 3, 4)), rand_tensor(rng, (3, 2, 2, 2))
     x, w = QTensor(x.shape, x.data[:-24] + off), QTensor(w.shape, off)
-    flat_w = QTensor((3, 8), w.data)
+    rows, flat_w, cols = QTensor((6, 8), x.data), QTensor((3, 8), w.data), QTensor((8, 3), off)
     calls = {
         "conv2d": (lambda sat: conv2d(x, w, None, ConvSpec(2, 3, 2, padding=1), CFG, sat),
                    lambda sat: spec_conv2d(x, w, None, ConvSpec(2, 3, 2, padding=1), CFG, sat)),
-        "linear": (lambda sat: linear(QTensor((6, 8), x.data), flat_w, None, CFG, sat),
-                   lambda sat: spec_linear(QTensor((6, 8), x.data), flat_w, None, CFG, sat)),
-        "matmul": (lambda sat: matmul(QTensor((6, 8), x.data), QTensor((8, 3), off), CFG, sat),
-                   lambda sat: spec_matmul(QTensor((6, 8), x.data), QTensor((8, 3), off), CFG, sat)),
+        "linear": (lambda sat: linear(rows, flat_w, None, CFG, sat),
+                   lambda sat: spec_linear(rows, flat_w, None, CFG, sat)),
+        "matmul": (lambda sat: matmul(rows, cols, CFG, sat),
+                   lambda sat: spec_matmul(rows, cols, CFG, sat)),
     }
     fused, composed = calls[op]
     got_sat, want_sat = SaturationCounter(), SaturationCounter()
