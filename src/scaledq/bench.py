@@ -28,6 +28,7 @@ from .core import (
     SaturationCounter,
     ScaleConfig,
     ScaledInt,
+    box,
     dequantize,
     quantize,
     quotient,
@@ -433,7 +434,7 @@ def load_tensor(path: str, cfg: ScaleConfig) -> FTensor | QTensor:
             if not cfg.scale_min <= scale <= cfg.scale_max:
                 raise RangeError(f"scale {scale} outside [{cfg.scale_min}, {cfg.scale_max}]")
         tensor_type = QTensor
-        elements = tuple(ScaledInt.from_signed(value, scale) for value, scale in pairs)
+        elements = tuple(box(pair, cfg) for pair in pairs)
     else:
         raise UsageError(f"unknown tensor kind {kind!r}")
     try:

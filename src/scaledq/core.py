@@ -5,7 +5,8 @@ magnitude and a small signed scale, standing for ``magnitude / 2**scale``.
 The normalizer :func:`fit` and the division :func:`quotient` take and
 return plain pairs; :class:`ScaledInt` is the same pair boxed as a
 ``tuple`` subclass, and each primitive (multiply, add, subtract, divide,
-shift) is one ``fit`` or ``quotient`` call on its operands' pairs, boxed.
+shift) is one ``fit`` or ``quotient`` call on its operands' pairs, boxed by
+:func:`box`, which hands out one shared box per stored value and format.
 They work exclusively with integer arithmetic, compare and shift; division
 is one exact integer floor division.  Floating point enters only through
 :func:`quantize` and :func:`dequantize`, the conversion layer at the
@@ -26,6 +27,10 @@ GELU_VARIANTS = (GELU_SERIES_LINEAR, GELU_SERIES_CUBED, GELU_SERIES_CUBED_CORREC
 # The iterate grows at most 1.5x per step, and 1.5**4096 is far past the
 # widest format's span of 2**1534, so more steps only cost time and memory.
 MAX_NEWTON_ITERS = 1 << 12
+# Most boxes one format's table holds.  The default format has 16 321 stored
+# pairs, all of which fit; a wide format stops growing here, and a result
+# boxed past it is a fresh, value-equal ScaledInt.
+MAX_BOXES = 1 << 15
 
 
 class RangeError(ValueError):
@@ -60,6 +65,11 @@ class ScaleConfig:
     ``2**-(2*scale_max)`` with ``b`` bits, ``product_masks[b]`` keeps the bits
     at or above ``max(b - p_bits, scale_max)``, which is where :func:`fit`
     cuts it; its last index is the widest product that stays above the floor.
+
+    ``boxes`` is derived too, empty but for zero, and filled by :func:`box`:
+    the table of this format's shared :class:`ScaledInt` boxes, keyed by
+    pair.  Copies and pickles rebuild the config from its four fields, so
+    each config, a copy included, has a table of its own.
     """
 
     p_bits: int = 8
@@ -90,6 +100,10 @@ class ScaleConfig:
         hi = self.scale_max
         put(self, "product_masks", [-1 << max(b - self.p_bits, hi) for b in
                                     range(2 * hi - self.scale_min + self.p_bits + 1)])
+        put(self, "boxes", {ZERO: ZERO})
+
+    def __reduce__(self):
+        return type(self), (self.p_bits, self.scale_bits, self.newton_iters, self.gelu_variant)
 
     @property
     def bits_per_element(self) -> int:
@@ -99,9 +113,6 @@ class ScaleConfig:
     def reduction_factor(self) -> float:
         """Storage reduction versus one FP64 value per element."""
         return 64.0 / self.bits_per_element
-
-
-DEFAULT_CONFIG = ScaleConfig()
 
 
 class SaturationCounter:
@@ -125,12 +136,14 @@ class ScaledInt(tuple):
     for ``signed_magnitude / 2**scale``.
 
     It is the same signed int pair that :func:`fit` and :func:`quotient`
-    return and every kernel computes on, boxed as a ``tuple`` subclass, so a
-    kernel boxes a pair with ``tuple.__new__(ScaledInt, pair)`` and reads it
-    by index or unpacking.  ``ScaledInt(magnitude, scale, negative)`` takes
-    an unsigned magnitude and a sign flag; :meth:`from_signed` takes the
-    signed value.  Zero is canonical, ``(0, 0)``.  Ordering, concatenation
-    and repetition are refused, as for any value object.
+    return and every kernel computes on, boxed as a ``tuple`` subclass and
+    read by index or unpacking.  Every primitive and kernel boxes its result
+    with :func:`box`, so one stored value is one object per format, and a
+    tensor element costs a pointer to it.  ``ScaledInt(magnitude, scale,
+    negative)`` takes an unsigned magnitude and a sign flag;
+    :meth:`from_signed` takes the signed value; both box afresh.  Zero is
+    canonical, ``(0, 0)``.  Ordering, concatenation and repetition are
+    refused, as for any value object.
     """
 
     __slots__ = ()
@@ -171,6 +184,27 @@ class ScaledInt(tuple):
 
 ZERO = tuple.__new__(ScaledInt, (0, 0))
 ONE = ScaledInt(1, 0)
+DEFAULT_CONFIG = ScaleConfig()
+
+
+def box(pair, cfg: ScaleConfig = DEFAULT_CONFIG) -> ScaledInt:
+    """The :class:`ScaledInt` of the signed pair ``pair``, shared through
+    ``cfg.boxes``.
+
+    An in-format pair, as :func:`fit`, :func:`quotient` and :func:`quantize`
+    return, is boxed once per config and handed out again on every later
+    call; zero is :data:`ZERO`.  Only a miss checks the format and the
+    table's size: a pair outside the format, such as an operand a kernel
+    passes through unchanged, or one past ``MAX_BOXES``, is boxed fresh.
+    """
+    q = cfg.boxes.get(pair)
+    if q is None:
+        q = ScaledInt.from_signed(*pair)
+        m, s = q
+        if (len(cfg.boxes) < MAX_BOXES and -cfg.max_magnitude <= m <= cfg.max_magnitude
+                and cfg.scale_min <= s <= cfg.scale_max):
+            cfg.boxes[q] = q
+    return q
 
 
 def negate(q: ScaledInt) -> ScaledInt:
@@ -209,7 +243,7 @@ def quantize(value: float, cfg: ScaleConfig = DEFAULT_CONFIG) -> ScaledInt:
     if abs(magnitude) > cfg.max_magnitude:
         scale -= 1
         magnitude = round(math.ldexp(value, scale))
-    return tuple.__new__(ScaledInt, (magnitude, scale)) if magnitude else ZERO
+    return box((magnitude, scale), cfg)
 
 
 def fit(
@@ -260,7 +294,7 @@ def handle_overflow(
     sat: SaturationCounter | None = None,
 ) -> ScaledInt:
     """:func:`fit` of the signed ``raw_magnitude``, as a :class:`ScaledInt`."""
-    return tuple.__new__(ScaledInt, fit(raw_magnitude, raw_scale, cfg, sat))
+    return box(fit(raw_magnitude, raw_scale, cfg, sat), cfg)
 
 
 def scale_mul(
@@ -270,7 +304,7 @@ def scale_mul(
     sat: SaturationCounter | None = None,
 ) -> ScaledInt:
     """Product: signed magnitudes multiply, scales add."""
-    return tuple.__new__(ScaledInt, fit(a[0] * b[0], a[1] + b[1], cfg, sat))
+    return box(fit(a[0] * b[0], a[1] + b[1], cfg, sat), cfg)
 
 
 def scale_add(
@@ -289,8 +323,7 @@ def scale_add(
     if not b[0]:
         return a
     s = a[1] if a[1] >= b[1] else b[1]
-    return tuple.__new__(ScaledInt, fit((a[0] << (s - a[1])) + (b[0] << (s - b[1])), s,
-                                        cfg, sat))
+    return box(fit((a[0] << (s - a[1])) + (b[0] << (s - b[1])), s, cfg, sat), cfg)
 
 
 def scale_sub(
@@ -311,7 +344,7 @@ def shift_scale(
 ) -> ScaledInt:
     """Multiply by ``2**-delta`` via a scale adjustment (no magnitude bits move
     unless the adjusted scale leaves the stored range)."""
-    return tuple.__new__(ScaledInt, fit(q[0], q[1] + delta, cfg, sat))
+    return box(fit(q[0], q[1] + delta, cfg, sat), cfg)
 
 
 def quotient(
@@ -346,4 +379,4 @@ def scale_div(
     sat: SaturationCounter | None = None,
 ) -> ScaledInt:
     """:func:`quotient` of the signed magnitudes."""
-    return tuple.__new__(ScaledInt, quotient(a[0], b[0], a[1] - b[1], cfg, sat))
+    return box(quotient(a[0], b[0], a[1] - b[1], cfg, sat), cfg)

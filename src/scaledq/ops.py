@@ -6,8 +6,9 @@ aligns every term to the set's maximum scale, adds wide in a fixed order and
 normalizes once.  The operators compute on the ``(magnitude, scale)`` pairs
 their :class:`ScaledInt` elements are, each step ending in ``core.fit`` or
 ``core.quotient``, bit-identical to composing the ``core`` primitives, and
-each output pair is boxed once with ``tuple.__new__(ScaledInt, pair)``.  The
-one exception is :func:`_dot`, through which every sum of products runs: a
+each output pair is boxed once with ``core.box``, so an output tensor holds
+pointers to its format's shared boxes rather than a fresh tuple per element.
+The one exception is :func:`_dot`, through which every sum of products runs: a
 fixed-point accumulator on operands that :func:`_fixed` converts once per
 call, each value to the exact integer it is on the ``2**-scale_max`` grid.
 Only this module reads that form.
@@ -28,6 +29,7 @@ from .core import (
     SaturationCounter,
     ScaleConfig,
     ScaledInt,
+    box,
     fit,
     handle_overflow,
     quotient,
@@ -109,7 +111,7 @@ def sum_aligned(
     the same object, which keeps identity kernels and zero biases exact.
     """
     acc = _add_pairs(terms, cfg, sat)
-    return acc if type(acc) is ScaledInt else tuple.__new__(ScaledInt, acc)
+    return acc if type(acc) is ScaledInt else box(acc, cfg)
 
 
 def _add_pairs(pairs, cfg: ScaleConfig,
@@ -313,7 +315,7 @@ def conv2d(
                 acc = _dot(windows[g], kernel, cfg, sat)
                 if biases is not None:
                     acc = _add(acc, biases[o], cfg, sat)
-                image[o * npos + pos] = tuple.__new__(ScaledInt, acc)
+                image[o * npos + pos] = box(acc, cfg)
         out.extend(image)
     return QTensor((batch, out_ch, h_out, w_out), tuple(out))
 
@@ -366,7 +368,7 @@ def _row_dots(x: QTensor, wrows, biases, cfg: ScaleConfig,
             acc = _dot(row, wrow, cfg, sat)
             if biases is not None:
                 acc = _add(acc, biases[o], cfg, sat)
-            out.append(tuple.__new__(ScaledInt, acc))
+            out.append(box(acc, cfg))
     return tuple(out)
 
 
@@ -431,12 +433,10 @@ def layer_norm(
             out.extend(beta)
             continue
         vm, vs = _dot(fixed, fixed, cfg, sat)
-        var = tuple.__new__(ScaledInt, _add(quotient(vm, n, vs, cfg, sat),
-                                            fit(eps_m * n * n, eps_s + 2 * (grid - top),
-                                                cfg, sat), cfg, sat))
+        var = box(_add(quotient(vm, n, vs, cfg, sat),
+                       fit(eps_m * n * n, eps_s + 2 * (grid - top), cfg, sat), cfg, sat), cfg)
         inv, _ = newton_inv_sqrt(var, exponent_seed(var, cfg), cfg.newton_iters, cfg, sat)
-        out.extend(tuple.__new__(ScaledInt,
-                                 _add(_mul(_mul(d, inv, cfg, sat), g, cfg, sat), b, cfg, sat))
+        out.extend(box(_add(_mul(_mul(d, inv, cfg, sat), g, cfg, sat), b, cfg, sat), cfg)
                    for d, g, b in zip(devs, gamma, beta))
     return QTensor(x.shape, tuple(out))
 
@@ -471,7 +471,7 @@ def _normalize(nums, cfg: ScaleConfig,
                sat: SaturationCounter | None) -> list[ScaledInt]:
     """One softmax row from its numerators: each divided by their sum."""
     den = _add_pairs(nums, cfg, sat)
-    return [tuple.__new__(ScaledInt, _div(num, den, cfg, sat)) for num in nums]
+    return [box(_div(num, den, cfg, sat), cfg) for num in nums]
 
 
 def softmax_tensor(
@@ -555,7 +555,7 @@ def gelu(
         else:
             raise ValueError(f"unknown gelu variant {variant!r}")
     m, s = _mul(x, gate, cfg, sat)
-    return tuple.__new__(ScaledInt, fit(m, s + 1, cfg, sat))
+    return box(fit(m, s + 1, cfg, sat), cfg)
 
 
 def gelu_map(
