@@ -288,7 +288,13 @@ def _cmd_gelu_curve(args, out) -> int:
     if not 2 <= args.steps <= MAX_ELEMENTS:
         raise UsageError(f"--steps {args.steps} is outside [2, {MAX_ELEMENTS}]")
     variant = args.variant or cfg.gelu_variant
-    step = (args.stop - args.start) / (args.steps - 1)
+    # A non-finite end, or a span past FP64's range, would reach quantize as
+    # a point the user never gave (start + 0 * inf is nan).
+    span = args.stop - args.start
+    if not math.isfinite(span):
+        raise UsageError(f"--start {args.start} and --stop {args.stop} must be finite "
+                         f"and differ by a finite amount")
+    step = span / (args.steps - 1)
     # The points run monotonically from the first to the last, so quantizing
     # those two refuses an out-of-range curve before any row is written.
     for i in (0, args.steps - 1):

@@ -333,7 +333,7 @@ def scale_sub(
     sat: SaturationCounter | None = None,
 ) -> ScaledInt:
     """Difference, implemented as addition with the subtrahend's sign flipped."""
-    return scale_add(a, negate(b), cfg, sat)
+    return scale_add(a, box((-b[0], b[1]), cfg), cfg, sat)
 
 
 def shift_scale(

@@ -409,7 +409,8 @@ def layer_norm(
         raise ShapeError(f"layer_norm needs a non-empty trailing axis, got {x.shape}")
     if params.gamma.shape != (n,):
         raise ShapeError(f"gamma/beta must be ({n},), got {params.gamma.shape}")
-    gamma, beta = params.gamma.data, params.beta.data
+    # beta is boxed once, so the rows that short-circuit to it hold shared boxes
+    gamma, beta = params.gamma.data, [box(e, cfg) for e in params.beta.data]
     eps_m, eps_s = params.eps
     # n deviations below 2**room square and sum below 2**(P - 1 - scale_min),
     # under max_value, so the variance numerator never saturates

@@ -340,6 +340,20 @@ class TestGeluCurve:
         assert (code, out) == (2, "")
         assert err == "scaledq: numeric error: magnitude 20000000.0 exceeds representable range\n"
 
+    @pytest.mark.parametrize("ends,named", [
+        (["--start", "0", "--stop", "inf"], "--start 0.0 and --stop inf"),
+        (["--start=-inf"], "--start -inf and --stop 4.0"),
+        (["--start", "nan", "--stop", "1"], "--start nan and --stop 1.0"),
+        (["--start=-1e308", "--stop", "1e308"], "--start -1e+308 and --stop 1e+308")])
+    def test_non_finite_ends_refused_before_any_row(self, capsys, monkeypatch, ends, named):
+        def no_row(*_args, **_kwargs):
+            raise AssertionError("a row ran for a refused curve")
+        monkeypatch.setattr("scaledq.cli.gelu", no_row)
+        code, out, err = run_cli(capsys, "gelu-curve", *ends, "--steps", "5")
+        assert (code, out) == (1, "")
+        assert err == (f"scaledq: error: {named} must be finite "
+                       f"and differ by a finite amount\n")
+
     def test_bad_steps(self, capsys):
         code, _, _ = run_cli(capsys, "gelu-curve", "--steps", "1")
         assert code == 1

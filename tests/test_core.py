@@ -21,6 +21,7 @@ import spec
 from scaledq import core
 from scaledq.core import (
     MAX_NEWTON_ITERS,
+    ONE,
     DivisionByZero,
     RangeError,
     SaturationCounter,
@@ -233,6 +234,85 @@ class TestConfigBounds:
         # A property or cached_property of the same name is a class
         # descriptor, which keeps CPython from specializing fit's reads.
         assert not set(BOUNDS) & set(vars(ScaleConfig))
+
+
+def _primitive_results(cfg, rng, n):
+    """Results of every boxing primitive on seeded values over ``cfg``'s range."""
+    values = [quantize(rng.uniform(-1, 1) * 2.0 ** rng.randint(-cfg.scale_max, cfg.p_bits), cfg)
+              for _ in range(n)]
+    out = list(values)
+    for a, b in zip(values, values[1:]):
+        out += [scale_mul(a, b, cfg), scale_add(a, b, cfg), scale_sub(a, b, cfg),
+                shift_scale(a, rng.randint(-3, 3), cfg),
+                handle_overflow(a[0] * b[0], a[1] + b[1], cfg)]
+        if b[0]:
+            out.append(scale_div(a, b, cfg))
+    return out
+
+
+class TestBox:
+    """Every primitive boxes its result through ``core.box``: one shared
+    ``ScaledInt`` per stored pair and config, held in ``cfg.boxes``."""
+
+    def test_zero_is_the_canonical_box(self):
+        cfg = ScaleConfig()
+        assert core.box((0, 0), cfg) is ZERO and cfg.boxes[(0, 0)] is ZERO
+        assert quantize(0.0, cfg) is ZERO and scale_sub(ONE, ONE, cfg) is ZERO
+        assert handle_overflow(0, 7, cfg) is ZERO
+
+    @pytest.mark.parametrize("p_bits,scale_bits", [(8, 5), (4, 3), (12, 6)])
+    def test_every_primitive_result_is_the_tables_box(self, p_bits, scale_bits):
+        cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+        results = _primitive_results(cfg, random.Random(p_bits), 300)
+        assert all(type(q) is ScaledInt and q is cfg.boxes[q] for q in results)
+        again = _primitive_results(cfg, random.Random(p_bits), 300)
+        assert all(a is b for a, b in zip(results, again))
+        assert len({id(q) for q in results}) == len(set(results))
+
+    def test_table_holds_only_in_format_pairs(self):
+        cfg = ScaleConfig()
+        _primitive_results(cfg, random.Random(3), 300)
+        wide = (-300, 16)
+        assert core.box(wide, cfg) == wide and wide not in cfg.boxes
+        assert all(abs(m) <= cfg.max_magnitude and cfg.scale_min <= s <= cfg.scale_max
+                   and (m or not s) for m, s in cfg.boxes)
+
+    def test_table_stops_at_its_cap(self):
+        cfg, twin = ScaleConfig(p_bits=12, scale_bits=10), ScaleConfig(p_bits=12, scale_bits=10)
+        rng = random.Random(10)
+        values = [rng.uniform(1, 2) * 2.0 ** rng.randint(-500, 500)
+                  for _ in range(core.MAX_BOXES + 8000)]
+        first = [quantize(v, cfg) for v in values]
+        assert len(set(first)) > core.MAX_BOXES
+        assert len(cfg.boxes) == core.MAX_BOXES
+        # past the cap a result is boxed fresh: equal in value to the box the
+        # twin table, filled in the opposite order, holds for the same input
+        last = [quantize(v, twin) for v in reversed(values)][::-1]
+        assert len(twin.boxes) == core.MAX_BOXES
+        assert first == last
+        assert any(a is not cfg.boxes.get(a) for a in first)
+        assert any(b is not twin.boxes.get(b) for b in last)
+
+    def test_equal_configs_have_tables_of_their_own(self):
+        fresh = ScaleConfig()
+        assert fresh == CFG and hash(fresh) == hash(CFG) and repr(fresh) == repr(CFG)
+        assert [f.name for f in dataclasses.fields(fresh)] == \
+            ["p_bits", "scale_bits", "newton_iters", "gelu_variant"]
+        assert "boxes" not in dataclasses.asdict(fresh)
+        a, b = quantize(0.3, fresh), quantize(0.3, CFG)
+        assert a == b and a is not b
+        assert fresh.boxes is not CFG.boxes
+
+    @pytest.mark.parametrize("clone", [lambda c: pickle.loads(pickle.dumps(c)),
+                                       copy.copy, copy.deepcopy])
+    def test_copies_rebuild_their_own_table(self, clone):
+        cfg = ScaleConfig(p_bits=6, scale_bits=4)
+        _primitive_results(cfg, random.Random(6), 200)
+        got = clone(cfg)
+        assert got == cfg and hash(got) == hash(cfg)
+        assert got.boxes == {ZERO: ZERO} and got.boxes is not cfg.boxes
+        assert quantize(0.3, got) == quantize(0.3, cfg)
+        assert len(pickle.dumps(cfg)) < 200
 
 
 class TestQuantize:

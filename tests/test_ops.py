@@ -1,9 +1,13 @@
 """Tensor operator tests against independent FP64 oracles."""
 
+import copy
+import gc
 import hashlib
 import json
 import math
+import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -655,6 +659,60 @@ def test_every_output_element_is_a_scaled_int(name, tmp_path):
     ``tensor_digest`` use the named attributes."""
     out = list(_output_cases()[name](tmp_path))
     assert out and all(type(e) is ScaledInt for e in out)
+
+
+def _boxed_cases():
+    """The pinned operator cases and ``load_tensor``, each as a function of a
+    scratch directory giving its output elements."""
+    cases = {name: (lambda _, case=case: case(None).data)
+             for name, case in _pinned_cases().items()}
+    cases["load-tensor"] = _output_cases()["load-tensor"]
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_boxed_cases()))
+def test_every_output_element_is_the_tables_box(name, tmp_path):
+    """Each kernel boxes its outputs through ``core.box``, so every element
+    is its format's one ``ScaledInt`` for that pair, and two calls give the
+    same objects; inputs built with ``ScaledInt(...)`` included."""
+    case = _boxed_cases()[name]
+    out, again = case(tmp_path), case(tmp_path)
+    assert all(e is CFG.boxes[e] for e in out)
+    assert all(a is b for a, b in zip(out, again, strict=True))
+
+
+def test_conv_output_costs_a_pointer_per_element():
+    """A second conv2d on a seed-0 1x3x32x32 image retains at most 16 bytes
+    per output element: the output tuple's pointer and no box per element
+    (a fresh 2-tuple per element retained about 83 bytes)."""
+    cfg, rng = ScaleConfig(), random.Random(0)
+    x = QTensor((1, 3, 32, 32), tuple(quantize(rng.random(), cfg) for _ in range(3 * 32 * 32)))
+    w = QTensor((9, 3, 3, 3), tuple(quantize(rng.uniform(-1, 1), cfg) for _ in range(243)))
+    b = QTensor((9,), tuple(quantize(rng.uniform(-1, 1), cfg) for _ in range(9)))
+    spec = ConvSpec(3, 9, 3, padding=1)
+    first = conv2d(x, w, b, spec, cfg)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = conv2d(x, w, b, spec, cfg)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out == first
+    assert retained / out.size <= 16
+
+
+@pytest.mark.parametrize("clone", [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy])
+def test_copied_tensors_and_configs_compare_equal(clone):
+    cfg = ScaleConfig(p_bits=6, scale_bits=4)
+    rng = random.Random(6)
+    x = QTensor((2, 3), tuple(quantize(rng.uniform(-2, 2), cfg) for _ in range(6)))
+    w = QTensor((4, 3), tuple(quantize(rng.uniform(-1, 1), cfg) for _ in range(12)))
+    out = linear(x, w, None, cfg)
+    got_cfg, got = clone(cfg), clone(out)
+    assert got_cfg == cfg and got == out
+    assert linear(clone(x), clone(w), None, got_cfg) == out
 
 
 def test_pinned_inputs_reach_both_range_edges():
