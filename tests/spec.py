@@ -1,10 +1,10 @@
 """The format's arithmetic on plain int pairs, stated once for the tests.
 
 One rule, T (:func:`cut`), truncates an exact rational toward zero to P bits
-and clamps it to +/-``max_value``, recording a saturation on ``sat``.  ``fit``
-and ``quotient`` are T and the primitives compose them: ``handle_overflow`` is
-``fit``, ``shift_scale(q, d)`` is ``fit(q[0], q[1] + d)`` and
-``scale_sub(a, b)`` is ``scale_add(a, -b)``.  ``quantize`` rounds instead, and
+and clamps it to +/-``max_value``, recording a saturation on ``sat``.  ``fit``,
+``quotient`` and ``dot`` are T and the primitives compose them:
+``handle_overflow`` is ``fit``, ``shift_scale(q, d)`` is ``fit(q[0], q[1] + d)``
+and ``scale_sub(a, b)`` is ``scale_add(a, -b)``.  ``quantize`` rounds instead, and
 the Newton step (:func:`newton`) has a rule of its own.
 """
 
@@ -57,8 +57,14 @@ def scale_div(a, b, cfg, sat):
     return quotient(a[0], b[0], a[1] - b[1], cfg, sat)
 
 
-def dot(xs, ws, cfg, sat):
-    return sum_aligned([scale_mul(x, w, cfg, sat) for x, w in zip(xs, ws)], cfg, sat)
+def dot(xs, ws, cfg, sat, bias=(0, 0)):
+    """T of the exact ``sum(x * w) + bias`` at the finest scale up to
+    ``scale_max``: one cut, so the result's stored form depends only on its
+    value, as ``quotient``'s does."""
+    terms = [(x[0] * w[0], x[1] + w[1]) for x, w in zip(xs, ws)] + [bias]
+    top = max([s for _, s in terms])
+    num = sum([m << (top - s) for m, s in terms])
+    return cut(num << max(-top, 0), 1 << max(top, 0), cfg.scale_max, cfg, sat)
 
 
 def quantize(value, cfg):

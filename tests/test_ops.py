@@ -881,12 +881,12 @@ def test_operands_above_the_scale_ceiling_match_spec(op):
 # --- the fused kernel against the spec --------------------------------------
 # conv2d, linear and matmul run a fused multiply-accumulate on fixed-point
 # ints; the functions below are the composition from tests/spec.py they must
-# match bit for bit: one spec.dot per output, then spec.scale_add of the bias.
+# match bit for bit: one spec.dot per output, with the bias inside it.
 
 def spec_conv2d(x, w, bias, conv, cfg, sat):
     """``conv2d`` composed from the spec: each output is one ``dot`` over the
-    in-range taps of the channels it reads, in channel, ky, kx order, then
-    ``scale_add`` of the bias."""
+    in-range taps of the channels it reads, in channel, ky, kx order, plus
+    the bias."""
     batch, in_ch, height, width = x.shape
     out_ch, k, s, p = conv.out_channels, conv.kernel, conv.stride, conv.padding
     w_ch = 1 if conv.depthwise else in_ch
@@ -905,25 +905,21 @@ def spec_conv2d(x, w, bias, conv, cfg, sat):
                                 if 0 <= ih < height and 0 <= iw < width:
                                     xs.append(x.data[((b * in_ch + i) * height + ih) * width + iw])
                                     ws.append(w.data[((o * w_ch + ci) * k + ky) * k + kx])
-                    acc = spec.dot(xs, ws, cfg, sat)
-                    if bias is not None:
-                        acc = spec.scale_add(acc, bias.data[o], cfg, sat)
-                    out.append(acc)
+                    out.append(spec.dot(xs, ws, cfg, sat,
+                                        (0, 0) if bias is None else bias.data[o]))
     return QTensor((batch, out_ch, h_out, w_out), tuple(out))
 
 
 def spec_linear(x, w, bias, cfg, sat):
     """``linear`` composed from the spec: each output is one ``dot`` of an
-    input row with a weight row, then ``scale_add`` of the bias."""
+    input row with a weight row, plus the bias."""
     out_f, in_f = w.shape
     out = []
     for r in range(x.size // in_f):
         for o in range(out_f):
-            acc = spec.dot(x.data[r * in_f:(r + 1) * in_f],
-                           w.data[o * in_f:(o + 1) * in_f], cfg, sat)
-            if bias is not None:
-                acc = spec.scale_add(acc, bias.data[o], cfg, sat)
-            out.append(acc)
+            out.append(spec.dot(x.data[r * in_f:(r + 1) * in_f],
+                                w.data[o * in_f:(o + 1) * in_f], cfg, sat,
+                                (0, 0) if bias is None else bias.data[o]))
     return QTensor(x.shape[:-1] + (out_f,), tuple(out))
 
 
