@@ -70,7 +70,7 @@ class _Operator:
     arguments around ``x``; ``quantized(args, cfg, sat, variant)`` runs the
     integer op on them and ``fp64(fargs)`` its FP64 mirror on the same
     arguments with every tensor dequantized.  The ops are looked up by name
-    at call time, so patching a module attribute reaches them.
+    at call time, so patching a module attribute takes effect.
     """
 
     shapes: Callable[["ExperimentSpec"], tuple[tuple[int, ...], ...]]

@@ -60,11 +60,7 @@ class ScaleConfig:
     attributes: not fields, so ``fields``, ``asdict``, ``==`` and ``hash`` see
     only the four parameters, and not properties, because CPython cannot
     specialize a load that a class descriptor shadows and ``fit`` reads them
-    on every call.  ``product_masks`` is derived the same way: for a product
-    of two values on the ``2**-scale_max`` grid, held as an integer at
-    ``2**-(2*scale_max)`` with ``b`` bits, ``product_masks[b]`` keeps the bits
-    at or above ``max(b - p_bits, scale_max)``, which is where :func:`fit`
-    cuts it; its last index is the widest product that stays above the floor.
+    on every call.
 
     ``boxes`` is derived too, empty but for zero, and filled by :func:`box`:
     the table of this format's shared :class:`ScaledInt` boxes, keyed by
@@ -97,9 +93,6 @@ class ScaleConfig:
         put(self, "scale_max", (1 << (self.scale_bits - 1)) - 1)
         put(self, "max_value", math.ldexp(self.max_magnitude, -self.scale_min))
         put(self, "zero_below", math.ldexp(1, -self.scale_max - 1))
-        hi = self.scale_max
-        put(self, "product_masks", [-1 << max(b - self.p_bits, hi) for b in
-                                    range(2 * hi - self.scale_min + self.p_bits + 1)])
         put(self, "boxes", {ZERO: ZERO})
 
     def __reduce__(self):

@@ -8,10 +8,14 @@ their :class:`ScaledInt` elements are, each step ending in ``core.fit`` or
 ``core.quotient``, bit-identical to composing the ``core`` primitives, and
 each output pair is boxed once with ``core.box``, so an output tensor holds
 pointers to its format's shared boxes rather than a fresh tuple per element.
-The one exception is :func:`_dot`, through which every sum of products runs: a
-fixed-point accumulator on operands that :func:`_fixed` converts once per
-call, each value to the exact integer it is on the ``2**-scale_max`` grid.
-Only this module reads that form.
+The one exception is :func:`_dot`, through which every sum of products runs,
+with a rule of its own: a dot plus its bias is T, ``fit``'s truncation toward
+zero to P bits, of the exact ``sum(x*w) + bias`` at the finest scale up to
+``scale_max``, one cut per output.  Its operands are the exact integers that
+:func:`_fixed` puts each value on, once per call, and at in-format operands
+its accumulator needs at most ``2*(P + scale_max - scale_min) + ceil(log2 n)``
+bits for ``n`` terms, 84 at the default format with 64.  Only this module
+reads that form.
 """
 
 from __future__ import annotations
@@ -154,86 +158,36 @@ def _div(a, b, cfg: ScaleConfig,
     return quotient(a[0], b[0], a[1] - b[1], cfg, sat)
 
 
-# The reach of a sequence holding a scale above scale_max.  Its values are not
-# on the grid, so every dot with it reads its pairs.
-_OFF_GRID = 1 << 62
+def _fixed(pairs, cfg: ScaleConfig) -> tuple[list[int], int]:
+    """``pairs`` as :func:`_dot` reads them: ``(ints, g)``, with ``g`` the
+    larger of ``scale_max`` and the largest scale, and each ``(m, s)`` the
+    exact integer ``m << (g - s)`` it is on the ``2**-g`` grid."""
+    g = max([cfg.scale_max] + [s for _, s in pairs])
+    return [m << (g - s) for m, s in pairs], g
 
 
-def _fixed(pairs, cfg: ScaleConfig) -> tuple[list[int], int, Sequence]:
-    """``pairs`` as :func:`_dot` reads them: ``(ints, reach, pairs)``.
+def _dot(a, b, cfg: ScaleConfig, sat: SaturationCounter | None,
+         bias=None) -> tuple[int, int]:
+    """A dot plus its bias on two equal-length operands from :func:`_fixed`,
+    the one path for every sum of products in this module: T of the exact
+    ``sum(x*w) + bias`` at the finest scale up to ``scale_max``.
 
-    ``ints`` holds each ``(m, s)`` as the integer ``m << (scale_max - s)``,
-    its exact value on the ``2**-scale_max`` grid.  A short value, nonzero
-    with fewer than P bits, is the one kind whose stored form can set the
-    scale of a dot's result (``(2, 1)`` and ``(1, 0)`` are one integer), so
-    ``reach`` is the largest ``scale_max - s`` of a short value, 0 if there
-    is none, and the pairs come along for :func:`_dot` to read where the
-    reaches say so.
+    The products add exactly on the grid ``2**-(g_a + g_b)``, the bias joins
+    them there, and :func:`fit` cuts the total once, so a dot truncates
+    once, saturates or flushes at most once, and its stored form depends
+    only on its value.  An in-format operand is an integer of at most
+    ``P + scale_max - scale_min`` bits, so ``n`` products and an in-format
+    bias sum to at most ``2*(P + scale_max - scale_min) + ceil(log2 n)``
+    bits: 84 at the default format with 64 terms.
     """
-    hi, half = cfg.scale_max, 1 << (cfg.p_bits - 1)
-    ints, low = [], hi
-    try:
-        for m, s in pairs:
-            ints.append(m << (hi - s))
-            if s < low and m and -half < m < half:
-                low = s
-    except ValueError:  # a negative shift: a scale above the ceiling
-        return [0] * len(pairs), _OFF_GRID, pairs
-    return ints, hi - low, pairs
-
-
-def _dot(a, b, cfg: ScaleConfig,
-         sat: SaturationCounter | None) -> tuple[int, int]:
-    """Fused multiply-accumulate on two equal-length operands from
-    :func:`_fixed`, the one path for every sum of products in this module;
-    bit-identical to ``sum_aligned([scale_mul(x, w) ...])``.
-
-    Each product ``y`` is exact at ``2**-(2*scale_max)``.  With ``n`` its bit
-    length, it is live iff ``n > scale_max``, and :func:`fit`'s cut of it, to
-    P bits and no finer than the ceiling, is ``y & product_masks[n]`` on
-    ``|y|``.  Past the last mask the product saturates at the floor: it adds
-    ``+/-max_magnitude`` at ``scale_min`` and counts once.  The exact total
-    is cut at ``c = max(n_min - P, scale_max)`` for the shortest live
-    product, the largest scale ``sum_aligned`` aligns at (no finer than the
-    floor), and fitted once.
-
-    The integers lose one thing, the stored form.  A product of two short
-    values (see :func:`_fixed`) that is itself short and finer than the
-    ceiling is aligned at its stored scale, not at its bits.  That moves the
-    result only where the operands' ``reach`` sums past ``scale_max`` and the
-    total has fewer than P significant bits; such a dot, and one off the
-    grid, is summed from the pairs as its definition reads.
-    """
-    xs, x_reach, x_pairs = a
-    ws, w_reach, w_pairs = b
-    masks, hi = cfg.product_masks, cfg.scale_max
-    limit = len(masks) - 1
-    total, shortest, floors = 0, limit, 0
-    for y in map(mul, xs, ws):
-        n = y.bit_length()
-        if n > hi:
-            if n > limit:
-                floors += 1
-                floor = cfg.max_magnitude << (2 * hi - cfg.scale_min)
-                total += floor if y > 0 else -floor
-            elif y > 0:
-                total += y & masks[n]
-            else:
-                total -= -y & masks[n]
-            if n < shortest:
-                shortest = n
-    reach = x_reach + w_reach
-    if reach > hi and (reach >= _OFF_GRID
-                       or total & -total > abs(total) >> (cfg.p_bits - 1)):
-        return _add_pairs([_mul(x, w, cfg, sat) for x, w in zip(x_pairs, w_pairs)],
-                          cfg, sat)
-    if floors and sat is not None:
-        for _ in range(floors):
-            sat.record()
-    c = shortest - cfg.p_bits
-    if c < hi:
-        c = hi
-    return fit(total >> c, 2 * hi - c, cfg, sat)
+    total, grid = sum(map(mul, a[0], b[0])), a[1] + b[1]
+    if bias is not None and bias[0]:
+        m, s = bias
+        if s <= grid:
+            total += m << (grid - s)
+        else:
+            total, grid = (total << (s - grid)) + m, s
+    return fit(total, grid, cfg, sat)
 
 
 def conv2d(
@@ -248,9 +202,9 @@ def conv2d(
 
     Each output element is one :func:`_dot` over its whole receptive field,
     the ``k*k`` taps of every input channel it reads in channel, row, column
-    order, so it is normalized once per output; the bias is then folded in by
-    one aligned add.  A dense conv is :func:`linear` over its patches, and a
-    depthwise conv is that per channel group.
+    order, with its channel's bias, so it is cut once per output.  A dense
+    conv is :func:`linear` over its patches, and a depthwise conv is that per
+    channel group.
     """
     if len(x.shape) != 4:
         raise ShapeError(f"input must be [B, I, H, W], got {x.shape}")
@@ -283,39 +237,27 @@ def conv2d(
     starts = [oh * stride * row + ow * stride for oh in range(h_out) for ow in range(w_out)]
     taps = [[(g * w_ch + c) * plane + d for c in range(w_ch) for d in offsets]
             for g in range(in_ch // w_ch)]
-    k_ints, k_reach, k_pairs = _fixed(weight.data, cfg)
+    k_ints, k_grid = _fixed(weight.data, cfg)
     per = w_ch * k * k
-    groups = [(o // (out_ch // len(taps)),
-               (k_ints[o * per:(o + 1) * per], k_reach, k_pairs[o * per:(o + 1) * per]))
-              for o in range(out_ch)]
-    biases = bias.data if bias is not None else None
+    kernels = [(o // (out_ch // len(taps)), (k_ints[o * per:(o + 1) * per], k_grid),
+                None if bias is None else bias.data[o]) for o in range(out_ch)]
     npos = len(starts)
     size = in_ch * height * width
 
-    def padded(flat, zero):
-        stack = [zero] * (in_ch * plane)
+    out: list[ScaledInt] = []
+    for b in range(batch):
+        flat, grid = _fixed(x.data[b * size:(b + 1) * size], cfg)
+        ints = [0] * (in_ch * plane)
         for i in range(in_ch):
             for ih in range(height):
                 src = (i * height + ih) * width
                 dst = i * plane + (ih + pad) * row + pad
-                stack[dst:dst + width] = flat[src:src + width]
-        return stack
-
-    out: list[ScaledInt] = []
-    for b in range(batch):
-        x_ints, x_reach, x_pairs = _fixed(x.data[b * size:(b + 1) * size], cfg)
-        ints = padded(x_ints, 0)
-        # the pairs are stacked only where _dot may read them (see _dot)
-        pairs = padded(x_pairs, ZERO) if x_reach + k_reach > cfg.scale_max else None
+                ints[dst:dst + width] = flat[src:src + width]
         image: list[ScaledInt] = [ZERO] * (out_ch * npos)
         for pos, st in enumerate(starts):
-            windows = [([ints[st + d] for d in tap], x_reach,
-                        pairs and [pairs[st + d] for d in tap]) for tap in taps]
-            for o, (g, kernel) in enumerate(groups):
-                acc = _dot(windows[g], kernel, cfg, sat)
-                if biases is not None:
-                    acc = _add(acc, biases[o], cfg, sat)
-                image[o * npos + pos] = box(acc, cfg)
+            windows = [([ints[st + d] for d in tap], grid) for tap in taps]
+            for o, (g, kernel, b_o) in enumerate(kernels):
+                image[o * npos + pos] = box(_dot(windows[g], kernel, cfg, sat, b_o), cfg)
         out.extend(image)
     return QTensor((batch, out_ch, h_out, w_out), tuple(out))
 
@@ -360,15 +302,11 @@ def _row_dots(x: QTensor, wrows, biases, cfg: ScaleConfig,
     :func:`matmul`.  Rows are counted from the shape, so an empty trailing
     axis gives a zero dot per output."""
     width = x.shape[-1]
-    wrows = [_fixed(w, cfg) for w in wrows]
+    wrows = list(zip([_fixed(w, cfg) for w in wrows], biases or [None] * len(wrows)))
     out: list[ScaledInt] = []
     for r in range(math.prod(x.shape[:-1])):
         row = _fixed(x.data[r * width:(r + 1) * width], cfg)
-        for o, wrow in enumerate(wrows):
-            acc = _dot(row, wrow, cfg, sat)
-            if biases is not None:
-                acc = _add(acc, biases[o], cfg, sat)
-            out.append(box(acc, cfg))
+        out.extend(box(_dot(row, wrow, cfg, sat, b), cfg) for wrow, b in wrows)
     return tuple(out)
 
 

@@ -8,6 +8,7 @@ import math
 import pickle
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -762,92 +763,149 @@ def test_dot_and_sum_aligned_match_spec(p_bits, scale_bits):
     assert sum_aligned((), cfg) == ZERO
 
 
-def _dot_and_count(xs, ws, cfg):
-    """``ops._dot`` of two pair sequences and its saturations, asserted equal
-    to ``spec.dot``'s."""
+def _dot_and_count(xs, ws, cfg, bias=(0, 0)):
+    """``ops._dot`` of two pair sequences plus ``bias`` and its saturations,
+    asserted equal to ``spec.dot``'s."""
     got_sat, want_sat = SaturationCounter(), SaturationCounter()
-    got = ops._dot(ops._fixed(xs, cfg), ops._fixed(ws, cfg), cfg, got_sat)
-    assert (got, got_sat.count) == (spec.dot(xs, ws, cfg, want_sat), want_sat.count)
+    got = ops._dot(ops._fixed(xs, cfg), ops._fixed(ws, cfg), cfg, got_sat, bias)
+    assert (got, got_sat.count) == (spec.dot(xs, ws, cfg, want_sat, bias), want_sat.count)
     return got, got_sat.count
 
 
-def _products_of_bit_length(cfg, n, rng, count=30):
-    """Up to ``count`` in-format pairs ``(x, w)`` whose product, held as
-    ``_dot`` holds it (an integer at ``2**-(2*scale_max)``), has ``n`` bits.
-    Magnitudes are drawn by bit length, so short ones are as likely as
-    full ones."""
-    lo, hi = cfg.scale_min, cfg.scale_max
-    found = []
-    for _ in range(50 * count):
-        xm, wm = (rng.choice((-1, 1)) * rng.randint(1, (1 << rng.randint(1, cfg.p_bits)) - 1)
-                  for _ in range(2))
-        total = 2 * hi + (xm * wm).bit_length() - n  # the two scales sum to this
-        first, last = max(lo, total - hi), min(hi, total - lo)
-        if first <= last:
-            xe = rng.randint(first, last)
-            found.append(((xm, xe), (wm, total - xe)))
-            if len(found) == count:
-                break
-    return found
+def _value(pair):
+    """The exact value of a ``(magnitude, scale)`` pair."""
+    return Fraction(pair[0]) / Fraction(2) ** pair[1]
 
 
 @pytest.mark.parametrize("p_bits,scale_bits", SPEC_FORMATS)
 def test_dot_at_each_edge_of_the_product_cut_matches_spec(p_bits, scale_bits):
-    """Products of exactly scale_max bits (flushed at the ceiling), scale_max
-    + 1 (the finest live one), the last mask's (the widest above the floor)
-    and one more (saturated at the floor) give ``spec.dot``'s pair and count:
-    alone, beside a term one step from zero, and cancelled by their negation.
-    A dot of saturated products counts one saturation for each, and one more
-    where their sum, +/-max_magnitude times the sum of their signs at the
-    floor, is past the floor too."""
+    """Each edge of a dot's one cut gives ``spec.dot``'s pair and count.  A
+    total past the floor saturates and counts once, however many products
+    pass it, and products past it that cancel count nothing.  A total below
+    the ceiling's step flushes to (0, 0), while two products that would each
+    flush add up to the finest step.  Operands above the ceiling, an
+    out-of-format bias and an empty dot with a bias are each cut once."""
     cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
     rng = random.Random(p_bits * 100 + scale_bits + 19)
-    hi, last = cfg.scale_max, len(cfg.product_masks) - 1
-    tiny, one = (1, hi), (1, 0)
-    for n, live, floors in ((hi, False, 0), (hi + 1, True, 0), (last, True, 0),
-                            (last + 1, True, 1)):
-        products = _products_of_bit_length(cfg, n, rng)
-        assert products, n
-        for x, w in products:
-            (xi,), _, _ = ops._fixed([x], cfg)
-            (wi,), _, _ = ops._fixed([w], cfg)
-            assert (xi * wi).bit_length() == n
-            got, count = _dot_and_count([x], [w], cfg)
-            assert (got != (0, 0), count) == (live, floors)
-            _dot_and_count([x, tiny], [w, one], cfg)
-            _dot_and_count([tiny, x], [(-1, 0), w], cfg)
-            assert _dot_and_count([x, (-x[0], x[1])], [w, w], cfg) == ((0, 0), 2 * floors)
-        if floors:
-            xs, ws = zip(*products)
-            signs = sum(1 if x[0] * w[0] > 0 else -1 for x, w in products)
-            assert _dot_and_count(xs, ws, cfg)[1] == len(products) + (abs(signs) > 1)
+    lo, hi, top = cfg.scale_min, cfg.scale_max, cfg.max_magnitude
+    big, two = (top, lo), (2, 0)
+    for k in (1, 2, 5):
+        assert _dot_and_count([big] * k, [two] * k, cfg) == ((top, lo), 1)
+        assert _dot_and_count([big] * k, [(-2, 0)] * k, cfg, (1, 0)) == ((-top, lo), 1)
+    assert _dot_and_count([big, big], [two, (-2, 0)], cfg) == ((0, 0), 0)
+    tiny, half = (1, hi), (1, 1)
+    assert _dot_and_count([tiny], [half], cfg) == ((0, 0), 0)
+    assert _dot_and_count([tiny, tiny], [half, half], cfg) == ((1, hi), 0)
+    assert _dot_and_count([tiny, (-1, hi)], [half, (1, 2)], cfg) == ((0, 0), 0)
+    live = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        xs, ws = (list(rand_tensor(rng, (n,), cfg).data) for _ in range(2))
+        xs[0] = (rng.choice((-1, 1)) * rng.randint(1, top), hi + rng.randint(1, 20))
+        live += _dot_and_count(xs, ws, cfg)[0] != (0, 0)
+        wide = (rng.choice((-1, 1)) * rng.randint(1, 1 << (p_bits + 6)),
+                rng.randint(lo - 8, hi + 8))
+        _dot_and_count(xs[1:], ws[1:], cfg, wide)
+        got, count = _dot_and_count([], [], cfg, wide)
+        if not count:
+            assert got == (0, 0) or abs(_value(wide)) - abs(_value(got)) < Fraction(2) ** -got[1]
+        bias = rand_tensor(rng, (1,), cfg, zero_share=0).data[0]
+        assert _value(_dot_and_count([], [], cfg, bias)[0]) == _value(bias)
+    assert live
 
 
-def test_flushed_products_leave_the_alignment_to_live_ones():
-    """A product flushed at the ceiling adds nothing and sets no scale: beside
-    two full products that cancel to one unit at scale 0, the dot is (1, 0)."""
-    half = 1 << (CFG.p_bits - 1)
-    dead = ScaledInt(half, CFG.scale_max)  # its square is 2**14 at 2**-30
-    xs = [dead, ScaledInt(half + 1, 0), ScaledInt(half, 0, True)]
-    ws = [dead, ScaledInt(half, 7), ScaledInt(half, 7)]
-    assert _dot_and_count(xs, ws, CFG) == ((1, 0), 0)
+@pytest.mark.parametrize("p_bits,scale_bits", SPEC_FORMATS)
+def test_dot_is_its_exact_value_cut_once(p_bits, scale_bits):
+    """Random dots with a bias, through ``_dot``, ``linear`` and ``conv2d``,
+    against their exact values in ``Fraction``s.  A total of at least
+    ``2**(P - scale_min)`` saturates, once.  Otherwise the result r has the
+    exact value's sign, ``|r| <= |exact|`` and ``|exact| - |r| < 2**-s`` for
+    r's scale s (``scale_max`` for zero): one truncation."""
+    cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    rng = random.Random(p_bits * 100 + scale_bits + 21)
+    lo, top = cfg.scale_min, cfg.max_magnitude
+    past_floor = Fraction(2) ** (p_bits - lo)
+    counts = [0, 0]
+
+    def check(got, exact):
+        saturated = abs(exact) >= past_floor
+        counts[saturated] += 1
+        if saturated:
+            assert got == ((top if exact > 0 else -top), lo)
+            return True
+        r = _value(got)
+        assert r == 0 or (r > 0) == (exact > 0)
+        step = Fraction(2) ** -(got[1] if got[0] else cfg.scale_max)
+        assert abs(r) <= abs(exact) and abs(exact) - abs(r) < step
+        return False
+
+    def exact_dot(xs, ws, bias):
+        return sum(_value(x) * _value(w) for x, w in zip(xs, ws)) + _value(bias)
+
+    def t(*shape):
+        """Elements with magnitudes drawn by bit length, so short ones and
+        totals below the floor are as likely as full ones."""
+        return QTensor(shape, tuple(
+            ScaledInt(rng.randint(0, (1 << rng.randint(1, p_bits)) - 1),
+                      rng.randint(lo, cfg.scale_max), rng.random() < 0.5)
+            for _ in range(math.prod(shape))))
+
+    for _ in range(300):
+        n = rng.randint(0, 8)
+        xs, ws, (bias,) = t(n).data, t(n).data, t(1).data
+        sat = SaturationCounter()
+        got = ops._dot(ops._fixed(xs, cfg), ops._fixed(ws, cfg), cfg, sat, bias)
+        assert sat.count == check(got, exact_dot(xs, ws, bias))
+    for _ in range(3):
+        x, w, b = t(4, 6), t(5, 6), t(5)
+        got = linear(x, w, b, cfg)
+        for r in range(4):
+            for o in range(5):
+                check(got.data[r * 5 + o], exact_dot(x.data[r * 6:(r + 1) * 6],
+                                                     w.data[o * 6:(o + 1) * 6], b.data[o]))
+        x, w, b = t(1, 2, 4, 4), t(3, 2, 3, 3), t(3)
+        got = conv2d(x, w, b, ConvSpec(2, 3, 3, padding=1), cfg)
+        for o in range(3):
+            for oh in range(4):
+                for ow in range(4):
+                    taps = [(x.data[(i * 4 + oh - 1 + ky) * 4 + ow - 1 + kx],
+                             w.data[((o * 2 + i) * 3 + ky) * 3 + kx])
+                            for i in range(2) for ky in range(3) for kx in range(3)
+                            if 0 <= oh - 1 + ky < 4 and 0 <= ow - 1 + kx < 4]
+                    check(got.data[(o * 4 + oh) * 4 + ow], exact_dot(*zip(*taps), b.data[o]))
+    assert counts[False] > 150 and counts[True] > 100
 
 
-def test_short_operands_keep_their_stored_form():
-    """(2, 1) and (1, 0) are one integer on the grid, but ``spec.dot`` aligns
-    a short product at its stored scale, so each stored form gives its own
-    pair: through ``_dot`` and through ``linear``."""
+def test_a_dot_result_has_one_stored_form_per_value():
+    """(2, 1) and (1, 0) are one value, and a dot is cut from its value
+    alone: (2, 1)·(1, 0) and (1, 0)·(1, 0) give one pair, the form
+    ``quantize`` gives 1, through ``_dot`` and through ``linear``."""
     two, one = ScaledInt(2, 1), ScaledInt(1, 0)
-    assert ops._fixed([two], CFG)[0] == ops._fixed([one], CFG)[0]
-    assert _dot_and_count([two], [one], CFG) == ((2, 1), 0)
-    assert _dot_and_count([one], [one], CFG) == ((1, 0), 0)
+    unit = quantize(1.0, CFG)
+    assert _dot_and_count([two], [one], CFG) == _dot_and_count([one], [one], CFG) == (unit, 0)
     assert _dot_and_count([two, one, ZERO], [one, ScaledInt(1, 0, True), one], CFG) == ((0, 0), 0)
     w = QTensor((1, 2), (one, ScaledInt(3, 2)))
+    outs = []
     for row in ((two, ScaledInt(5, 4)), (one, ScaledInt(10, 5))):
         x = QTensor((1, 2), row)
-        want = spec_linear(x, w, None, CFG, SaturationCounter())
-        assert linear(x, w, None, CFG).data == want.data
-    assert linear(QTensor((1, 2), (two, ZERO)), w, None, CFG).data == (ScaledInt(2, 1),)
+        outs.append(linear(x, w, None, CFG).data)
+        assert outs[-1] == spec_linear(x, w, None, CFG, SaturationCounter()).data
+    assert outs[0] == outs[1]
+    assert linear(QTensor((1, 2), (two, ZERO)), w, None, CFG).data == (unit,)
+
+
+def test_products_below_the_ceiling_step_add_up_before_the_cut():
+    """Products finer than the ceiling's step are exact in the accumulator:
+    one alone flushes to zero, but two of them make the finest step, and
+    beside two full products that cancel to one unit, the dot is that unit
+    plus what the cut keeps of them."""
+    half = 1 << (CFG.p_bits - 1)
+    dead = ScaledInt(half, CFG.scale_max)  # its square is 2**-16
+    assert _dot_and_count([dead], [dead], CFG) == ((0, 0), 0)
+    assert _dot_and_count([dead, dead], [dead, dead], CFG) == ((1, CFG.scale_max), 0)
+    xs = [dead, ScaledInt(half + 1, 0), ScaledInt(half, 0, True)]
+    ws = [dead, ScaledInt(half, 7), ScaledInt(half, 7)]
+    assert _dot_and_count(xs, ws, CFG) == (quantize(1.0, CFG), 0)
 
 
 @pytest.mark.parametrize("op", ["conv2d", "linear", "matmul"])
@@ -1043,7 +1101,9 @@ def test_conv_is_linear_over_its_patches(p_bits, scale_bits, conv):
 
 def test_fused_kernel_exhaustive_8bit_products():
     """Every positive 8-bit magnitude pair, at the scale sums on both sides of
-    each edge of the range, through matmul's kernel and through scale_mul."""
+    each edge of the range, through matmul's kernel: each product is a
+    one-term dot, ``spec.dot``'s pair with its count, and has the value
+    ``scale_mul`` gives it."""
     mags = range(1, 256)
     for total in (CFG.scale_min - 1, CFG.scale_min, CFG.scale_max, CFG.scale_max + 1):
         sa, sb = total // 2, total - total // 2
@@ -1051,9 +1111,11 @@ def test_fused_kernel_exhaustive_8bit_products():
         b = QTensor((1, 255), tuple(ScaledInt(m, sb) for m in mags))
         got_sat, want_sat = SaturationCounter(), SaturationCounter()
         got = matmul(a, b, CFG, got_sat)
-        want = [scale_mul(x, y, CFG, want_sat) for x in a.data for y in b.data]
+        want = [spec.dot([x], [y], CFG, want_sat) for x in a.data for y in b.data]
         assert got.data == tuple(want), total
         assert got_sat.count == want_sat.count, total
+        assert list(map(dequantize, got.data)) == [
+            dequantize(scale_mul(x, y, CFG)) for x in a.data for y in b.data], total
 
 
 @pytest.mark.parametrize("total", [CFG.scale_min - 1, CFG.scale_min, CFG.scale_max,
@@ -1063,12 +1125,13 @@ def test_fused_kernel_exhaustive_signed_8bit_products(total):
     """Every signed 8-bit magnitude pair at scale sums on both sides of each
     edge of the range, up to one where every product flushes to zero.
 
-    Each product alone through matmul must equal ``scale_mul``.  The products
-    of a positive x are then each summed with a fixed term one step from zero
-    at the finest scale, which keeps every bit the product brings to the sum:
-    a product left wider than P bits, or cut by a different shift, shows in
-    that sum even where its own fit would hide it.  w carries both signs, so
-    the term meets products of either sign."""
+    Each product alone through matmul must equal ``spec.dot`` of it.  The
+    products of a positive x are then each summed
+    with a fixed term one step from zero at the finest scale, and the one cut
+    of that exact sum keeps every bit the product brings to it: a product cut
+    before the add, or the term lost beside it, shows in that sum even where
+    the product's own cut would hide it.  w carries both signs, so the term
+    meets products of either sign."""
     signed = [m for m in range(-255, 256) if m]
     sa, sb = total // 2, total - total // 2
     xs = tuple(ScaledInt.from_signed(m, sa) for m in signed)
@@ -1076,33 +1139,37 @@ def test_fused_kernel_exhaustive_signed_8bit_products(total):
     n = len(signed)
     got_sat, want_sat = SaturationCounter(), SaturationCounter()
     got = matmul(QTensor((n, 1), xs), QTensor((1, n), ws), CFG, got_sat)
-    products = [scale_mul(x, w, CFG, want_sat) for x in xs for w in ws]
-    assert got.data == tuple(products)
+    assert got.data == tuple(spec.dot([x], [w], CFG, want_sat) for x in xs for w in ws)
     assert got_sat.count == want_sat.count
     if total > CFG.scale_max + 16:
-        assert not any(p.magnitude for p in products)
+        assert not any(p.magnitude for p in got.data)
 
     tiny = ScaledInt(1, CFG.scale_max, True)
     positive = xs[n // 2:]
     got_sat, want_sat = SaturationCounter(), SaturationCounter()
     got = matmul(QTensor((len(positive), 2), tuple(v for x in positive for v in (x, tiny))),
                  QTensor((2, n), ws + (ONE,) * n), CFG, got_sat)
-    want = [sum_aligned([scale_mul(x, w, CFG, want_sat), tiny], CFG, want_sat)
-            for x in positive for w in ws]
+    want = [spec.dot([x, tiny], [w, ONE], CFG, want_sat) for x in positive for w in ws]
     assert got.data == tuple(want)
     assert got_sat.count == want_sat.count
 
 
-def test_out_of_format_bias_passes_through_like_scale_add():
-    """With nothing to add to, a bias element comes back as it was given,
-    even one wider than P bits, exactly as ``scale_add`` returns it."""
-    wide = ScaledInt(300, 16, True)
-    bias = QTensor((1,), (wide,))
+def test_out_of_format_bias_goes_through_the_cut():
+    """With nothing to add to, a bias element wider than P bits or finer
+    than the ceiling is cut like any dot's total: -300/2**16 comes back as
+    -150/2**15, the form ``quantize`` gives that value, and 1000 * 2**16,
+    past the floor, saturates once per output; through conv2d and linear."""
+    wide, huge = ScaledInt(300, 16, True), ScaledInt(1000, -16)
+    cut = quantize(-300 / 2 ** 16, CFG)
+    assert cut == (-150, 15)
     x = QTensor((1, 1, 2, 2), (ZERO,) * 4)
     w = QTensor((1, 1, 1, 1), (ScaledInt(3, 0),))
-    assert conv2d(x, w, bias, ConvSpec(1, 1, 1), CFG).data == (wide,) * 4
-    row_w = QTensor((1, 1), w.data)
-    assert linear(QTensor((2, 1), (ZERO,) * 2), row_w, bias, CFG).data == (wide,) * 2
+    row_x, row_w = QTensor((2, 1), (ZERO,) * 2), QTensor((1, 1), w.data)
+    for bias, want in ((wide, cut), (huge, (CFG.max_magnitude, CFG.scale_min))):
+        sat = SaturationCounter()
+        assert conv2d(x, w, QTensor((1,), (bias,)), ConvSpec(1, 1, 1), CFG, sat).data == (want,) * 4
+        assert linear(row_x, row_w, QTensor((1,), (bias,)), CFG, sat).data == (want,) * 2
+        assert sat.count == (6 if bias is huge else 0)
 
 
 # --- the pair-level non-linear operators against the spec and the primitives
