@@ -31,7 +31,7 @@ from .core import (
     dequantize,
     quantize,
 )
-from .newton import default_seed, newton_inv_sqrt
+from .newton import exponent_seed, newton_inv_sqrt
 from .ops import ShapeError, gelu
 from .bench import (
     MAX_ELEMENTS,
@@ -124,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     iv.add_argument("value", type=float)
     iv.add_argument("--int", type=int, dest="int_", help="stored magnitude (default: quantize VALUE)")
     iv.add_argument("--scale", type=int, help="stored scale for --int")
-    iv.add_argument("--y0-int", type=int, help="seed magnitude (default: the Newton default seed)")
-    iv.add_argument("--y0-scale", type=int, help="seed scale (default: the Newton default seed)")
+    iv.add_argument("--y0-int", type=int, help="seed magnitude (default: VALUE's exponent seed)")
+    iv.add_argument("--y0-scale", type=int, help="seed scale (default: VALUE's exponent seed)")
     iv.add_argument("--iters", type=int)
     iv.add_argument("--json", action="store_true", dest="as_json")
     _add_config_flags(iv, "p_bits", "scale_bits")
@@ -248,7 +248,7 @@ def _cmd_invsqrt(args, out) -> int:
             raise DomainError(f"VALUE {args.value!r} quantizes to zero, as every magnitude "
                               f"up to {cfg.zero_below!r} does; inverse square root needs a "
                               f"positive input")
-    seed = default_seed(cfg)
+    seed = exponent_seed(x, cfg)
     y0 = _stored("y0-", seed.magnitude if args.y0_int is None else args.y0_int,
                  seed.scale if args.y0_scale is None else args.y0_scale, cfg)
     iters = args.iters if args.iters is not None else cfg.newton_iters
@@ -261,7 +261,7 @@ def _cmd_invsqrt(args, out) -> int:
         fp_seq = [math.inf]
     if not all(map(math.isfinite, fp_seq)):
         raise UsageError(f"the FP64 iteration diverges from seed {dequantize(y0)!r}; "
-                         f"it reaches 1/sqrt(x) only from seeds below sqrt(3 / x)")
+                         f"it converges to 1/sqrt(x) only from seeds below sqrt(3 / x)")
     rows = [{"iteration": j, "fp64": fp_seq[j], "int": y.magnitude,
              "scale": y.scale, "quantized": dequantize(y)}
             for j, y in trace.entries]

@@ -53,7 +53,8 @@ def default_seed(cfg: ScaleConfig) -> ScaledInt:
     :func:`newton_inv_sqrt`.  1622 more, from 19.375 up, settle at the scale
     the first step gave the iterate (7), with a magnitude below 32, so too
     few bits are left for the result; 46 below 2**-10 are still growing.
-    ``layer_norm`` seeds from :func:`exponent_seed` instead.
+    ``layer_norm``, both attentions and ``scaledq invsqrt`` seed from
+    :func:`exponent_seed` instead; this seed is for callers that pass it.
     """
     return ScaledInt(1, min(6, cfg.scale_max))
 
@@ -67,7 +68,7 @@ def exponent_seed(x: ScaledInt, cfg: ScaleConfig) -> ScaledInt:
     ``y0 < sqrt(3/x)``, and the iterate starts with P significant bits, so
     the scale the first step gives it has room for the result (I-BERT's
     integer square-root seed, Kim et al., ICML 2021).  On every positive
-    input of the default format the iterate never reaches zero, and below
+    input of the default format the iterate is never zero, and below
     ``2**20`` it is within 2**-5 (relative) of ``1/sqrt(x)`` after at most
     3 steps.  Where ``2**-ceil(e/2)`` is finer than the scale ceiling, the
     seed is the finest step, ``(1, scale_max)``.
@@ -88,11 +89,11 @@ def newton_inv_sqrt(
     """Iterate toward ``1/sqrt(x)`` from seed ``y0``.
 
     Requires positive ``x`` and ``y0``; convergence additionally needs
-    ``y0 < sqrt(3/x)``, which the default seed satisfies only for
+    ``y0 < sqrt(3/x)``, which :func:`default_seed` satisfies only for
     ``x < 3 * 2**12`` and :func:`exponent_seed` wherever it is not the
     finest step.  A step whose update is not positive (the bound was
     violated) pins the iterate to zero without any signal; see
-    :func:`default_seed` for how many inputs that reaches.  ``iters`` is at
+    :func:`default_seed` for how many inputs that pins.  ``iters`` is at
     most ``MAX_NEWTON_ITERS``, as for a config.  Returns the final iterate
     plus the full trace.
     """

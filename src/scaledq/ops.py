@@ -39,7 +39,7 @@ from .core import (
     quotient,
     scale_mul,
 )
-from .newton import default_seed, exponent_seed, newton_inv_sqrt
+from .newton import exponent_seed, newton_inv_sqrt
 
 
 class ShapeError(ValueError):
@@ -519,14 +519,15 @@ def relu_map(x: QTensor) -> QTensor:
 def _inv_root(q: QTensor, k: QTensor, v: QTensor, d_m: int, cfg: ScaleConfig,
               sat: SaturationCounter | None) -> ScaledInt:
     """Both attentions' front end: their shape check and ``1/sqrt(d_m)``,
-    computed once per call via the quantized Newton iteration."""
+    computed once per call via the quantized Newton iteration from
+    ``d_m``'s :func:`~scaledq.newton.exponent_seed`."""
     if q.shape != k.shape or q.shape != v.shape or len(q.shape) != 2:
         raise ShapeError(f"attention expects matching [T, d] tensors, "
                          f"got {q.shape}, {k.shape}, {v.shape}")
     if d_m < 1:
         raise ShapeError(f"attention head dimension must be positive, got {d_m}")
-    scaled, _ = newton_inv_sqrt(handle_overflow(d_m, 0, cfg), default_seed(cfg),
-                                cfg.newton_iters, cfg, sat)
+    d = handle_overflow(d_m, 0, cfg)
+    scaled, _ = newton_inv_sqrt(d, exponent_seed(d, cfg), cfg.newton_iters, cfg, sat)
     return scaled
 
 

@@ -132,7 +132,8 @@ class TestInvsqrt:
         assert err.count("\n") == 1
 
     def test_diverging_fp64_twin_exit_1(self, capsys):
-        code, out, err = run_cli(capsys, "invsqrt", "4", "--y0-int", "200")
+        # 200/2**6 is past sqrt(3/4); 200 at the exponent seed's scale, 8, is not
+        code, out, err = run_cli(capsys, "invsqrt", "4", "--y0-int", "200", "--y0-scale", "6")
         assert code == 1
         assert out == ""
         assert err.startswith("scaledq: error:") and "diverges" in err
@@ -155,9 +156,21 @@ class TestInvsqrt:
         assert err == "scaledq: numeric error: inverse square root needs a positive input\n"
 
     def test_default_seed_fits_narrow_scale_range(self, capsys):
+        """The default seed is VALUE's exponent seed, 2**-1 for 4, held at
+        the scale ceiling 3 rather than at 1 + P - 1."""
         code, out, _ = run_cli(capsys, "invsqrt", "4", "--scale-bits", "3")
         assert code == 0
-        assert out.splitlines()[1].split(",")[2:4] == ["1", "3"]
+        assert out.splitlines()[1].split(",")[2:4] == ["4", "3"]
+
+    @pytest.mark.parametrize("value", ["20000", "100"])
+    def test_default_seed_ends_near_fp64(self, capsys, value):
+        """From the exponent seed, Newton ends within 2**-5 (relative) of
+        the FP64 iteration, where the fixed 2**-6 seed printed 0 for 20000."""
+        code, out, _ = run_cli(capsys, "invsqrt", value, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        fp64 = payload["rows"][-1]["fp64"]
+        assert abs(payload["final"] - fp64) <= 2 ** -5 * fp64
 
 
 class TestBench:
