@@ -287,9 +287,9 @@ class TestTensorFiles:
 # SHA-256 of CLI reports, pinned so a refactor that changes any byte fails.
 GOLDEN = [
     (("bench", "suite"),
-     "26944ddfc451b2d64adc741fd55ace0506b8dfa5ed1d83c5e0e1776eac2c8b2f"),
+     "39842cfd7f53d2e95f81e523a750175c338984263e2a44176b4655a3e5153190"),
     (("bench", "suite", "--trials", "3", "--height", "8"),
-     "88ced5328e206a04b6f1f2888c1ae4a2c37c3cdd80dbfb8364e6d7bfd19728dd"),
+     "65d7f3dc2f36af7b379104271c999f3c2e5d72d534c3929823f774a75ed7cb7a"),
     (("div-sweep",),
      "105aef91e8579d92e89f9cedb3c01764404fae44d42c2a5b18c85153ce3cf286"),
     (("div-sweep", "--json"),
@@ -299,17 +299,17 @@ GOLDEN = [
     (("info", "--json"),
      "cddd46090c0744ce6612cb7a54c3fcb58b8ad36bddea188a5cac10473afc8aac"),
     (("bench", "linear", "--height", "4", "--width", "4", "--trials", "2"),
-     "591151b880f91db55e3ffc849f1ed9c72e61194617e15f48186cf0f3e3020931"),
+     "2409dbb0200b4d1e2e74bbd230b80468c0949d3a28afe1a6711e891e5d4ab141"),
     (("bench", "conv2d", "--kernel", "3", "--height", "6", "--width", "6", "--trials", "2"),
-     "7acefcfdbc74d6bc984eebd708d4e575128b75a6fb8340a70c05a11ea1707170"),
+     "27b622fcb800651b1856fe22a80d436f45bf1a645fb2f6b798dd0acc0979e7ae"),
     (("quantize", "15.25"),
      "2ec3293994e4caad0d11c79a1935b6735f26b9a7ed3431971319f5f2a3efaf6d"),
     (("quantize", "-0.3", "--json"),
      "0011c9d52198f82acc13823e1a587e7a2b0f7f55eaef6847d525dab8c0708fa3"),
     (("invsqrt", "15.25", "--int", "122", "--scale", "3", "--iters", "8"),
-     "70968e5af1b1521adff1119fe2c1a25132710facd6abaac392ebd8c267b3523c"),
+     "8b83a3a4fe73050c314fbaca3aa7e335f2062723153c4020f30f2d1815f3f584"),
     (("invsqrt", "15.25", "--int", "122", "--scale", "3", "--iters", "8", "--json"),
-     "c6faa91bc4aea2ba6a3d9ef9daaa0f22c2e90baeccce32edd98f648a0116ec9e"),
+     "72686086ea008f572dac08377ca9f6a78b8b5d81fa74b9684646a3ec8780b401"),
     (("gelu-curve",),
      "4d0ea3dc40daad853d4d61c7ac2cfae50564e885d93bdce343464c1b20c1c827"),
     (("gelu-curve", "--variant", "series-cubed", "--steps", "9"),

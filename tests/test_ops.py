@@ -554,11 +554,14 @@ def _pinned_cases():
 # keep its variance numerator in range; its full-range rows saturate no more.
 # conv2d-dense was re-taken, in both tables, when each conv output became one
 # dot over its whole receptive field instead of a dot per input channel.
+# Every dot entry (conv2d-*, linear*, matmul and both attentions) was re-taken,
+# in both tables, when a dot plus its bias became one cut of its exact value;
+# the two attention entries also hold 1/sqrt(d_m) seeded from the exponent.
 PINNED = {
-    "attention": ("2925ec9d814a7c8fc002a6319a7dff8523e6d6f1058d270bbeb85dc7b8023698", 35),
-    "conv2d-dense": ("b45ae5ad21628586a11631bb7198a74170da8d5f0795cb5001f94aac52fd825f", 423),
-    "conv2d-depthwise": ("35d3e770c1b4ae88b2f93151c1c0592a97150bd23d7f3e9587a7d331847c2a36", 179),
-    "factorized-attention": ("8cda0c10bf5b4e0593b58f8303a4f5bfd5a6449cf6a9432526f0e4cc56033239", 26),
+    "attention": ("7d3a742c729f02393161acd151af8c39a363f9dc7a3ea6a15967ca206f54d113", 31),
+    "conv2d-dense": ("4c1e34aef98547d6826230d54bc1bfc5cc9a5db399ef4866def2ed4291f85bd6", 90),
+    "conv2d-depthwise": ("216a94441f2f38b9e91102477912d6c17935f266f798a76f5e7adb6425c8737e", 87),
+    "factorized-attention": ("9407d4677304f88a84e19548464306bd527f156fd615557f31f8025ec77d430d", 20),
     "gelu-map-series-cubed":
         ("f372dee8b9dddc9e4cc712d19736e4b8d12da0098b3ddd9f035efcf77a4d0f1a", 384),
     "gelu-map-series-cubed-corrected":
@@ -566,9 +569,9 @@ PINNED = {
     "gelu-map-series-linear":
         ("8aa6697e25011881ec3ee99c7bd2f7993082bf7b0837dd4f6c97859595407d8c", 161),
     "layer-norm": ("524092f9a6e15555468912e7767e92a8fd6c821b8af9a7efd4a2b26a6e3afd00", 0),
-    "linear": ("4a98805a2669ba12db4d6832f4a6efd037920f4a2ca87ec0b945a2e0dc16046c", 66),
-    "linear-bias": ("ab443c36932b987c8481dd6175674cb919f478f1d1256c681bac2f0cf0ff495f", 69),
-    "matmul": ("3ab68d92f9b55579c2c17277c6fe609cecad6174d3800a6c53cad2b1c63ba8f4", 21),
+    "linear": ("1b8df3b33d88515d40f037edbc38731339a3d30c0747add9871d08137ae19586", 27),
+    "linear-bias": ("6d17f349d29b085df0d6ecff49fed4e9af4ebcee9161fecb7c9a5e4c515da003", 27),
+    "matmul": ("302d56b8f85a1bea2ba938e2c0c529efdf7572bfb3b19c16d1c075b69bbf9b24", 14),
     "softmax-tensor": ("38cb5ea980ef732237f24649b599652daad0d56bca76c3d0c9eb3735cd9a511a", 28),
 }
 
@@ -577,10 +580,10 @@ PINNED = {
 # its floor-saturation count, taken with ``PINNED``; unlike ``PINNED``, these
 # hold across any change to how a value is stored.
 PINNED_VALUES = {
-    "attention": ("b6600366f59a877aa7cd4c1e0562253b48753d67a8549f421513d095610f2eaa", 35),
-    "conv2d-dense": ("cab4e49b20a88f72d8d9229264166e5db61247bffa360bd353ab65c35602b961", 423),
-    "conv2d-depthwise": ("93aa4b9f8f4d58d4dcc10683c8c715de46daca6728692df2c7737be56e9f8dd5", 179),
-    "factorized-attention": ("59b01cd4512be5262a63b063d3ba9e969d7e6de6e0e26227350c14fd3d40c639", 26),
+    "attention": ("2190e966860530a0b7c4992df6c2a85a5b6890534f8c48b1720324c5e390b691", 31),
+    "conv2d-dense": ("90060083769a8d8df106c8a273d0ae4b003bef10f0e6d45a00b0870a1c3c057d", 90),
+    "conv2d-depthwise": ("7f520f091a8fc69a2cc33bb918469f0c0dd303bcee8f6e308de62bb8f5dc2649", 87),
+    "factorized-attention": ("029fc1aca38ad87348d1a9cfcaba3631883b60b1fa905011b0171d5d0d493285", 20),
     "gelu-map-series-cubed":
         ("be7deab7f7f3c6392a74d9d6173344174012a1513bae79bbf7e5099df2b4e5cd", 384),
     "gelu-map-series-cubed-corrected":
@@ -588,9 +591,9 @@ PINNED_VALUES = {
     "gelu-map-series-linear":
         ("b4bc1ed8cc06364517580fec59dc0b7218b277e1dfd327fb57453d3ff1803e04", 161),
     "layer-norm": ("a8d683d9aac90c46c31022534f1fe4b65db74f5587a8ad6646db70279141d512", 0),
-    "linear": ("3b4ec5b935ac9b7cbdff94388a9e7f7853ecf0c44921e96aff5b58a9faf30603", 66),
-    "linear-bias": ("9cefdfcf0a4aebc4aa73f9fae31a460df62f1b819d200bfa41ebb8810be69006", 69),
-    "matmul": ("7bc03d8caf4edd985f766adc6f2a7f750f94c776e8a6e45b4ba6376971670865", 21),
+    "linear": ("8dc896d7233c7fd7afb513124ad196db0c27759cfa94b487e2f5009ebc407d8d", 27),
+    "linear-bias": ("e01e5caaf591edb7ba9d46cfc696dc0f291bfee492e8dd55d2cf174e2029ef8e", 27),
+    "matmul": ("5f7121c30f8aed7c78ad7ee4bc102e38c75cdb74b3fef432694cb704ebac6f74", 14),
     "softmax-tensor": ("b0344f82741653262dd4fc9ef4294937bc4b53a2d65626aa664c6c8de15754b8", 28),
 }
 

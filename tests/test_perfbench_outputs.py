@@ -20,10 +20,10 @@ if PERFBENCH not in sys.path:
 import workloads  # noqa: E402
 
 SEED0_SHA256 = {
-    "conv": "5afe203f910614247d9daa4270cec69a65fe93e4d43f3967b0f629699186022a",
-    "encoder": "b801295d8364beec4d88806fec1734d7c75bc8cc8cd6432d1a0f2dbcad6a1892",
-    "norm": "242ad9d7ec9fb49f8c17eaa5430948aca322128c366057f27a5f7a705811baa8",
-    "suite": "277e0b9cb6fb6413960b780f33b3aba0fdedcbb4e399a1ba8237a1cf08884d1e",
+    "conv": "c39d3af3e35692f656a8527d94c114d37bd1cc3e61025fc4cb93a4a96d6aedda",
+    "encoder": "1c96fd925f10305b4582104ea19cd894209e1c1608737de72c79532b7c4cc7ca",
+    "norm": "0fd755f606dd27e51343c2abe74245f71d13843ad3edecce092c96cb91f28ee2",
+    "suite": "7c702bc81dcb566c62b488581d40f1b82c70aad0f9caaa1fb4625d9e3fb9ff93",
 }
 
 
