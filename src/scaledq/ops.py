@@ -8,14 +8,11 @@ their :class:`ScaledInt` elements are, each step ending in ``core.fit`` or
 ``core.quotient``, bit-identical to composing the ``core`` primitives, and
 each output pair is boxed once with ``core.box``, so an output tensor holds
 pointers to its format's shared boxes rather than a fresh tuple per element.
-The one exception is :func:`_dot`, through which every sum of products runs,
-with a rule of its own: a dot plus its bias is T, ``fit``'s truncation toward
-zero to P bits, of the exact ``sum(x*w) + bias`` at the finest scale up to
-``scale_max``, one cut per output.  Its operands are the exact integers that
-:func:`_fixed` puts each value on, once per call, and at in-format operands
-its accumulator needs at most ``2*(P + scale_max - scale_min) + ceil(log2 n)``
-bits for ``n`` terms, 84 at the default format with 64.  Only this module
-reads that form.
+The one exception is :func:`_dot`, through which every sum of products runs:
+a dot plus its bias is T, ``fit``'s cut toward zero to P bits, of its exact
+value at the finest scale up to ``scale_max``, cut once in an accumulator of
+at most ``2*(P + scale_max - scale_min) + ceil(log2 n)`` bits for ``n``
+in-format terms; only this module reads the exact ints :func:`_fixed` makes.
 """
 
 from __future__ import annotations
@@ -173,20 +170,19 @@ def _dot(a, b, cfg: ScaleConfig, sat: SaturationCounter | None,
     ``sum(x*w) + bias`` at the finest scale up to ``scale_max``.
 
     The products add exactly on the grid ``2**-(g_a + g_b)``, the bias joins
-    them there, and :func:`fit` cuts the total once, so a dot truncates
-    once, saturates or flushes at most once, and its stored form depends
-    only on its value.  An in-format operand is an integer of at most
-    ``P + scale_max - scale_min`` bits, so ``n`` products and an in-format
-    bias sum to at most ``2*(P + scale_max - scale_min) + ceil(log2 n)``
-    bits: 84 at the default format with 64 terms.
+    them there, and :func:`fit` cuts the total once, so a dot saturates or
+    flushes at most once and its stored form depends only on its value.  An
+    in-format operand is an integer of at most ``P + scale_max - scale_min``
+    bits, so ``n`` products and an in-format bias need at most
+    ``2*(P + scale_max - scale_min) + ceil(log2 n)`` bits: 84 at the default
+    format with 64 terms.
     """
     total, grid = sum(map(mul, a[0], b[0])), a[1] + b[1]
     if bias is not None and bias[0]:
         m, s = bias
-        if s <= grid:
-            total += m << (grid - s)
-        else:
-            total, grid = (total << (s - grid)) + m, s
+        if s > grid:
+            total, grid = total << (s - grid), s
+        total += m << (grid - s)
     return fit(total, grid, cfg, sat)
 
 
@@ -519,8 +515,7 @@ def relu_map(x: QTensor) -> QTensor:
 def _inv_root(q: QTensor, k: QTensor, v: QTensor, d_m: int, cfg: ScaleConfig,
               sat: SaturationCounter | None) -> ScaledInt:
     """Both attentions' front end: their shape check and ``1/sqrt(d_m)``,
-    computed once per call via the quantized Newton iteration from
-    ``d_m``'s :func:`~scaledq.newton.exponent_seed`."""
+    once per call, by Newton from ``d_m``'s :func:`exponent_seed`."""
     if q.shape != k.shape or q.shape != v.shape or len(q.shape) != 2:
         raise ShapeError(f"attention expects matching [T, d] tensors, "
                          f"got {q.shape}, {k.shape}, {v.shape}")
