@@ -866,16 +866,13 @@ def test_dot_is_its_exact_value_cut_once(p_bits, scale_bits):
             for o in range(5):
                 check(got.data[r * 5 + o], exact_dot(x.data[r * 6:(r + 1) * 6],
                                                      w.data[o * 6:(o + 1) * 6], b.data[o]))
+        conv = ConvSpec(2, 3, 3, padding=1)
         x, w, b = t(1, 2, 4, 4), t(3, 2, 3, 3), t(3)
-        got = conv2d(x, w, b, ConvSpec(2, 3, 3, padding=1), cfg)
+        got, rows = conv2d(x, w, b, conv, cfg), im2col(x, conv, range(2)).data
         for o in range(3):
-            for oh in range(4):
-                for ow in range(4):
-                    taps = [(x.data[(i * 4 + oh - 1 + ky) * 4 + ow - 1 + kx],
-                             w.data[((o * 2 + i) * 3 + ky) * 3 + kx])
-                            for i in range(2) for ky in range(3) for kx in range(3)
-                            if 0 <= oh - 1 + ky < 4 and 0 <= ow - 1 + kx < 4]
-                    check(got.data[(o * 4 + oh) * 4 + ow], exact_dot(*zip(*taps), b.data[o]))
+            for pos in range(16):
+                check(got.data[o * 16 + pos], exact_dot(rows[pos * 18:(pos + 1) * 18],
+                                                        w.data[o * 18:(o + 1) * 18], b.data[o]))
     assert counts[False] > 150 and counts[True] > 100
 
 
@@ -1129,12 +1126,12 @@ def test_fused_kernel_exhaustive_signed_8bit_products(total):
     edge of the range, up to one where every product flushes to zero.
 
     Each product alone through matmul must equal ``spec.dot`` of it.  The
-    products of a positive x are then each summed
-    with a fixed term one step from zero at the finest scale, and the one cut
-    of that exact sum keeps every bit the product brings to it: a product cut
-    before the add, or the term lost beside it, shows in that sum even where
-    the product's own cut would hide it.  w carries both signs, so the term
-    meets products of either sign."""
+    products of a positive x are then each summed with a fixed term one step
+    from zero at the finest scale, and the one cut of that exact sum keeps
+    every bit the product brings to it: a product cut before the add, or the
+    term lost beside it, shows in that sum even where the product's own cut
+    would hide it.  w carries both signs, so the term meets products of
+    either sign."""
     signed = [m for m in range(-255, 256) if m]
     sa, sb = total // 2, total - total // 2
     xs = tuple(ScaledInt.from_signed(m, sa) for m in signed)
