@@ -288,7 +288,7 @@ def _cmd_gelu_curve(args, out) -> int:
     if not 2 <= args.steps <= MAX_ELEMENTS:
         raise UsageError(f"--steps {args.steps} is outside [2, {MAX_ELEMENTS}]")
     variant = args.variant or cfg.gelu_variant
-    # A non-finite end, or a span past FP64's range, would reach quantize as
+    # A non-finite end, or a span past FP64's range, would get to quantize as
     # a point the user never gave (start + 0 * inf is nan).
     span = args.stop - args.start
     if not math.isfinite(span):
