@@ -8,18 +8,22 @@ their :class:`ScaledInt` elements are, each step ending in ``core.fit`` or
 ``core.quotient``, bit-identical to composing the ``core`` primitives, and
 each output pair is boxed once with ``core.box``, so an output tensor holds
 pointers to its format's shared boxes rather than a fresh tuple per element.
-The one exception is :func:`_dot`, through which every sum of products runs:
-a dot plus its bias is T, ``fit``'s cut toward zero to P bits, of its exact
-value at the finest scale up to ``scale_max``, cut once in an accumulator of
-at most ``2*(P + scale_max - scale_min) + ceil(log2 n)`` bits for ``n``
-in-format terms; only this module reads the exact ints :func:`_fixed` makes.
+The exception is a sum of products: a dot plus its bias is T, ``fit``'s cut
+toward zero to P bits, of its exact value at the finest scale up to
+``scale_max``, cut once.  :func:`_lane_dots` makes every total of
+:func:`conv2d`, :func:`linear` and :func:`matmul`, the O outputs of an input
+row in L-bit lanes of one int, with L wide enough for the call's own
+operands; :func:`_dot` makes :func:`layer_norm`'s variance.  Only this module reads the exact ints
+:func:`_fixed` makes.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from operator import mul
+from itertools import chain
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .core import (
@@ -156,7 +160,7 @@ def _div(a, b, cfg: ScaleConfig,
 
 
 def _fixed(pairs, cfg: ScaleConfig) -> tuple[list[int], int]:
-    """``pairs`` as :func:`_dot` reads them: ``(ints, g)``, with ``g`` the
+    """``pairs`` as the dot kernels read them: ``(ints, g)``, with ``g`` the
     larger of ``scale_max`` and the largest scale, and each ``(m, s)`` the
     exact integer ``m << (g - s)`` it is on the ``2**-g`` grid."""
     g = max([cfg.scale_max] + [s for _, s in pairs])
@@ -165,9 +169,10 @@ def _fixed(pairs, cfg: ScaleConfig) -> tuple[list[int], int]:
 
 def _dot(a, b, cfg: ScaleConfig, sat: SaturationCounter | None,
          bias=None) -> tuple[int, int]:
-    """A dot plus its bias on two equal-length operands from :func:`_fixed`,
-    the one path for every sum of products in this module: T of the exact
-    ``sum(x*w) + bias`` at the finest scale up to ``scale_max``.
+    """A dot plus its bias on two equal-length operands from :func:`_fixed`:
+    T of the exact ``sum(x*w) + bias`` at the finest scale up to
+    ``scale_max``.  :func:`layer_norm`'s variance is one; :func:`_lane_dots`
+    makes the same cut for many dots at once.
 
     The products add exactly on the grid ``2**-(g_a + g_b)``, the bias joins
     them there, and :func:`fit` cuts the total once, so a dot saturates or
@@ -196,11 +201,12 @@ def conv2d(
 ) -> QTensor:
     """2-D convolution over ``x[B, I, H, W]``.
 
-    Each output element is one :func:`_dot` over its whole receptive field,
-    the ``k*k`` taps of every input channel it reads in channel, row, column
+    Each output element is one dot over its whole receptive field, the
+    ``k*k`` taps of every input channel it reads in channel, row, column
     order, with its channel's bias, so it is cut once per output.  A dense
     conv is :func:`linear` over its patches, and a depthwise conv is that per
-    channel group.
+    channel group: one :func:`_lane_dots` call per image and group, fed the
+    patches of one output row at a time.
     """
     if len(x.shape) != 4:
         raise ShapeError(f"input must be [B, I, H, W], got {x.shape}")
@@ -219,42 +225,48 @@ def conv2d(
         raise ShapeError(f"kernel {k} does not fit the padded input {x.shape} "
                          f"(padding {spec.padding})")
 
-    # Taps outside the input read zeros from a padded copy of the input
-    # planes, stacked channel after channel.  A zero operand adds no product
-    # to a sum, so a padding tap drops out exactly as a skipped tap would.
-    # Each window is a list of offsets into the stack from an output's start,
-    # over the w_ch channels of one group: all of them for a dense conv, one
-    # for a depthwise one.  Output channel o reads window o // (out_ch / groups)
-    # with its flat kernel slice, laid out in the window's order.
+    # Taps outside the input read zeros from a padded copy of the input, laid
+    # out padded row after padded row, each holding its channels side by
+    # side.  A zero operand adds no product to a sum, so a padding tap drops
+    # out exactly as a skipped tap would.  A group's patch at output column
+    # ow is picked from the k padded rows its output row reads, in the order
+    # of its outputs' flat kernel slices.
     pad, stride = spec.padding, spec.stride
     row = width + 2 * pad
-    plane = row * (height + 2 * pad)
-    offsets = [ky * row + kx for ky in range(k) for kx in range(k)]
-    starts = [oh * stride * row + ow * stride for oh in range(h_out) for ow in range(w_out)]
-    taps = [[(g * w_ch + c) * plane + d for c in range(w_ch) for d in offsets]
-            for g in range(in_ch // w_ch)]
+    span = in_ch * row
+    groups = in_ch // w_ch
+    per, mult = w_ch * k * k, out_ch // groups
+    pickers = []
+    for g in range(groups):
+        taps = [ky * span + (g * w_ch + c) * row + kx
+                for c in range(w_ch) for ky in range(k) for kx in range(k)]
+        # one index would make itemgetter return the element, not a sequence
+        pickers.append([itemgetter(*[ow * stride + t for t in taps]) if per > 1
+                        else itemgetter(slice(ow * stride + taps[0], ow * stride + taps[0] + 1))
+                        for ow in range(w_out)])
     k_ints, k_grid = _fixed(weight.data, cfg)
-    per = w_ch * k * k
-    kernels = [(o // (out_ch // len(taps)), (k_ints[o * per:(o + 1) * per], k_grid),
-                None if bias is None else bias.data[o]) for o in range(out_ch)]
-    npos = len(starts)
+    kernels = [([k_ints[o * per:(o + 1) * per] for o in range(g * mult, (g + 1) * mult)], k_grid)
+               for g in range(groups)]
     size = in_ch * height * width
 
     out: list[ScaledInt] = []
     for b in range(batch):
         flat, grid = _fixed(x.data[b * size:(b + 1) * size], cfg)
-        ints = [0] * (in_ch * plane)
+        ints = [0] * (span * (height + 2 * pad))
         for i in range(in_ch):
             for ih in range(height):
                 src = (i * height + ih) * width
-                dst = i * plane + (ih + pad) * row + pad
+                dst = (ih + pad) * span + i * row + pad
                 ints[dst:dst + width] = flat[src:src + width]
-        image: list[ScaledInt] = [ZERO] * (out_ch * npos)
-        for pos, st in enumerate(starts):
-            windows = [([ints[st + d] for d in tap], grid) for tap in taps]
-            for o, (g, kernel, b_o) in enumerate(kernels):
-                image[o * npos + pos] = box(_dot(windows[g], kernel, cfg, sat, b_o), cfg)
-        out.extend(image)
+        x_max = max(max(flat), -min(flat))
+        for g in range(groups):
+            views = (ints[r:r + k * span] for r in range(0, h_out * stride * span, stride * span))
+            rows = chain.from_iterable([pick(view) for pick in pickers[g]] for view in views)
+            dots = _lane_dots(rows, grid, x_max, kernels[g],
+                              None if bias is None else bias.data[g * mult:(g + 1) * mult],
+                              cfg, sat)
+            for j in range(mult):
+                out.extend(dots[j::mult])
     return QTensor((batch, out_ch, h_out, w_out), tuple(out))
 
 
@@ -273,9 +285,10 @@ def linear(
         raise ShapeError(f"input trailing dim must be {in_f}, got {x.shape}")
     if bias is not None and bias.shape != (out_f,):
         raise ShapeError(f"bias must be ({out_f},), got {bias.shape}")
-    wrows = [weight.data[o * in_f:(o + 1) * in_f] for o in range(out_f)]
-    return QTensor(x.shape[:-1] + (out_f,),
-                   _row_dots(x, wrows, bias.data if bias is not None else None, cfg, sat))
+    ints, grid = _fixed(weight.data, cfg)
+    wrows = [ints[o * in_f:(o + 1) * in_f] for o in range(out_f)]
+    return QTensor(x.shape[:-1] + (out_f,), _row_dots(
+        x, (wrows, grid), bias.data if bias is not None else None, cfg, sat))
 
 
 def matmul(
@@ -287,23 +300,74 @@ def matmul(
     if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
     n = b.shape[1]
+    ints, grid = _fixed(b.data, cfg)
     return QTensor((a.shape[0], n),
-                   _row_dots(a, [b.data[j::n] for j in range(n)], None, cfg, sat))
+                   _row_dots(a, ([ints[j::n] for j in range(n)], grid), None, cfg, sat))
 
 
-def _row_dots(x: QTensor, wrows, biases, cfg: ScaleConfig,
+def _row_dots(x: QTensor, w, biases, cfg: ScaleConfig,
               sat: SaturationCounter | None) -> tuple[ScaledInt, ...]:
-    """Each trailing-axis row of ``x`` dotted with each of ``wrows``, plus
-    ``biases[o]`` when given; the one row loop of :func:`linear` and
-    :func:`matmul`.  Rows are counted from the shape, so an empty trailing
-    axis gives a zero dot per output."""
+    """Each trailing-axis row of ``x`` dotted with each of ``w``'s rows,
+    plus ``biases[o]`` when given, through :func:`_lane_dots`; ``w`` is
+    ``(wrows, grid)`` as :func:`_fixed` makes it.  Rows are counted from the
+    shape, so an empty trailing axis gives each output its bias alone."""
     width = x.shape[-1]
-    wrows = list(zip([_fixed(w, cfg) for w in wrows], biases or [None] * len(wrows)))
+    ints, grid = _fixed(x.data, cfg)
+    rows = (ints[r * width:(r + 1) * width] for r in range(math.prod(x.shape[:-1])))
+    return tuple(_lane_dots(rows, grid, max(map(abs, ints), default=0), w, biases, cfg, sat))
+
+
+def _lane_dots(rows, grid: int, x_max: int, w, biases, cfg: ScaleConfig,
+               sat: SaturationCounter | None) -> list[ScaledInt]:
+    """Each of ``rows`` dotted with each of ``w``'s rows, plus ``biases[o]``
+    when given, boxed row after row: the multiply-accumulate of
+    :func:`conv2d`, :func:`linear` and :func:`matmul`.
+
+    ``rows`` are ints on the grid ``2**-grid`` with no magnitude above
+    ``x_max``, and ``w`` is ``(wrows, g_w)``, both as :func:`_fixed` makes
+    them.  Every output of the call is cut on one grid ``G``, the larger of
+    ``grid + g_w`` and the scale of every live bias, and the weights and the
+    biases are shifted onto it once.  That is exact: ``G`` is at least
+    ``2 * scale_max``, above the ceiling, and there ``fit(m << k, s + k)`` is
+    ``fit(m, s)``, so each output is the one cut :func:`_dot` makes of the
+    same exact ``sum(x*w) + b``.
+
+    The O weights of each column are packed into one int in lanes of L bits,
+    output o in lane o, and ``base`` holds ``2**(L-1)`` plus output o's
+    shifted bias in lane o, so one C-level ``sum(map(mul, row, packs),
+    base)`` makes all O totals of a row.  Every ``|total|`` is at most
+    ``bound = x_max * max_o sum(|w_o|) + max(|b|)`` from the call's own
+    operands, and L is the smallest multiple of 64 above ``bitlen(bound)``,
+    so ``|total| < 2**(L-1)``: lane o holds its total plus ``2**(L-1)`` in
+    ``[0, 2**L)`` and never borrows from or carries into its neighbour, in
+    any format.  The lanes are read back from the int's bytes in native
+    order: one ``memoryview`` cast when L is 64, ``int.from_bytes`` per lane
+    otherwise.  On a big-endian host the bytes begin with the top lane, so
+    the lanes are packed in reverse there.
+    """
+    wrows, g_w = w
+    n_out = len(wrows)
+    top = grid + g_w
+    if biases is not None:
+        top = max([top] + [s for m, s in biases if m])
+    up = top - grid - g_w
+    shifted = [0] * n_out if biases is None else [m << (top - s) if m else 0 for m, s in biases]
+    widest = max([sum(map(abs, r)) for r in wrows], default=0) << up
+    lane = 64 * ((x_max * widest + max(map(abs, shifted), default=0)).bit_length() // 64 + 1)
+    half = 1 << (lane - 1)
+    at = [lane * o for o in range(n_out)]
+    if sys.byteorder == "big":
+        at.reverse()
+    packs = [sum([v << a for v, a in zip(col, at)]) << up for col in zip(*wrows)]
+    base = sum([(half + b) << a for b, a in zip(shifted, at)])
+    width, order = lane // 8, sys.byteorder
     out: list[ScaledInt] = []
-    for r in range(math.prod(x.shape[:-1])):
-        row = _fixed(x.data[r * width:(r + 1) * width], cfg)
-        out.extend(box(_dot(row, wrow, cfg, sat, b), cfg) for wrow, b in wrows)
-    return tuple(out)
+    for row in rows:
+        raw = sum(map(mul, row, packs), base).to_bytes(width * n_out, order)
+        lanes = memoryview(raw).cast("Q") if lane == 64 else [
+            int.from_bytes(raw[i:i + width], order) for i in range(0, len(raw), width)]
+        out += [box(fit(v - half, top, cfg, sat), cfg) for v in lanes]
+    return out
 
 
 def transpose(a: QTensor) -> QTensor:

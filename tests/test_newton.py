@@ -238,3 +238,12 @@ def test_exponent_seed_matches_spec(cfg):
             _, trace = newton_inv_sqrt(x, seed, 6, cfg)
             assert [y for _, y in trace.entries] == spec.newton(
                 x, seed, 6, cfg, SaturationCounter()), (mag, scale)
+
+
+def test_package_exports_both_seeds():
+    """``scaledq`` exports the seed its own ops use, next to the default one."""
+    import scaledq
+    from scaledq import newton
+
+    assert scaledq.exponent_seed is newton.exponent_seed
+    assert scaledq.default_seed is newton.default_seed

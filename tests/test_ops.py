@@ -970,10 +970,11 @@ def spec_conv2d(x, w, bias, conv, cfg, sat):
 
 def spec_linear(x, w, bias, cfg, sat):
     """``linear`` composed from the spec: each output is one ``dot`` of an
-    input row with a weight row, plus the bias."""
+    input row with a weight row, plus the bias.  Rows are counted from the
+    shape, so an empty trailing axis gives each output its bias alone."""
     out_f, in_f = w.shape
     out = []
-    for r in range(x.size // in_f):
+    for r in range(math.prod(x.shape[:-1])):
         for o in range(out_f):
             out.append(spec.dot(x.data[r * in_f:(r + 1) * in_f],
                                 w.data[o * in_f:(o + 1) * in_f], cfg, sat,
@@ -1170,6 +1171,208 @@ def test_out_of_format_bias_goes_through_the_cut():
         assert conv2d(x, w, QTensor((1,), (bias,)), ConvSpec(1, 1, 1), CFG, sat).data == (want,) * 4
         assert linear(row_x, row_w, QTensor((1,), (bias,)), CFG, sat).data == (want,) * 2
         assert sat.count == (6 if bias is huge else 0)
+
+
+# --- ops._lane_dots at the edges of its lanes --------------------------------
+# conv2d, linear and matmul add the O dots of an input row in L-bit lanes of
+# one int, each offset by 2**(L-1).  The cases below put totals at a lane's
+# edges in every SPEC_FORMATS format and check them through the kernel and
+# the three ops against the spec, pairs and saturation counts.
+
+def _lanes_match_spec(xs, ws, biases, cfg):
+    """Rows ``xs`` of n pairs dotted with rows ``ws``, plus ``biases`` when
+    given, through ``_lane_dots``, ``linear``, ``matmul`` (without the
+    biases) and, for n > 0, a 1x1 conv that reads the n terms as channels:
+    each gives the spec's pairs and saturation count.  Returns the
+    ``spec.dot`` pairs, row by row."""
+    n, n_rows, n_out = len(xs[0]), len(xs), len(ws)
+    want_sat = SaturationCounter()
+    want = [spec.dot(x, w, cfg, want_sat, b)
+            for x in xs for w, b in zip(ws, biases or [(0, 0)] * n_out)]
+    ints, grid = ops._fixed([e for x in xs for e in x], cfg)
+    w_ints, g_w = ops._fixed([e for w in ws for e in w], cfg)
+    sat = SaturationCounter()
+    got = ops._lane_dots([ints[r * n:(r + 1) * n] for r in range(n_rows)], grid,
+                         max(map(abs, ints), default=0),
+                         ([w_ints[o * n:(o + 1) * n] for o in range(n_out)], g_w),
+                         biases, cfg, sat)
+    assert (got, sat.count) == (want, want_sat.count)
+    x = QTensor((n_rows, n), tuple(e for r in xs for e in r))
+    w = QTensor((n_out, n), tuple(e for r in ws for e in r))
+    b = None if biases is None else QTensor((n_out,), tuple(biases))
+    cols = QTensor((n, n_out), tuple(ws[o][i] for i in range(n) for o in range(n_out)))
+    calls = [(lambda s: linear(x, w, b, cfg, s), lambda s: spec_linear(x, w, b, cfg, s)),
+             (lambda s: matmul(x, cols, cfg, s), lambda s: spec_matmul(x, cols, cfg, s))]
+    if n:
+        image = QTensor((1, n, 1, n_rows), tuple(xs[r][i] for i in range(n) for r in range(n_rows)))
+        kernel, conv = QTensor((n_out, n, 1, 1), w.data), ConvSpec(n, n_out, 1)
+        calls.append((lambda s: conv2d(image, kernel, b, conv, cfg, s),
+                      lambda s: spec_conv2d(image, kernel, b, conv, cfg, s)))
+    for fused, composed in calls:
+        got_sat, want_sat = SaturationCounter(), SaturationCounter()
+        got, wanted = fused(got_sat), composed(want_sat)
+        assert (got.data, got_sat.count) == (wanted.data, want_sat.count)
+    return want
+
+
+def _one_sign(rng, n, cfg, sign, lo=0):
+    """n nonzero pairs of one sign at scales from ``lo`` to scale_max."""
+    return tuple(ScaledInt.from_signed(sign * rng.randint(1, cfg.max_magnitude),
+                                       rng.randint(lo, cfg.scale_max)) for _ in range(n))
+
+
+@pytest.mark.parametrize("p_bits,scale_bits", SPEC_FORMATS)
+def test_widest_lane_matches_spec(p_bits, scale_bits):
+    """Every term at max |x| * max |w| with one sign per lane, plus the
+    largest in-format bias of that sign, makes each lane's total the bound
+    the kernel sizes its lanes by, and saturates once per output.  x's scale
+    runs from scale_min, the format's widest lane, through each scale whose
+    bound has a bit length within one of a multiple of 64, where a lane one
+    bit narrower than the sign needs overflows into its neighbour."""
+    cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    lo, hi, top, n = cfg.scale_min, cfg.scale_max, cfg.max_magnitude, 3
+
+    def bound(s):
+        return n * (top << (hi - s)) * (top << (hi - lo)) + (top << (2 * hi - lo))
+
+    edges = [s for s in range(lo, hi + 1) if (bound(s).bit_length() + 1) % 64 < 3]
+    assert edges or bound(lo).bit_length() < 63
+    ws = [(ScaledInt(top, lo),) * n, (ScaledInt(top, lo, True),) * n]
+    biases = [ScaledInt(top, lo), ScaledInt(top, lo, True)]
+    for s in [lo] + edges:
+        got = _lanes_match_spec([(ScaledInt(top, s),) * n], ws, biases, cfg)
+        assert got == [(top, lo), (-top, lo)]
+
+
+@pytest.mark.parametrize("p_bits,scale_bits", SPEC_FORMATS)
+def test_negative_lanes_beside_positive_ones_match_spec(p_bits, scale_bits):
+    """Positive rows against weight rows and biases of one sign each, in
+    lanes of alternating sign: a negative total would borrow from the lane
+    above it but for its offset.  Each output keeps its lane's sign."""
+    cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    rng = random.Random(p_bits * 100 + scale_bits + 22)
+    signs = (1, -1, 1, -1, -1, 1)
+    for _ in range(12):
+        n = rng.randint(1, 6)
+        xs = [_one_sign(rng, n, cfg, 1) for _ in range(3)]
+        ws = [_one_sign(rng, n, cfg, sign) for sign in signs]
+        biases = [_one_sign(rng, 1, cfg, sign)[0] for sign in signs]
+        got = _lanes_match_spec(xs, ws, biases, cfg)
+        assert [(m > 0) - (m < 0) for m, _ in got] == list(signs) * 3
+        _lanes_match_spec(xs, ws, None, cfg)
+
+
+@pytest.mark.parametrize("p_bits,scale_bits", SPEC_FORMATS)
+def test_terms_that_cancel_match_spec(p_bits, scale_bits):
+    """A row ``a + a`` against ``b + (-b)`` cancels to exactly zero, beside
+    lanes of either sign, with and without a zero bias on the cancelled
+    lanes."""
+    cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    rng = random.Random(p_bits * 100 + scale_bits + 23)
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        a, b = _one_sign(rng, n, cfg, 1), tuple(rand_tensor(rng, (n,), cfg).data)
+        cancel = b + tuple(negate(e) for e in b)
+        ws = [cancel, _one_sign(rng, 2 * n, cfg, -1), cancel, _one_sign(rng, 2 * n, cfg, 1)]
+        biases = [ZERO, _one_sign(rng, 1, cfg, -1)[0], ZERO, _one_sign(rng, 1, cfg, 1)[0]]
+        for got in (_lanes_match_spec([a + a], ws, None, cfg),
+                    _lanes_match_spec([a + a], ws, biases, cfg)):
+            assert got[0] == got[2] == (0, 0)
+
+
+@pytest.mark.parametrize("p_bits,scale_bits", SPEC_FORMATS)
+def test_bias_above_the_product_grid_matches_spec(p_bits, scale_bits):
+    """A bias whose scale is above the products' grid ``2 * scale_max``
+    moves the call's one grid up to it, and every weight is shifted onto it:
+    by a bit, by a few, and by more than a 64-bit lane, which takes the
+    multi-word lanes in every format."""
+    cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    rng = random.Random(p_bits * 100 + scale_bits + 24)
+    hi, top = cfg.scale_max, cfg.max_magnitude
+    for shift in (1, 7, 70, 200):
+        for _ in range(6):
+            n = rng.randint(1, 4)
+            xs = [tuple(rand_tensor(rng, (n,), cfg).data) for _ in range(2)]
+            ws = [tuple(rand_tensor(rng, (n,), cfg).data) for _ in range(3)]
+            above = ScaledInt.from_signed(rng.choice((-1, 1)) * rng.randint(1, top), 2 * hi + shift)
+            biases = [rand_tensor(rng, (1,), cfg).data[0], above, ZERO]
+            _lanes_match_spec(xs, ws, biases, cfg)
+
+
+@pytest.mark.parametrize("p_bits,scale_bits", SPEC_FORMATS)
+def test_empty_trailing_axis_lanes_match_spec(p_bits, scale_bits):
+    """With no terms, every lane holds its bias alone: an in-format one, a
+    zero and one above the ceiling are each cut once, and no bias gives
+    zeros."""
+    cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    rng = random.Random(p_bits * 100 + scale_bits + 25)
+    biases = [rand_tensor(rng, (1,), cfg, zero_share=0).data[0], ZERO,
+              ScaledInt(rng.randint(1, cfg.max_magnitude), cfg.scale_max + 9, True)]
+    assert _lanes_match_spec([(), ()], [(), (), ()], None, cfg) == [(0, 0)] * 6
+    _lanes_match_spec([(), ()], [(), (), ()], biases, cfg)
+
+
+@pytest.mark.parametrize("p_bits,scale_bits", SPEC_FORMATS)
+@pytest.mark.parametrize("conv", [ConvSpec(2, 6, 3, padding=1, depthwise=True),
+                                  ConvSpec(2, 3, 3, stride=2, padding=1)],
+                         ids=["depthwise-x3", "stride-2"])
+def test_conv_lanes_match_spec(p_bits, scale_bits, conv):
+    """A depthwise conv with multiplier 3 and a stride-2 dense conv on
+    positive inputs, one of them the format's largest value, with each
+    output channel's weights and bias of one sign, alternating, so negative
+    lanes sit beside positive ones: conv2d gives ``spec_conv2d``'s pairs and
+    count, and each channel group's im2col patches do through the kernel,
+    linear, matmul and a 1x1 conv."""
+    cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    rng = random.Random(p_bits * 100 + scale_bits + conv.out_channels)
+    k, out_ch = conv.kernel, conv.out_channels
+    w_ch = 1 if conv.depthwise else conv.in_channels
+    per = w_ch * k * k
+    data = list(_one_sign(rng, 2 * 2 * 5 * 5, cfg, 1))
+    data[rng.randrange(len(data))] = ScaledInt(cfg.max_magnitude, cfg.scale_min)
+    x = QTensor((2, 2, 5, 5), tuple(data))
+    w = QTensor((out_ch, w_ch, k, k),
+                tuple(e for o in range(out_ch) for e in _one_sign(rng, per, cfg, (-1) ** o)))
+    b = QTensor((out_ch,), tuple(_one_sign(rng, 1, cfg, (-1) ** o)[0] for o in range(out_ch)))
+    got_sat, want_sat = SaturationCounter(), SaturationCounter()
+    got = conv2d(x, w, b, conv, cfg, got_sat)
+    assert (got.data, got_sat.count) == (spec_conv2d(x, w, b, conv, cfg, want_sat).data,
+                                         want_sat.count)
+    groups = conv.in_channels // w_ch
+    mult = out_ch // groups
+    for g in range(groups):
+        patches = im2col(x, conv, range(g * w_ch, (g + 1) * w_ch))
+        rows = [patches.data[r * per:(r + 1) * per] for r in range(patches.shape[0])]
+        ws = [w.data[o * per:(o + 1) * per] for o in range(g * mult, (g + 1) * mult)]
+        _lanes_match_spec(rows, ws, list(b.data[g * mult:(g + 1) * mult]), cfg)
+
+
+@pytest.mark.parametrize("op", ["conv2d", "depthwise", "linear", "matmul"])
+def test_dot_ops_cut_each_output_once_without_dot(monkeypatch, op):
+    """conv2d, linear and matmul make no ``ops._dot`` call and exactly one
+    ``fit`` per output: a count, so it holds on any machine, and the
+    per-output dot loop cannot come back unseen."""
+    rng = random.Random(22)
+    calls = {"_dot": 0, "fit": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ops, "_dot", counted("_dot", ops._dot))
+    monkeypatch.setattr(ops, "fit", counted("fit", ops.fit))
+    x = rand_tensor(rng, (2, 3, 6, 5))
+    out = {
+        "conv2d": lambda: conv2d(x, rand_tensor(rng, (4, 3, 3, 3)), rand_tensor(rng, (4,)),
+                                 ConvSpec(3, 4, 3, stride=2, padding=1), CFG),
+        "depthwise": lambda: conv2d(x, rand_tensor(rng, (6, 1, 2, 2)), None,
+                                    ConvSpec(3, 6, 2, depthwise=True), CFG),
+        "linear": lambda: linear(x, rand_tensor(rng, (7, 5)), rand_tensor(rng, (7,)), CFG),
+        "matmul": lambda: matmul(rand_tensor(rng, (9, 5)), rand_tensor(rng, (5, 4)), CFG),
+    }[op]()
+    assert calls == {"_dot": 0, "fit": out.size}
 
 
 # --- the pair-level non-linear operators against the spec and the primitives
