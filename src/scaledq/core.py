@@ -3,9 +3,11 @@
 A quantity is one signed int pair ``(magnitude, scale)``, a signed P-bit
 magnitude and a small signed scale, standing for ``magnitude / 2**scale``.
 The normalizer :func:`fit` and the division :func:`quotient` take and
-return plain pairs; :class:`ScaledInt` is the same pair boxed as a
-``tuple`` subclass, and each primitive (multiply, add, subtract, divide,
-shift) is one ``fit`` or ``quotient`` call on its operands' pairs, boxed by
+return plain pairs, and so do the pair rules built on them, each stated
+once here: :func:`pair_add`, :func:`pair_mul`, :func:`pair_div` and the
+multi-term :func:`pair_sum`.  :class:`ScaledInt` is the same pair boxed as
+a ``tuple`` subclass, and each primitive (multiply, add, subtract, divide,
+shift) is a pair rule or one ``fit`` on its operands' pairs, boxed by
 :func:`box`, which hands out one shared box per stored value and format.
 They work exclusively with integer arithmetic, compare and shift; division
 is one exact integer floor division.  Floating point enters only through
@@ -280,66 +282,6 @@ def fit(
     return magnitude, scale
 
 
-def handle_overflow(
-    raw_magnitude: int,
-    raw_scale: int,
-    cfg: ScaleConfig = DEFAULT_CONFIG,
-    sat: SaturationCounter | None = None,
-) -> ScaledInt:
-    """:func:`fit` of the signed ``raw_magnitude``, as a :class:`ScaledInt`."""
-    return box(fit(raw_magnitude, raw_scale, cfg, sat), cfg)
-
-
-def scale_mul(
-    a: ScaledInt,
-    b: ScaledInt,
-    cfg: ScaleConfig = DEFAULT_CONFIG,
-    sat: SaturationCounter | None = None,
-) -> ScaledInt:
-    """Product: signed magnitudes multiply, scales add."""
-    return box(fit(a[0] * b[0], a[1] + b[1], cfg, sat), cfg)
-
-
-def scale_add(
-    a: ScaledInt,
-    b: ScaledInt,
-    cfg: ScaleConfig = DEFAULT_CONFIG,
-    sat: SaturationCounter | None = None,
-) -> ScaledInt:
-    """Sum after aligning both operands to the larger scale.
-
-    The finer-scaled operand keeps its bits; the coarser one is shifted left
-    into a wide temporary.  Exact cancellation yields canonical zero.
-    """
-    if not a[0]:
-        return b
-    if not b[0]:
-        return a
-    s = a[1] if a[1] >= b[1] else b[1]
-    return box(fit((a[0] << (s - a[1])) + (b[0] << (s - b[1])), s, cfg, sat), cfg)
-
-
-def scale_sub(
-    a: ScaledInt,
-    b: ScaledInt,
-    cfg: ScaleConfig = DEFAULT_CONFIG,
-    sat: SaturationCounter | None = None,
-) -> ScaledInt:
-    """Difference, implemented as addition with the subtrahend's sign flipped."""
-    return scale_add(a, box((-b[0], b[1]), cfg), cfg, sat)
-
-
-def shift_scale(
-    q: ScaledInt,
-    delta: int,
-    cfg: ScaleConfig = DEFAULT_CONFIG,
-    sat: SaturationCounter | None = None,
-) -> ScaledInt:
-    """Multiply by ``2**-delta`` via a scale adjustment (no magnitude bits move
-    unless the adjusted scale leaves the stored range)."""
-    return box(fit(q[0], q[1] + delta, cfg, sat), cfg)
-
-
 def quotient(
     dividend: int,
     divisor: int,
@@ -365,11 +307,104 @@ def quotient(
     return fit(q if (dividend < 0) == (divisor < 0) else -q, scale + e, cfg, sat)
 
 
+def pair_add(a, b, cfg: ScaleConfig, sat: SaturationCounter | None) -> tuple[int, int]:
+    """Sum of two pairs after aligning both to the larger scale.
+
+    The finer-scaled operand keeps its bits; the coarser one is shifted left
+    into a wide temporary, and :func:`fit` cuts the sum once.  A zero pair
+    returns the other as given; exact cancellation gives ``(0, 0)``.
+    """
+    if not a[0]:
+        return b
+    if not b[0]:
+        return a
+    top = a[1] if a[1] > b[1] else b[1]
+    return fit((a[0] << (top - a[1])) + (b[0] << (top - b[1])), top, cfg, sat)
+
+
+def pair_mul(a, b, cfg: ScaleConfig, sat: SaturationCounter | None) -> tuple[int, int]:
+    """Product of two pairs: signed magnitudes multiply, scales add."""
+    return fit(a[0] * b[0], a[1] + b[1], cfg, sat)
+
+
+def pair_div(a, b, cfg: ScaleConfig, sat: SaturationCounter | None) -> tuple[int, int]:
+    """:func:`quotient` of two pairs' signed magnitudes."""
+    return quotient(a[0], b[0], a[1] - b[1], cfg, sat)
+
+
+def pair_sum(pairs, cfg: ScaleConfig, sat: SaturationCounter | None) -> tuple[int, int]:
+    """:func:`pair_add` over any number of pairs: the exact sum at their
+    largest scale, cut once.  Zero pairs drop out and a single live pair
+    comes back as given."""
+    live = [p for p in pairs if p[0]]
+    if len(live) < 2:
+        return live[0] if live else (0, 0)
+    top = live[0][1]
+    for _, s in live:
+        if s > top:
+            top = s
+    total = 0
+    for m, s in live:
+        total += m << (top - s)
+    return fit(total, top, cfg, sat)
+
+
+def handle_overflow(
+    raw_magnitude: int,
+    raw_scale: int,
+    cfg: ScaleConfig = DEFAULT_CONFIG,
+    sat: SaturationCounter | None = None,
+) -> ScaledInt:
+    """:func:`fit` of the signed ``raw_magnitude``, as a :class:`ScaledInt`."""
+    return box(fit(raw_magnitude, raw_scale, cfg, sat), cfg)
+
+
+def scale_mul(
+    a: ScaledInt,
+    b: ScaledInt,
+    cfg: ScaleConfig = DEFAULT_CONFIG,
+    sat: SaturationCounter | None = None,
+) -> ScaledInt:
+    """:func:`pair_mul`, boxed."""
+    return box(pair_mul(a, b, cfg, sat), cfg)
+
+
+def scale_add(
+    a: ScaledInt,
+    b: ScaledInt,
+    cfg: ScaleConfig = DEFAULT_CONFIG,
+    sat: SaturationCounter | None = None,
+) -> ScaledInt:
+    """:func:`pair_add`, boxed."""
+    return box(pair_add(a, b, cfg, sat), cfg)
+
+
+def scale_sub(
+    a: ScaledInt,
+    b: ScaledInt,
+    cfg: ScaleConfig = DEFAULT_CONFIG,
+    sat: SaturationCounter | None = None,
+) -> ScaledInt:
+    """Difference, implemented as addition with the subtrahend's sign flipped."""
+    return scale_add(a, box((-b[0], b[1]), cfg), cfg, sat)
+
+
+def shift_scale(
+    q: ScaledInt,
+    delta: int,
+    cfg: ScaleConfig = DEFAULT_CONFIG,
+    sat: SaturationCounter | None = None,
+) -> ScaledInt:
+    """Multiply by ``2**-delta`` via a scale adjustment (no magnitude bits move
+    unless the adjusted scale leaves the stored range)."""
+    return box(fit(q[0], q[1] + delta, cfg, sat), cfg)
+
+
 def scale_div(
     a: ScaledInt,
     b: ScaledInt,
     cfg: ScaleConfig = DEFAULT_CONFIG,
     sat: SaturationCounter | None = None,
 ) -> ScaledInt:
-    """:func:`quotient` of the signed magnitudes."""
-    return box(quotient(a[0], b[0], a[1] - b[1], cfg, sat), cfg)
+    """:func:`pair_div`, boxed."""
+    return box(pair_div(a, b, cfg, sat), cfg)

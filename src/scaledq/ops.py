@@ -8,19 +8,21 @@ their :class:`ScaledInt` elements are, each step ending in ``core.fit`` or
 ``core.quotient``, bit-identical to composing the ``core`` primitives, and
 each output pair is boxed once with ``core.box``, so an output tensor holds
 pointers to its format's shared boxes rather than a fresh tuple per element.
-The exception is a sum of products: a dot plus its bias is T, ``fit``'s cut
-toward zero to P bits, of its exact value at the finest scale up to
-``scale_max``, cut once.  :func:`_lane_dots` makes every total of
-:func:`conv2d`, :func:`linear` and :func:`matmul`, the O outputs of an input
-row in L-bit lanes of one int, with L wide enough for the call's own
-operands; :func:`_dot` makes :func:`layer_norm`'s variance.  Only this module reads the exact ints
-:func:`_fixed` makes.
+Every scalar rule they use, ``pair_add``, ``pair_mul``, ``pair_div`` and
+``pair_sum``, is stated once in ``core``.  The exception is a sum of
+products: a dot plus its bias is T, ``fit``'s cut toward zero to P bits, of
+its exact value at the finest scale up to ``scale_max``, cut once.
+:func:`_lane_dots` makes every total of :func:`conv2d`, :func:`linear` and
+:func:`matmul`, the O outputs of an input row in L-bit lanes of one int,
+with L wide enough for the call's own operands; :func:`layer_norm`'s
+variance is the same cut of one exact self-dot.  Only this module reads the
+exact ints :func:`_fixed` makes.
 """
 
 from __future__ import annotations
 
 import math
-import sys
+import struct
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter, mul
@@ -37,6 +39,10 @@ from .core import (
     box,
     fit,
     handle_overflow,
+    pair_add,
+    pair_div,
+    pair_mul,
+    pair_sum,
     quotient,
     scale_mul,
 )
@@ -115,80 +121,16 @@ def sum_aligned(
     Zero terms drop out; a single surviving term is returned bit-identical,
     the same object, which keeps identity kernels and zero biases exact.
     """
-    acc = _add_pairs(terms, cfg, sat)
+    acc = pair_sum(terms, cfg, sat)
     return acc if type(acc) is ScaledInt else box(acc, cfg)
 
 
-def _add_pairs(pairs, cfg: ScaleConfig,
-               sat: SaturationCounter | None) -> tuple[int, int]:
-    """:func:`sum_aligned` on ``(signed_magnitude, scale)`` pairs: zero
-    pairs drop out and a single live pair comes back as given."""
-    live = [p for p in pairs if p[0]]
-    if len(live) < 2:
-        return live[0] if live else (0, 0)
-    top = live[0][1]
-    for _, s in live:
-        if s > top:
-            top = s
-    total = 0
-    for m, s in live:
-        total += m << (top - s)
-    return fit(total, top, cfg, sat)
-
-
-def _add(a, b, cfg: ScaleConfig,
-         sat: SaturationCounter | None) -> tuple[int, int]:
-    """:func:`scale_add` on two pairs; a zero pair returns the other as given."""
-    if not a[0]:
-        return b
-    if not b[0]:
-        return a
-    top = a[1] if a[1] > b[1] else b[1]
-    return fit((a[0] << (top - a[1])) + (b[0] << (top - b[1])), top, cfg, sat)
-
-
-def _mul(a, b, cfg: ScaleConfig,
-         sat: SaturationCounter | None) -> tuple[int, int]:
-    """:func:`scale_mul` on two pairs."""
-    return fit(a[0] * b[0], a[1] + b[1], cfg, sat)
-
-
-def _div(a, b, cfg: ScaleConfig,
-         sat: SaturationCounter | None) -> tuple[int, int]:
-    """:func:`scale_div` on two pairs."""
-    return quotient(a[0], b[0], a[1] - b[1], cfg, sat)
-
-
 def _fixed(pairs, cfg: ScaleConfig) -> tuple[list[int], int]:
-    """``pairs`` as the dot kernels read them: ``(ints, g)``, with ``g`` the
+    """``pairs`` as the dots read them: ``(ints, g)``, with ``g`` the
     larger of ``scale_max`` and the largest scale, and each ``(m, s)`` the
     exact integer ``m << (g - s)`` it is on the ``2**-g`` grid."""
     g = max([cfg.scale_max] + [s for _, s in pairs])
     return [m << (g - s) for m, s in pairs], g
-
-
-def _dot(a, b, cfg: ScaleConfig, sat: SaturationCounter | None,
-         bias=None) -> tuple[int, int]:
-    """A dot plus its bias on two equal-length operands from :func:`_fixed`:
-    T of the exact ``sum(x*w) + bias`` at the finest scale up to
-    ``scale_max``.  :func:`layer_norm`'s variance is one; :func:`_lane_dots`
-    makes the same cut for many dots at once.
-
-    The products add exactly on the grid ``2**-(g_a + g_b)``, the bias joins
-    them there, and :func:`fit` cuts the total once, so a dot saturates or
-    flushes at most once and its stored form depends only on its value.  An
-    in-format operand is an integer of at most ``P + scale_max - scale_min``
-    bits, so ``n`` products and an in-format bias need at most
-    ``2*(P + scale_max - scale_min) + ceil(log2 n)`` bits: 84 at the default
-    format with 64 terms.
-    """
-    total, grid = sum(map(mul, a[0], b[0])), a[1] + b[1]
-    if bias is not None and bias[0]:
-        m, s = bias
-        if s > grid:
-            total, grid = total << (s - grid), s
-        total += m << (grid - s)
-    return fit(total, grid, cfg, sat)
 
 
 def conv2d(
@@ -329,8 +271,12 @@ def _lane_dots(rows, grid: int, x_max: int, w, biases, cfg: ScaleConfig,
     ``grid + g_w`` and the scale of every live bias, and the weights and the
     biases are shifted onto it once.  That is exact: ``G`` is at least
     ``2 * scale_max``, above the ceiling, and there ``fit(m << k, s + k)`` is
-    ``fit(m, s)``, so each output is the one cut :func:`_dot` makes of the
-    same exact ``sum(x*w) + b``.
+    ``fit(m, s)``, so each output is T of its exact ``sum(x*w) + b`` at the
+    finest scale up to ``scale_max``, cut once.  An in-format operand is an
+    integer of at most ``P + scale_max - scale_min`` bits, so an exact total
+    of ``n`` products and an in-format bias needs at most
+    ``2*(P + scale_max - scale_min) + ceil(log2 n)`` bits: 84 at the default
+    format with 64 terms.
 
     The O weights of each column are packed into one int in lanes of L bits,
     output o in lane o, and ``base`` holds ``2**(L-1)`` plus output o's
@@ -340,10 +286,9 @@ def _lane_dots(rows, grid: int, x_max: int, w, biases, cfg: ScaleConfig,
     operands, and L is the smallest multiple of 64 above ``bitlen(bound)``,
     so ``|total| < 2**(L-1)``: lane o holds its total plus ``2**(L-1)`` in
     ``[0, 2**L)`` and never borrows from or carries into its neighbour, in
-    any format.  The lanes are read back from the int's bytes in native
-    order: one ``memoryview`` cast when L is 64, ``int.from_bytes`` per lane
-    otherwise.  On a big-endian host the bytes begin with the top lane, so
-    the lanes are packed in reverse there.
+    any format.  The lanes are read back from the int's little-endian
+    bytes, lane 0 first, on any host: one ``struct`` unpack of O unsigned
+    64-bit words when L is 64, ``int.from_bytes`` per lane otherwise.
     """
     wrows, g_w = w
     n_out = len(wrows)
@@ -356,16 +301,14 @@ def _lane_dots(rows, grid: int, x_max: int, w, biases, cfg: ScaleConfig,
     lane = 64 * ((x_max * widest + max(map(abs, shifted), default=0)).bit_length() // 64 + 1)
     half = 1 << (lane - 1)
     at = [lane * o for o in range(n_out)]
-    if sys.byteorder == "big":
-        at.reverse()
     packs = [sum([v << a for v, a in zip(col, at)]) << up for col in zip(*wrows)]
     base = sum([(half + b) << a for b, a in zip(shifted, at)])
-    width, order = lane // 8, sys.byteorder
+    width, words = lane // 8, struct.Struct(f"<{n_out}Q").unpack
     out: list[ScaledInt] = []
     for row in rows:
-        raw = sum(map(mul, row, packs), base).to_bytes(width * n_out, order)
-        lanes = memoryview(raw).cast("Q") if lane == 64 else [
-            int.from_bytes(raw[i:i + width], order) for i in range(0, len(raw), width)]
+        raw = sum(map(mul, row, packs), base).to_bytes(width * n_out, "little")
+        lanes = words(raw) if lane == 64 else [
+            int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
         out += [box(fit(v - half, top, cfg, sat), cfg) for v in lanes]
     return out
 
@@ -393,14 +336,15 @@ def layer_norm(
     ``top``, or coarser where the row's largest deviation would leave no
     room to square and sum ``n`` of them below ``max_value``.  So
     ``d_i = c * (x_i - mean)`` with ``c = n * 2**(top - grid)``, and
-    ``dot(d, d) / n`` is ``c**2`` times the (population) variance.  The
+    ``dot(d, d) / n`` is ``c**2`` times the (population) variance; the
+    self-dot is exact and cut once, as :func:`_lane_dots` cuts a dot.  The
     quantized Newton iteration, seeded by
     :func:`~scaledq.newton.exponent_seed`, runs on that plus
     ``fit(eps_m * n**2, eps_s + 2*(grid - top))``, ``c**2 * eps``, so its
     ``1/sqrt`` carries the ``1/c`` that standardizes each ``d_i``.  The
-    output is ``d_i * inv * gamma_i + beta_i``.  A row of identical stored
-    values, or one whose deviations all vanish (one value stored in
-    different forms), short-circuits to beta and never consults eps.
+    output is ``d_i * inv * gamma_i + beta_i``.  A row whose deviations all
+    vanish, such as one holding a single value in any of its stored forms,
+    short-circuits to beta and never consults eps.
     """
     n = x.shape[-1] if x.shape else 0
     if n < 1:
@@ -416,9 +360,6 @@ def layer_norm(
     out: list[ScaledInt] = []
     for r in range(0, x.size, n):
         row = x.data[r:r + n]
-        if row.count(row[0]) == n:
-            out.extend(beta)
-            continue
         top = max([s for _, s in row])
         aligned = [m << (top - s) for m, s in row]
         total = sum(aligned)
@@ -427,16 +368,16 @@ def layer_norm(
         if grid < top:
             grid = top
         devs = [fit(v, grid, cfg, sat) for v in exact]
-        fixed = _fixed(devs, cfg)
-        if not any(fixed[0]):
+        ints, g = _fixed(devs, cfg)
+        if not any(ints):
             out.extend(beta)
             continue
-        vm, vs = _dot(fixed, fixed, cfg, sat)
-        var = box(_add(quotient(vm, n, vs, cfg, sat),
-                       fit(eps_m * n * n, eps_s + 2 * (grid - top), cfg, sat), cfg, sat), cfg)
+        vm, vs = fit(sum(map(mul, ints, ints)), 2 * g, cfg, sat)
+        var = box(pair_add(quotient(vm, n, vs, cfg, sat),
+                           fit(eps_m * n * n, eps_s + 2 * (grid - top), cfg, sat), cfg, sat), cfg)
         inv, _ = newton_inv_sqrt(var, exponent_seed(var, cfg), cfg.newton_iters, cfg, sat)
-        out.extend(box(_add(_mul(_mul(d, inv, cfg, sat), g, cfg, sat), b, cfg, sat), cfg)
-                   for d, g, b in zip(devs, gamma, beta))
+        out.extend(box(pair_add(pair_mul(pair_mul(d, inv, cfg, sat), gm, cfg, sat), b, cfg, sat),
+                       cfg) for d, gm, b in zip(devs, gamma, beta))
     return QTensor(x.shape, tuple(out))
 
 
@@ -462,15 +403,15 @@ def softmax(
 def _softmax_numerator(x, cfg: ScaleConfig,
                        sat: SaturationCounter | None) -> tuple[int, int]:
     """``1 + x + x^2/2`` on one pair."""
-    m, s = _mul(x, x, cfg, sat)
-    return _add_pairs((_ONE, x, fit(m, s + 1, cfg, sat)), cfg, sat)
+    m, s = pair_mul(x, x, cfg, sat)
+    return pair_sum((_ONE, x, fit(m, s + 1, cfg, sat)), cfg, sat)
 
 
 def _normalize(nums, cfg: ScaleConfig,
                sat: SaturationCounter | None) -> list[ScaledInt]:
     """One softmax row from its numerators: each divided by their sum."""
-    den = _add_pairs(nums, cfg, sat)
-    return [box(_div(num, den, cfg, sat), cfg) for num in nums]
+    den = pair_sum(nums, cfg, sat)
+    return [box(pair_div(num, den, cfg, sat), cfg) for num in nums]
 
 
 def softmax_tensor(
@@ -540,20 +481,20 @@ def gelu(
     continuation of the underlying tanh series.
     """
     variant = variant or cfg.gelu_variant
-    x3 = _mul(_mul(x, x, cfg, sat), x, cfg, sat)
+    x3 = pair_mul(pair_mul(x, x, cfg, sat), x, cfg, sat)
     c1, c3 = GELU_SERIES
-    a = _add(_mul(c1, x, cfg, sat), _mul(c3, x3, cfg, sat), cfg, sat)
+    a = pair_add(pair_mul(c1, x, cfg, sat), pair_mul(c3, x3, cfg, sat), cfg, sat)
     if variant == GELU_SERIES_LINEAR:
-        gate = _add(_ONE, a, cfg, sat)
+        gate = pair_add(_ONE, a, cfg, sat)
     else:
-        a3 = _mul(_mul(a, a, cfg, sat), a, cfg, sat)
+        a3 = pair_mul(pair_mul(a, a, cfg, sat), a, cfg, sat)
         if variant == GELU_SERIES_CUBED:
-            gate = _add_pairs((_ONE, a, a3), cfg, sat)
+            gate = pair_sum((_ONE, a, a3), cfg, sat)
         elif variant == GELU_SERIES_CUBED_CORRECTED:
-            gate = _add_pairs((_ONE, a, _div(a3, (-3, 0), cfg, sat)), cfg, sat)
+            gate = pair_sum((_ONE, a, pair_div(a3, (-3, 0), cfg, sat)), cfg, sat)
         else:
             raise ValueError(f"unknown gelu variant {variant!r}")
-    m, s = _mul(x, gate, cfg, sat)
+    m, s = pair_mul(x, gate, cfg, sat)
     return box(fit(m, s + 1, cfg, sat), cfg)
 
 

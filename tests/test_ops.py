@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -731,7 +732,7 @@ def test_pinned_inputs_reach_both_range_edges():
     assert any(p.is_zero() for p in products)
 
 
-# --- _dot and sum_aligned against the specification in tests/spec.py -------
+# --- one dot and sum_aligned against the specification in tests/spec.py ---
 
 # (12, 10) puts values up to 2**1035 on the 2**-scale_max grid, so the kernel's
 # products are ints of about 2000 bits.
@@ -740,8 +741,9 @@ SPEC_FORMATS = [(8, 5)] + [(p, s) for p in (2, 4, 12) for s in (3, 5, 6)] + [(12
 
 @pytest.mark.parametrize("p_bits,scale_bits", SPEC_FORMATS)
 def test_dot_and_sum_aligned_match_spec(p_bits, scale_bits):
-    """Random dots of 0 to 8 terms over the whole format, zeros included, give
-    the specification's pair, so its value in its stored form, with the same
+    """Random dots of 0 to 8 terms over the whole format, zeros included,
+    each one row against one weight row through ``_lane_dots``, give the
+    specification's pair, so its value in its stored form, with the same
     running saturation count; a single live term comes back as itself."""
     cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
     rng = random.Random(p_bits * 100 + scale_bits)
@@ -750,8 +752,7 @@ def test_dot_and_sum_aligned_match_spec(p_bits, scale_bits):
     for _ in range(2000):
         n = rng.randint(0, 8)
         xs, ws = (rand_tensor(rng, (n,), cfg).data for _ in range(2))
-        assert (ops._dot(ops._fixed(xs, cfg), ops._fixed(ws, cfg), cfg, got_sat)
-                == spec.dot(xs, ws, cfg, want_sat))
+        assert _one_dot(xs, ws, cfg, got_sat) == spec.dot(xs, ws, cfg, want_sat)
         assert got_sat.count == want_sat.count
         got = sum_aligned(xs, cfg, got_sat)
         assert got == spec.sum_aligned(xs, cfg, want_sat)
@@ -761,16 +762,24 @@ def test_dot_and_sum_aligned_match_spec(p_bits, scale_bits):
             assert got is live[0]
             singles += 1
     assert want_sat.count > 0 and singles > 0
-    empty = ops._fixed((), cfg)
-    assert ops._dot(empty, empty, cfg, got_sat) == spec.dot((), (), cfg, want_sat) == (0, 0)
+    assert _one_dot((), (), cfg, got_sat) == spec.dot((), (), cfg, want_sat) == (0, 0)
     assert sum_aligned((), cfg) == ZERO
 
 
+def _one_dot(xs, ws, cfg, sat, bias=None):
+    """``ops._lane_dots`` of one row ``xs``, one weight row ``ws`` and
+    ``bias``, any pair, when given: the one dot's output."""
+    ints, grid = ops._fixed(xs, cfg)
+    w_ints, g_w = ops._fixed(ws, cfg)
+    return ops._lane_dots([ints], grid, max(map(abs, ints), default=0), ([w_ints], g_w),
+                          None if bias is None else [bias], cfg, sat)[0]
+
+
 def _dot_and_count(xs, ws, cfg, bias=(0, 0)):
-    """``ops._dot`` of two pair sequences plus ``bias`` and its saturations,
-    asserted equal to ``spec.dot``'s."""
+    """One dot of two pair sequences plus ``bias`` through ``_lane_dots``,
+    and its saturations, asserted equal to ``spec.dot``'s."""
     got_sat, want_sat = SaturationCounter(), SaturationCounter()
-    got = ops._dot(ops._fixed(xs, cfg), ops._fixed(ws, cfg), cfg, got_sat, bias)
+    got = _one_dot(xs, ws, cfg, got_sat, bias)
     assert (got, got_sat.count) == (spec.dot(xs, ws, cfg, want_sat, bias), want_sat.count)
     return got, got_sat.count
 
@@ -819,7 +828,7 @@ def test_dot_at_each_edge_of_the_product_cut_matches_spec(p_bits, scale_bits):
 
 @pytest.mark.parametrize("p_bits,scale_bits", SPEC_FORMATS)
 def test_dot_is_its_exact_value_cut_once(p_bits, scale_bits):
-    """Random dots with a bias, through ``_dot``, ``linear`` and ``conv2d``,
+    """Random dots with a bias, through ``_lane_dots``, ``linear`` and ``conv2d``,
     against their exact values in ``Fraction``s.  A total of at least
     ``2**(P - scale_min)`` saturates, once.  Otherwise the result r has the
     exact value's sign, ``|r| <= |exact|`` and ``|exact| - |r| < 2**-s`` for
@@ -857,7 +866,7 @@ def test_dot_is_its_exact_value_cut_once(p_bits, scale_bits):
         n = rng.randint(0, 8)
         xs, ws, (bias,) = t(n).data, t(n).data, t(1).data
         sat = SaturationCounter()
-        got = ops._dot(ops._fixed(xs, cfg), ops._fixed(ws, cfg), cfg, sat, bias)
+        got = _one_dot(xs, ws, cfg, sat, bias)
         assert sat.count == check(got, exact_dot(xs, ws, bias))
     for _ in range(3):
         x, w, b = t(4, 6), t(5, 6), t(5)
@@ -879,7 +888,7 @@ def test_dot_is_its_exact_value_cut_once(p_bits, scale_bits):
 def test_a_dot_result_has_one_stored_form_per_value():
     """(2, 1) and (1, 0) are one value, and a dot is cut from its value
     alone: (2, 1)·(1, 0) and (1, 0)·(1, 0) give one pair, the form
-    ``quantize`` gives 1, through ``_dot`` and through ``linear``."""
+    ``quantize`` gives 1, through ``_lane_dots`` and through ``linear``."""
     two, one = ScaledInt(2, 1), ScaledInt(1, 0)
     unit = quantize(1.0, CFG)
     assert _dot_and_count([two], [one], CFG) == _dot_and_count([one], [one], CFG) == (unit, 0)
@@ -1347,13 +1356,39 @@ def test_conv_lanes_match_spec(p_bits, scale_bits, conv):
         _lanes_match_spec(rows, ws, list(b.data[g * mult:(g + 1) * mult]), cfg)
 
 
+@pytest.mark.parametrize("order", ["big", "little"])
+@pytest.mark.parametrize("p_bits,scale_bits", [(8, 5), (12, 10)])
+def test_dot_ops_do_not_depend_on_the_host_byte_order(monkeypatch, order, p_bits, scale_bits):
+    """``linear``, ``matmul`` and ``conv2d`` give the spec's pairs and
+    saturation counts whatever ``sys.byteorder`` reads, so a big-endian host
+    gets the outputs a little-endian one does.  Values in [-2, 2] read
+    64-bit lanes at (8, 5) and wider ones at (12, 10)."""
+    monkeypatch.setattr(sys, "byteorder", order)
+    cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    rng = random.Random(23)
+
+    def t(*shape):
+        return QTensor(shape, tuple(quantize(rng.uniform(-2, 2), cfg)
+                                    for _ in range(math.prod(shape))))
+
+    x, w, b, cols = t(4, 6), t(5, 6), t(5), t(6, 3)
+    image, kernel, k_bias = t(1, 2, 4, 4), t(3, 2, 3, 3), t(3)
+    conv = ConvSpec(2, 3, 3, padding=1)
+    for got, want in [(lambda s: linear(x, w, b, cfg, s), lambda s: spec_linear(x, w, b, cfg, s)),
+                      (lambda s: matmul(x, cols, cfg, s), lambda s: spec_matmul(x, cols, cfg, s)),
+                      (lambda s: conv2d(image, kernel, k_bias, conv, cfg, s),
+                       lambda s: spec_conv2d(image, kernel, k_bias, conv, cfg, s))]:
+        got_sat, want_sat = SaturationCounter(), SaturationCounter()
+        assert (got(got_sat).data, got_sat.count) == (want(want_sat).data, want_sat.count)
+
+
 @pytest.mark.parametrize("op", ["conv2d", "depthwise", "linear", "matmul"])
 def test_dot_ops_cut_each_output_once_without_dot(monkeypatch, op):
-    """conv2d, linear and matmul make no ``ops._dot`` call and exactly one
-    ``fit`` per output: a count, so it holds on any machine, and the
-    per-output dot loop cannot come back unseen."""
+    """conv2d, linear and matmul make exactly one ``fit`` per output: a
+    count, so it holds on any machine, and a per-output dot loop cannot come
+    back unseen."""
     rng = random.Random(22)
-    calls = {"_dot": 0, "fit": 0}
+    calls = {"fit": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -1361,7 +1396,6 @@ def test_dot_ops_cut_each_output_once_without_dot(monkeypatch, op):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(ops, "_dot", counted("_dot", ops._dot))
     monkeypatch.setattr(ops, "fit", counted("fit", ops.fit))
     x = rand_tensor(rng, (2, 3, 6, 5))
     out = {
@@ -1372,7 +1406,7 @@ def test_dot_ops_cut_each_output_once_without_dot(monkeypatch, op):
         "linear": lambda: linear(x, rand_tensor(rng, (7, 5)), rand_tensor(rng, (7,)), CFG),
         "matmul": lambda: matmul(rand_tensor(rng, (9, 5)), rand_tensor(rng, (5, 4)), CFG),
     }[op]()
-    assert calls == {"_dot": 0, "fit": out.size}
+    assert calls == {"fit": out.size}
 
 
 # --- the pair-level non-linear operators against the spec and the primitives
