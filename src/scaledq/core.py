@@ -385,8 +385,8 @@ def scale_sub(
     cfg: ScaleConfig = DEFAULT_CONFIG,
     sat: SaturationCounter | None = None,
 ) -> ScaledInt:
-    """Difference, implemented as addition with the subtrahend's sign flipped."""
-    return scale_add(a, box((-b[0], b[1]), cfg), cfg, sat)
+    """Difference: :func:`pair_add` with the subtrahend's sign flipped, boxed."""
+    return box(pair_add(a, (-b[0], b[1]), cfg, sat), cfg)
 
 
 def shift_scale(
