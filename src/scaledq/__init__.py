@@ -26,7 +26,7 @@ from .core import (
     scale_sub,
     shift_scale,
 )
-from .newton import NewtonTrace, default_seed, exponent_seed, newton_inv_sqrt
+from .newton import NewtonTrace, exponent_seed, newton_inv_sqrt
 from .ops import (
     ConvSpec,
     LayerNormParams,

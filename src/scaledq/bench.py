@@ -137,7 +137,7 @@ _OPERATORS = {
         _flat_shapes, _unit_norm_operands,
         lambda a, cfg, sat, v: layer_norm(*a, cfg, sat),
         lambda f: ref.ref_layer_norm(f[0], [1.0] * f[0].size, [0.0] * f[0].size,
-                                     dequantize(f[1].eps)), ("newton_iters",)),
+                                     dequantize(f[1].eps))),
     "softmax": _Operator(
         _flat_shapes, _input_only,
         lambda a, cfg, sat, v: softmax_tensor(*a, cfg, sat),
@@ -155,7 +155,7 @@ OPERATORS = tuple(_OPERATORS)
 _EVERY_ROW_READS = ("height", "width", "trials", "input_file",
                     "seed", "config", "p_bits", "scale_bits")
 READS = {name: _EVERY_ROW_READS + op.reads for name, op in _OPERATORS.items()}
-READS["suite"] = ("height", "trials", "newton_iters", "seed", "config", "p_bits", "scale_bits")
+READS["suite"] = ("height", "trials", "seed", "config", "p_bits", "scale_bits")
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,13 @@ from .core import (
     DivisionByZero,
     DomainError,
     GELU_VARIANTS,
-    MAX_NEWTON_ITERS,
     RangeError,
     ScaleConfig,
     ScaledInt,
     dequantize,
     quantize,
 )
-from .newton import exponent_seed, newton_inv_sqrt
+from .newton import MAX_NEWTON_ITERS, NEWTON_ITERS, exponent_seed, newton_inv_sqrt
 from .ops import ShapeError, gelu
 from .bench import (
     MAX_ELEMENTS,
@@ -118,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--input-file", help="fixed input tensor (JSON), reused every trial")
     b.add_argument("--json", action="store_true", dest="as_json")
     b.add_argument("--out", help="write report to this path instead of stdout")
-    _add_config_flags(b, "p_bits", "scale_bits", "newton_iters", "gelu_variant", "seed")
+    _add_config_flags(b, "p_bits", "scale_bits", "gelu_variant", "seed")
 
     iv = sub.add_parser("invsqrt", help="quantized vs FP64 inverse square root trace")
     iv.add_argument("value", type=float)
@@ -126,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     iv.add_argument("--scale", type=int, help="stored scale for --int")
     iv.add_argument("--y0-int", type=int, help="seed magnitude (default: VALUE's exponent seed)")
     iv.add_argument("--y0-scale", type=int, help="seed scale (default: VALUE's exponent seed)")
-    iv.add_argument("--iters", type=int)
+    iv.add_argument("--iters", type=int, default=NEWTON_ITERS)
     iv.add_argument("--json", action="store_true", dest="as_json")
     _add_config_flags(iv, "p_bits", "scale_bits")
 
@@ -143,12 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--start", type=float, default=-4.0)
     gc.add_argument("--stop", type=float, default=4.0)
     gc.add_argument("--steps", type=int, default=81)
-    gc.add_argument("--variant", choices=GELU_VARIANTS)
-    _add_config_flags(gc, "p_bits", "scale_bits")
+    _add_config_flags(gc, "p_bits", "scale_bits", "gelu_variant")
 
     info = sub.add_parser("info", help="format parameters and memory accounting")
     info.add_argument("--json", action="store_true", dest="as_json")
-    _add_config_flags(info, "p_bits", "scale_bits", "newton_iters", "gelu_variant")
+    _add_config_flags(info, "p_bits", "scale_bits", "gelu_variant")
 
     st = sub.add_parser("save-tensor", help="generate and store a random f64 tensor")
     st.add_argument("path")
@@ -251,12 +249,11 @@ def _cmd_invsqrt(args, out) -> int:
     seed = exponent_seed(x, cfg)
     y0 = _stored("y0-", seed.magnitude if args.y0_int is None else args.y0_int,
                  seed.scale if args.y0_scale is None else args.y0_scale, cfg)
-    iters = args.iters if args.iters is not None else cfg.newton_iters
-    if not 0 <= iters <= MAX_NEWTON_ITERS:
-        raise UsageError(f"--iters {iters} is outside [0, {MAX_NEWTON_ITERS}]")
-    final, trace = newton_inv_sqrt(x, y0, iters, cfg)
+    if not 0 <= args.iters <= MAX_NEWTON_ITERS:
+        raise UsageError(f"--iters {args.iters} is outside [0, {MAX_NEWTON_ITERS}]")
+    final, trace = newton_inv_sqrt(x, y0, args.iters, cfg)
     try:
-        _, fp_seq = ref_newton_inv_sqrt(args.value, dequantize(y0), iters)
+        _, fp_seq = ref_newton_inv_sqrt(args.value, dequantize(y0), args.iters)
     except OverflowError:
         fp_seq = [math.inf]
     if not all(map(math.isfinite, fp_seq)):
@@ -287,7 +284,6 @@ def _cmd_gelu_curve(args, out) -> int:
     cfg, _ = _build_config(args)
     if not 2 <= args.steps <= MAX_ELEMENTS:
         raise UsageError(f"--steps {args.steps} is outside [2, {MAX_ELEMENTS}]")
-    variant = args.variant or cfg.gelu_variant
     # A non-finite end, or a span past FP64's range, would get to quantize as
     # a point the user never gave (start + 0 * inf is nan).
     span = args.stop - args.start
@@ -300,7 +296,7 @@ def _cmd_gelu_curve(args, out) -> int:
     for i in (0, args.steps - 1):
         quantize(args.start + step * i, cfg)
     xs = (args.start + step * i for i in range(args.steps))
-    rows = ({"x": x, "quantized": dequantize(gelu(quantize(x, cfg), cfg, variant=variant)),
+    rows = ({"x": x, "quantized": dequantize(gelu(quantize(x, cfg), cfg)),
              "exact": ref_gelu_exact(x)} for x in xs)
     return _emit(args, out, rows, None)
 

@@ -25,10 +25,6 @@ GELU_SERIES_LINEAR = "series-linear"
 GELU_SERIES_CUBED = "series-cubed"
 GELU_SERIES_CUBED_CORRECTED = "series-cubed-corrected"
 GELU_VARIANTS = (GELU_SERIES_LINEAR, GELU_SERIES_CUBED, GELU_SERIES_CUBED_CORRECTED)
-# Most Newton iterations a config or ``scaledq invsqrt --iters`` may ask for.
-# The iterate grows at most 1.5x per step, and 1.5**4096 is far past the
-# widest format's span of 2**1534, so more steps only cost time and memory.
-MAX_NEWTON_ITERS = 1 << 12
 # Most boxes one format's table holds.  The default format has 16 321 stored
 # pairs, all of which fit; a wide format stops growing here, and a result
 # boxed past it is a fresh, value-equal ScaledInt.
@@ -53,26 +49,25 @@ class ScaleConfig:
 
     ``p_bits`` is the magnitude width; ``scale_bits`` sets the stored scale
     range to ``[-2**(scale_bits-1), 2**(scale_bits-1) - 1]``, and
-    ``newton_iters`` is the default iteration count for the inverse square
-    root, at most ``MAX_NEWTON_ITERS``.  ``p_bits + 2**(scale_bits - 1)`` is
-    at most 1023, so FP64 holds the largest value at the conversion boundary.
+    ``gelu_variant`` picks the activation's series.
+    ``p_bits + 2**(scale_bits - 1)`` is at most 1023, so FP64 holds the
+    largest value at the conversion boundary.
 
     ``__post_init__`` sets the derived bounds ``max_magnitude``, ``scale_min``,
     ``scale_max``, ``max_value`` and ``zero_below`` once, as plain instance
     attributes: not fields, so ``fields``, ``asdict``, ``==`` and ``hash`` see
-    only the four parameters, and not properties, because CPython cannot
+    only the three parameters, and not properties, because CPython cannot
     specialize a load that a class descriptor shadows and ``fit`` reads them
     on every call.
 
     ``boxes`` is derived too, empty but for zero, and filled by :func:`box`:
     the table of this format's shared :class:`ScaledInt` boxes, keyed by
-    pair.  Copies and pickles rebuild the config from its four fields, so
+    pair.  Copies and pickles rebuild the config from its three fields, so
     each config, a copy included, has a table of its own.
     """
 
     p_bits: int = 8
     scale_bits: int = 5
-    newton_iters: int = 20
     gelu_variant: str = GELU_SERIES_LINEAR
 
     def __post_init__(self):
@@ -84,9 +79,6 @@ class ScaleConfig:
         if self.scale_bits > 10 or self.p_bits + (1 << (self.scale_bits - 1)) > 1023:
             raise ValueError("p_bits + 2**(scale_bits - 1) must be <= 1023, "
                              "or the largest value overflows FP64")
-        if not 1 <= self.newton_iters <= MAX_NEWTON_ITERS:
-            raise ValueError(f"newton_iters must be from 1 to {MAX_NEWTON_ITERS}, "
-                             f"got {self.newton_iters}")
         if self.gelu_variant not in GELU_VARIANTS:
             raise ValueError(f"gelu_variant must be one of {GELU_VARIANTS}")
         put = object.__setattr__
@@ -98,7 +90,7 @@ class ScaleConfig:
         put(self, "boxes", {ZERO: ZERO})
 
     def __reduce__(self):
-        return type(self), (self.p_bits, self.scale_bits, self.newton_iters, self.gelu_variant)
+        return type(self), (self.p_bits, self.scale_bits, self.gelu_variant)
 
     @property
     def bits_per_element(self) -> int:

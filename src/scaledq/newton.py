@@ -10,6 +10,10 @@ when a magnitude outgrows P bits.  Once a halved update equals the iterate's
 magnitude, or the iterate is zero, every later step would return the same
 value, so the rest of the trace is filled with it and no further step is
 computed.
+
+Every Newton setting lives here: the seed rule :func:`exponent_seed`, the
+step budget ``NEWTON_ITERS`` that the library's callers run, and the cap
+``MAX_NEWTON_ITERS`` on any caller's count.
 """
 
 from __future__ import annotations
@@ -18,13 +22,24 @@ from dataclasses import dataclass
 
 from .core import (
     DomainError,
-    MAX_NEWTON_ITERS,
     SaturationCounter,
     ScaleConfig,
     ScaledInt,
     ZERO,
     handle_overflow,
 )
+
+# Steps ``layer_norm``, both attentions and ``scaledq invsqrt`` run.  From
+# :func:`exponent_seed` the iterate is within 2**-5 of ``1/sqrt(x)`` after
+# 3 steps below 2**20.  Within 20 steps 7968 of the 8160 positive inputs of
+# the default format stop at a fixed point; the other 192 end in a 2-cycle
+# and return the cycle's value for the budget's parity, so an odd budget
+# can change ``layer_norm`` outputs.
+NEWTON_ITERS = 20
+# Most steps any caller may ask for.  The iterate grows at most 1.5x per
+# step, and 1.5**4096 is far past the widest format's span of 2**1534, so
+# more steps only cost time and memory.
+MAX_NEWTON_ITERS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -39,24 +54,6 @@ class NewtonTrace:
     def __post_init__(self):
         if len(self.entries) != self.iters + 1:
             raise ValueError("trace must hold iters + 1 entries")
-
-
-def default_seed(cfg: ScaleConfig) -> ScaledInt:
-    """Fixed positive seed 2**-6 (or the finest available if the scale range
-    is narrower).
-
-    It meets the convergence bound ``y0 < sqrt(3/x)`` only for
-    ``x < 3 * 2**12``, and from it the iterate grows at most 1.5x per step.
-    Of the 8160 positive inputs of the default format, 4098 end 20
-    iterations more than 2**-5 (relative) away from ``1/sqrt(x)``.  2430 of
-    those, every input from ``3 * 2**12`` up, are pinned to zero by
-    :func:`newton_inv_sqrt`.  1622 more, from 19.375 up, settle at the scale
-    the first step gave the iterate (7), with a magnitude below 32, so too
-    few bits are left for the result; 46 below 2**-10 are still growing.
-    ``layer_norm``, both attentions and ``scaledq invsqrt`` seed from
-    :func:`exponent_seed` instead; this seed is for callers that pass it.
-    """
-    return ScaledInt(1, min(6, cfg.scale_max))
 
 
 def exponent_seed(x: ScaledInt, cfg: ScaleConfig) -> ScaledInt:
@@ -89,13 +86,11 @@ def newton_inv_sqrt(
     """Iterate toward ``1/sqrt(x)`` from seed ``y0``.
 
     Requires positive ``x`` and ``y0``; convergence additionally needs
-    ``y0 < sqrt(3/x)``, which :func:`default_seed` satisfies only for
-    ``x < 3 * 2**12`` and :func:`exponent_seed` wherever it is not the
-    finest step.  A step whose update is not positive (the bound was
-    violated) pins the iterate to zero without any signal; see
-    :func:`default_seed` for how many inputs that pins.  ``iters`` is at
-    most ``MAX_NEWTON_ITERS``, as for a config.  Returns the final iterate
-    plus the full trace.
+    ``y0 < sqrt(3/x)``, which :func:`exponent_seed` satisfies wherever it
+    is not the finest step.  A step whose update is not positive (the bound
+    was violated) pins the iterate to zero without any signal.  ``iters`` is
+    at most ``MAX_NEWTON_ITERS``.  Returns the final iterate plus the full
+    trace.
     """
     xm, xe = x
     if xm <= 0:

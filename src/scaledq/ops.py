@@ -46,7 +46,7 @@ from .core import (
     quotient,
     scale_mul,
 )
-from .newton import exponent_seed, newton_inv_sqrt
+from .newton import NEWTON_ITERS, exponent_seed, newton_inv_sqrt
 
 
 class ShapeError(ValueError):
@@ -375,7 +375,7 @@ def layer_norm(
         vm, vs = fit(sum(map(mul, ints, ints)), 2 * g, cfg, sat)
         var = box(pair_add(quotient(vm, n, vs, cfg, sat),
                            fit(eps_m * n * n, eps_s + 2 * (grid - top), cfg, sat), cfg, sat), cfg)
-        inv, _ = newton_inv_sqrt(var, exponent_seed(var, cfg), cfg.newton_iters, cfg, sat)
+        inv, _ = newton_inv_sqrt(var, exponent_seed(var, cfg), NEWTON_ITERS, cfg, sat)
         out.extend(box(pair_add(pair_mul(pair_mul(d, inv, cfg, sat), gm, cfg, sat), b, cfg, sat),
                        cfg) for d, gm, b in zip(devs, gamma, beta))
     return QTensor(x.shape, tuple(out))
@@ -527,7 +527,7 @@ def _inv_root(q: QTensor, k: QTensor, v: QTensor, d_m: int, cfg: ScaleConfig,
     if d_m < 1:
         raise ShapeError(f"attention head dimension must be positive, got {d_m}")
     d = handle_overflow(d_m, 0, cfg)
-    scaled, _ = newton_inv_sqrt(d, exponent_seed(d, cfg), cfg.newton_iters, cfg, sat)
+    scaled, _ = newton_inv_sqrt(d, exponent_seed(d, cfg), NEWTON_ITERS, cfg, sat)
     return scaled
 
 

@@ -312,7 +312,7 @@ GOLDEN = [
      "72686086ea008f572dac08377ca9f6a78b8b5d81fa74b9684646a3ec8780b401"),
     (("gelu-curve",),
      "4d0ea3dc40daad853d4d61c7ac2cfae50564e885d93bdce343464c1b20c1c827"),
-    (("gelu-curve", "--variant", "series-cubed", "--steps", "9"),
+    (("gelu-curve", "--gelu-variant", "series-cubed", "--steps", "9"),
      "79a2bae29b0e8cbafe7073e9518e682bedbef79de9a014f84f89b0ecb7a595ce"),
 ]
 

@@ -1,10 +1,17 @@
 """Command-line interface behavior and exit codes."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import scaledq
 from scaledq.cli import main
+from test_bench import GOLDEN
 
 
 def run_cli(capsys, *argv):
@@ -29,7 +36,7 @@ class TestInfo:
 
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"p_bits": 4, "scale_bits": 4, "newton_iters": 20,
+        cfg.write_text(json.dumps({"p_bits": 4, "scale_bits": 4,
                                    "gelu_variant": "series-linear", "seed": 0}))
         code, out, _ = run_cli(capsys, "info", "--config", str(cfg), "--json")
         assert code == 0
@@ -68,7 +75,7 @@ class TestInfo:
         assert errors == ["scaledq: error: unrecognized arguments: --div-t-max 5"]
 
     @pytest.mark.parametrize("raw", [{"p_bits": "8"}, {"seed": "x"}, {"seed": 1.5},
-                                     {"newton_iters": True}, {"gelu_variant": 3},
+                                     {"scale_bits": True}, {"gelu_variant": 3},
                                      {"p_bits": 1}])
     def test_bad_config_value_one_line(self, capsys, tmp_path, raw):
         cfg = tmp_path / "cfg.json"
@@ -449,20 +456,24 @@ class TestSaveTensor:
 
 
 # Config flags no longer offered where the command never read them (or read
-# them only through a second flag, as invsqrt's --iters and gelu-curve's
-# --variant), with the positional arguments each command needs.
+# them only through a second flag, as invsqrt's --iters), with the positional
+# arguments each command needs.  --newton-iters is gone from every command:
+# the step budget is newton.NEWTON_ITERS.
 REMOVED_FLAGS = [
     (cmd, flag, value)
     for cmd in ("invsqrt", "div-sweep", "quantize", "gelu-curve")
     for flag, value in (("--newton-iters", "5"), ("--gelu-variant", "series-cubed"),
                         ("--seed", "1"))
-] + [("info", "--seed", "1")] + [
+    if (cmd, flag) != ("gelu-curve", "--gelu-variant")
+] + [("info", "--seed", "1"), ("info", "--newton-iters", "5"),
+     ("bench", "--newton-iters", "5"), ("gelu-curve", "--variant", "series-cubed")] + [
     ("save-tensor", flag, value)
     for flag, value in (("--p-bits", "6"), ("--scale-bits", "4"), ("--newton-iters", "5"),
                         ("--gelu-variant", "series-cubed"))
 ]
 # Run from a temporary directory, where save-tensor writes t.json.
-POSITIONALS = {"invsqrt": ["4"], "quantize": ["1.5"], "save-tensor": ["t.json", "--shape", "2"]}
+POSITIONALS = {"invsqrt": ["4"], "quantize": ["1.5"], "save-tensor": ["t.json", "--shape", "2"],
+               "bench": ["layer-norm"]}
 
 
 @pytest.mark.parametrize("cmd,flag,value", REMOVED_FLAGS,
@@ -482,9 +493,8 @@ KEPT_FLAGS = [
     for cmd in ("invsqrt", "quantize", "gelu-curve", "div-sweep")
     for flag, value in (("--p-bits", "4"), ("--scale-bits", "4"))
 ] + [("info", flag, value) for flag, value in (("--p-bits", "6"), ("--scale-bits", "4"),
-                                                ("--newton-iters", "5"),
                                                 ("--gelu-variant", "series-cubed"))] + [
-    ("save-tensor", "--seed", "5")]
+    ("gelu-curve", "--gelu-variant", "series-cubed"), ("save-tensor", "--seed", "5")]
 
 
 @pytest.mark.parametrize("cmd,flag,value", KEPT_FLAGS, ids=[f"{c} {f}" for c, f, _ in KEPT_FLAGS])
@@ -497,8 +507,7 @@ def test_kept_config_flag_runs(capsys, tmp_path, monkeypatch, cmd, flag, value):
     assert (code, err) == (0, "")
 
 
-ALL_KEYS_CONFIG = {"p_bits": 8, "scale_bits": 5, "newton_iters": 20,
-                   "gelu_variant": "series-cubed", "seed": 1}
+ALL_KEYS_CONFIG = {"p_bits": 8, "scale_bits": 5, "gelu_variant": "series-cubed", "seed": 1}
 
 
 @pytest.mark.parametrize("argv", [
@@ -516,25 +525,22 @@ def test_config_file_with_every_key_accepted_everywhere(capsys, tmp_path, monkey
 
 # What each bench row does not read; it reads every other bench setting.
 BENCH_UNREAD = {
-    "conv2d": ("--weight-mode", "--newton-iters", "--gelu-variant"),
-    "depthwise-conv2d": ("--weight-mode", "--newton-iters", "--gelu-variant"),
-    "linear": ("--batch", "--kernel", "--newton-iters", "--gelu-variant"),
+    "conv2d": ("--weight-mode", "--gelu-variant"),
+    "depthwise-conv2d": ("--weight-mode", "--gelu-variant"),
+    "linear": ("--batch", "--kernel", "--gelu-variant"),
     "layer-norm": ("--batch", "--in-channels", "--out-channels", "--kernel", "--weight-mode",
                    "--gelu-variant"),
     "softmax": ("--batch", "--in-channels", "--out-channels", "--kernel", "--weight-mode",
-                "--newton-iters", "--gelu-variant"),
-    "gelu": ("--batch", "--in-channels", "--out-channels", "--kernel", "--weight-mode",
-             "--newton-iters"),
+                "--gelu-variant"),
+    "gelu": ("--batch", "--in-channels", "--out-channels", "--kernel", "--weight-mode"),
     "suite": ("--batch", "--in-channels", "--out-channels", "--kernel", "--width",
               "--weight-mode", "--input-file", "--gelu-variant"),
 }
-# A value for each bench setting that differs from its default.  From the
-# exponent seed, layer_norm's Newton iteration settles within 2 steps at
-# these sizes, so only 1 step gives a report other than the default's.
+# A value for each bench setting that differs from its default.
 BENCH_VALUES = {"--batch": "2", "--in-channels": "1", "--out-channels": "6", "--kernel": "2",
                 "--height": "4", "--width": "4", "--trials": "2", "--weight-mode": "identity",
-                "--p-bits": "6", "--scale-bits": "4", "--newton-iters": "1",
-                "--gelu-variant": "series-cubed", "--seed": "3"}
+                "--p-bits": "6", "--scale-bits": "4", "--gelu-variant": "series-cubed",
+                "--seed": "3"}
 FILE_FLAGS = ("--input-file", "--config")
 BENCH_READ = [(row, flag) for row in BENCH_UNREAD for flag in (*BENCH_VALUES, *FILE_FLAGS)
               if flag not in BENCH_UNREAD[row]]
@@ -583,8 +589,6 @@ def test_bench_read_flag_changes_the_report(capsys, tmp_path, row, flag):
 @pytest.mark.parametrize("argv,named", [
     (["invsqrt", "4", "--iters", "4097"], "--iters 4097 is outside [0, 4096]"),
     (["invsqrt", "4", "--iters", "-1"], "--iters -1 is outside [0, 4096]"),
-    (["bench", "layer-norm", "--newton-iters", "4097"], "got 4097"),
-    (["bench", "suite", "--newton-iters", "0"], "got 0"),
 ])
 def test_newton_iteration_count_bounded(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)
@@ -599,12 +603,12 @@ def test_invsqrt_accepts_the_iteration_bound(capsys):
     assert len(out.splitlines()) == 4098
 
 
-def test_config_newton_iters_above_bound_exit_1(capsys, tmp_path):
+def test_config_newton_iters_is_an_unknown_key_exit_1(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"newton_iters": 4097}))
+    cfg.write_text(json.dumps({"newton_iters": 20}))
     code, _, err = run_cli(capsys, "invsqrt", "4", "--config", str(cfg))
     assert code == 1
-    assert err == "scaledq: error: newton_iters must be from 1 to 4096, got 4097\n"
+    assert err == "scaledq: error: unknown config keys: ['newton_iters']\n"
 
 
 @pytest.mark.parametrize("contents,named", [
@@ -643,3 +647,33 @@ def test_bench_scaled_input_file_matches_equal_f64_file(capsys, tmp_path):
     reports = [run_cli(capsys, *argv, "--input-file", str(p)) for p in (scaled, f64)]
     assert reports[0] == reports[1]
     assert reports[0][0] == 0 and reports[0][1].startswith("operator,")
+
+
+# The CLI as a shell runs it, in a fresh process, so the exit code is the one
+# ``raise SystemExit(main())`` hands on.
+SRC = Path(scaledq.__file__).resolve().parent.parent
+CRITERION_1 = ("invsqrt", "15.25", "--int", "122", "--scale", "3", "--iters", "8")
+
+
+def run_module(*argv, cwd=None):
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "scaledq.cli", *argv], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          timeout=120)
+
+
+def test_module_run_prints_the_golden_trace():
+    done = run_module(*CRITERION_1)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert hashlib.sha256(done.stdout).hexdigest() == dict(GOLDEN)[CRITERION_1]
+
+
+@pytest.mark.parametrize("argv,code", [(("invsqrt", "0"), 2),
+                                       (("info", "--config", "cfg.json"), 1)],
+                         ids=["invsqrt 0", "config with newton_iters"])
+def test_module_run_failure_is_one_line_and_its_exit_code(tmp_path, argv, code):
+    (tmp_path / "cfg.json").write_text(json.dumps({"newton_iters": 20}))
+    done = run_module(*argv, cwd=tmp_path)
+    err = done.stderr.decode()
+    assert (done.returncode, done.stdout) == (code, b"")
+    assert err.startswith("scaledq: ") and err.count("\n") == 1 and "Traceback" not in err

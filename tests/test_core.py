@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 import spec
 from scaledq import core
 from scaledq.core import (
-    MAX_NEWTON_ITERS,
     ONE,
     DivisionByZero,
     RangeError,
@@ -156,18 +155,12 @@ class TestScaledInt:
         with pytest.raises(ValueError, match="overflows FP64"):
             ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
 
-    @pytest.mark.parametrize("field,value", [("scale_bits", 1), ("scale_bits", -3),
-                                             ("newton_iters", 0), ("newton_iters", -1),
-                                             ("newton_iters", MAX_NEWTON_ITERS + 1),
-                                             ("newton_iters", 10 ** 9)])
+    @pytest.mark.parametrize("field,value", [("scale_bits", 1), ("scale_bits", -3)])
     def test_config_field_out_of_range_named(self, field, value):
         with pytest.raises(ValueError) as exc:
             ScaleConfig(**{field: value})
         assert type(exc.value) is ValueError
         assert str(exc.value).startswith(field) and str(exc.value).endswith(f"got {value}")
-
-    def test_newton_iters_bound_is_inclusive(self):
-        assert ScaleConfig(newton_iters=MAX_NEWTON_ITERS).newton_iters == MAX_NEWTON_ITERS
 
 
 BOUNDS = ("max_magnitude", "scale_min", "scale_max", "max_value", "zero_below")
@@ -194,12 +187,11 @@ class TestConfigBounds:
     @pytest.mark.parametrize("p_bits,scale_bits", FORMATS)
     def test_bounds_are_not_fields(self, p_bits, scale_bits):
         cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
-        params = {"p_bits": p_bits, "scale_bits": scale_bits, "newton_iters": 20,
-                  "gelu_variant": "series-linear"}
+        params = {"p_bits": p_bits, "scale_bits": scale_bits, "gelu_variant": "series-linear"}
         assert [f.name for f in dataclasses.fields(cfg)] == list(params)
         assert dataclasses.asdict(cfg) == params
         assert repr(cfg) == (f"ScaleConfig(p_bits={p_bits}, scale_bits={scale_bits}, "
-                             f"newton_iters=20, gelu_variant='series-linear')")
+                             f"gelu_variant='series-linear')")
         twin = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
         for name in BOUNDS:
             object.__setattr__(twin, name, -1)
@@ -297,7 +289,7 @@ class TestBox:
         fresh = ScaleConfig()
         assert fresh == CFG and hash(fresh) == hash(CFG) and repr(fresh) == repr(CFG)
         assert [f.name for f in dataclasses.fields(fresh)] == \
-            ["p_bits", "scale_bits", "newton_iters", "gelu_variant"]
+            ["p_bits", "scale_bits", "gelu_variant"]
         assert "boxes" not in dataclasses.asdict(fresh)
         a, b = quantize(0.3, fresh), quantize(0.3, CFG)
         assert a == b and a is not b

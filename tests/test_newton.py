@@ -13,7 +13,7 @@ import pytest
 import spec
 from scaledq.core import (DomainError, SaturationCounter, ScaleConfig, ScaledInt, dequantize,
                           handle_overflow)
-from scaledq.newton import NewtonTrace, default_seed, exponent_seed, newton_inv_sqrt
+from scaledq.newton import NewtonTrace, exponent_seed, newton_inv_sqrt
 from scaledq.reference import ref_newton_inv_sqrt
 
 CFG = ScaleConfig()
@@ -120,11 +120,6 @@ class TestDomain:
         with pytest.raises(DomainError, match="at most 4096, got 4097$"):
             newton_inv_sqrt(GOLDEN_X, SEED, 4097, CFG)
 
-    def test_default_seed(self):
-        assert default_seed(CFG) == ScaledInt(1, 6)
-        narrow = ScaleConfig(scale_bits=3)
-        assert default_seed(narrow).scale == narrow.scale_max
-
 
 def plain_newton_trace(x, y0, iters, cfg, zeros=None):
     """Every step of the iteration computed in full, with no early stop.
@@ -152,12 +147,12 @@ def plain_newton_trace(x, y0, iters, cfg, zeros=None):
 
 
 def check_every_input(cfg):
-    """Every positive input's trace from the default seed against the plain
-    iteration.  Returns how many iterates reached zero, by each route, and
+    """Every positive input's trace from the fixed seed 2**-6 (the finest
+    step where the scale range is narrower) against the plain iteration.  Returns how many iterates reached zero, by each route, and
     how many final iterates end more than 2**-5 (relative) from
     ``1/sqrt(x)``: at zero, settled at the scale the first step gives with a
     magnitude below 32 (too few bits for the result), or still moving."""
-    seed = default_seed(cfg)
+    seed = ScaledInt(1, min(6, cfg.scale_max))
     first_scale = min(seed.scale + 1, cfg.scale_max)
     counts = dict.fromkeys(("pin", "flush", "zero", "settled", "moving"), 0)
     for scale in range(cfg.scale_min, cfg.scale_max + 1):
@@ -182,9 +177,10 @@ def check_every_input(cfg):
 
 def test_trace_matches_plain_iteration_on_every_input():
     """The fixed-point stop leaves every trace as the full iteration gives it,
-    for all 255 * 32 positive inputs of the default format; and the counts in
-    ``default_seed``'s docstring hold: 4098 inputs end far off, 2430 pinned to
-    zero, 1622 settled at scale 7 and 46 still moving."""
+    for all 255 * 32 positive inputs of the default format.  From the fixed
+    seed, which meets the convergence bound only for ``x < 3 * 2**12``, 4098
+    inputs end far off: 2430 pinned to zero (every input from ``3 * 2**12``
+    up), 1622 settled at scale 7 and 46 below 2**-10 still moving."""
     assert check_every_input(CFG) == {"pin": 2430, "flush": 0, "zero": 2430,
                                       "settled": 1622, "moving": 46}
 
@@ -204,8 +200,10 @@ def test_exponent_seed_on_every_input():
     iteration, and every input below 2**20 is within 2**-5 (relative) of
     ``1/sqrt(x)`` from step 4 on.  Above 2**20, ``1/sqrt(x)`` is below
     2**-10, and at the scale ceiling of 15 it keeps at most 5 bits, so 309
-    of those 784 inputs end farther off; the smallest is 1 269 760."""
-    far = []
+    of those 784 inputs end farther off; the smallest is 1 269 760.  Within
+    the 20 steps every iterate stops at a fixed point but 192, which end in
+    a 2-cycle."""
+    far, cycles = [], 0
     for scale in range(CFG.scale_min, CFG.scale_max + 1):
         for mag in range(1, CFG.max_magnitude + 1):
             x = ScaledInt(mag, scale)
@@ -214,6 +212,9 @@ def test_exponent_seed_on_every_input():
             ys = [y for _, y in trace.entries]
             assert ys == spec.newton(x, seed, 20, CFG, SaturationCounter()), (mag, scale)
             assert all(y.magnitude for y in ys), (mag, scale)
+            if ys[-1] != ys[-2]:
+                assert ys[-1] == ys[-3], (mag, scale)
+                cycles += 1
             exact = 1 / math.sqrt(dequantize(x))
             off = [abs(dequantize(y) - exact) > exact * 2 ** -5 for y in ys[4:]]
             if dequantize(x) < 2 ** 20:
@@ -221,6 +222,7 @@ def test_exponent_seed_on_every_input():
             elif off[-1]:
                 far.append(dequantize(x))
     assert len(far) == 309 and min(far) == 1269760
+    assert cycles == 192
 
 
 @pytest.mark.parametrize("cfg", [ScaleConfig(), ScaleConfig(scale_bits=3),
@@ -240,10 +242,13 @@ def test_exponent_seed_matches_spec(cfg):
                 x, seed, 6, cfg, SaturationCounter()), (mag, scale)
 
 
-def test_package_exports_both_seeds():
-    """``scaledq`` exports the seed its own ops use, next to the default one."""
+def test_package_exports_the_one_seed_rule():
+    """``scaledq`` exports the seed its own ops use, and no other; the step
+    budget and its cap are defined in ``newton`` alone."""
     import scaledq
-    from scaledq import newton
+    from scaledq import core, newton
 
     assert scaledq.exponent_seed is newton.exponent_seed
-    assert scaledq.default_seed is newton.default_seed
+    assert not hasattr(scaledq, "default_seed") and not hasattr(newton, "default_seed")
+    assert (newton.NEWTON_ITERS, newton.MAX_NEWTON_ITERS) == (20, 4096)
+    assert not hasattr(core, "MAX_NEWTON_ITERS")
