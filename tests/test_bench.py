@@ -295,9 +295,9 @@ GOLDEN = [
     (("div-sweep", "--json"),
      "feb5d0a9c1b7cfe6a469657e415dcac1bd22f6cf0085a635affc493e2309e881"),
     (("info",),
-     "7021b45d048dbbd43357281eaccd53df404aeea32d49b9c55cee9b2b249743ba"),
+     "968654e290afbcda1aafeb6da4af2179f03d0d533224f5d63a41da3ec744f4be"),
     (("info", "--json"),
-     "cddd46090c0744ce6612cb7a54c3fcb58b8ad36bddea188a5cac10473afc8aac"),
+     "b83e9ebeae1ee0080d0087c925f4b61a79bf341ac4bfe2f97a5fc39cd12264e6"),
     (("bench", "linear", "--height", "4", "--width", "4", "--trials", "2"),
      "2409dbb0200b4d1e2e74bbd230b80468c0949d3a28afe1a6711e891e5d4ab141"),
     (("bench", "conv2d", "--kernel", "3", "--height", "6", "--width", "6", "--trials", "2"),
