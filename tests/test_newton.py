@@ -148,10 +148,11 @@ def plain_newton_trace(x, y0, iters, cfg, zeros=None):
 
 def check_every_input(cfg):
     """Every positive input's trace from the fixed seed 2**-6 (the finest
-    step where the scale range is narrower) against the plain iteration.  Returns how many iterates reached zero, by each route, and
-    how many final iterates end more than 2**-5 (relative) from
-    ``1/sqrt(x)``: at zero, settled at the scale the first step gives with a
-    magnitude below 32 (too few bits for the result), or still moving."""
+    step where the scale range is narrower) against the plain iteration.
+    Returns how many iterates reached zero, by each route, and how many
+    final iterates end more than 2**-5 (relative) from ``1/sqrt(x)``: at
+    zero, settled at the scale the first step gives with a magnitude below
+    32 (too few bits for the result), or still moving."""
     seed = ScaledInt(1, min(6, cfg.scale_max))
     first_scale = min(seed.scale + 1, cfg.scale_max)
     counts = dict.fromkeys(("pin", "flush", "zero", "settled", "moving"), 0)
