@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter, mul
 from typing import Sequence
 
@@ -259,6 +259,11 @@ def _row_dots(x: QTensor, w, biases, cfg: ScaleConfig,
     return tuple(_lane_dots(rows, grid, max(map(abs, ints), default=0), w, biases, cfg, sat))
 
 
+# About how many lanes _lane_dots reads back at a time: 512 of 64 bits is
+# 4 KiB of bytes per chunk, whatever the call's size.
+_CHUNK_LANES = 512
+
+
 def _lane_dots(rows, grid: int, x_max: int, w, biases, cfg: ScaleConfig,
                sat: SaturationCounter | None) -> list[ScaledInt]:
     """Each of ``rows`` dotted with each of ``w``'s rows, plus ``biases[o]``
@@ -286,9 +291,24 @@ def _lane_dots(rows, grid: int, x_max: int, w, biases, cfg: ScaleConfig,
     operands, and L is the smallest multiple of 64 above ``bitlen(bound)``,
     so ``|total| < 2**(L-1)``: lane o holds its total plus ``2**(L-1)`` in
     ``[0, 2**L)`` and never borrows from or carries into its neighbour, in
-    any format.  The lanes are read back from the int's little-endian
-    bytes, lane 0 first, on any host: one ``struct`` unpack of O unsigned
-    64-bit words when L is 64, ``int.from_bytes`` per lane otherwise.
+    any format.  Rows are taken in chunks of about ``_CHUNK_LANES`` lanes,
+    and a chunk's lanes are read back from its rows' joined little-endian
+    bytes, lane 0 of the first row first, on any host: one ``struct``
+    unpack of unsigned 64-bit words when L is 64, ``int.from_bytes`` per
+    lane otherwise.  A chunk bounds the memory the read-back holds, which a
+    whole call's lanes would not.
+
+    Each lane's total ``t`` is cut inline, by the step ``fit`` takes for it:
+    since ``G - scale_max >= scale_max >= 1``, ``fit(t, G)`` always shifts,
+    by ``k = max(bitlen(|t|) - P, G - scale_max)``, to the pair
+    ``(+-(|t| >> k), G - k)``.  Where ``cfg.boxes`` holds that pair, it is
+    in the format, so ``fit`` returns it unchanged past the shift, and its
+    box is the one :func:`~scaledq.core.box` hands out.  Every other lane
+    takes ``box(fit(t, G, cfg, sat), cfg)``, which stays the rule's one
+    statement: a zero total or one the ceiling flushes, whose ``(0, s)``
+    with ``s = scale_max`` is never a key; a scale below the floor, where
+    ``fit`` saturates and records it; a pair not boxed yet; and any pair
+    once the table is full.
     """
     wrows, g_w = w
     n_out = len(wrows)
@@ -303,13 +323,24 @@ def _lane_dots(rows, grid: int, x_max: int, w, biases, cfg: ScaleConfig,
     at = [lane * o for o in range(n_out)]
     packs = [sum([v << a for v, a in zip(col, at)]) << up for col in zip(*wrows)]
     base = sum([(half + b) << a for b, a in zip(shifted, at)])
-    width, words = lane // 8, struct.Struct(f"<{n_out}Q").unpack
+    width = lane // 8
+    size, per = width * n_out, max(1, _CHUNK_LANES // (n_out or 1))
+    get, p_bits, least = cfg.boxes.get, cfg.p_bits, top - cfg.scale_max
+    rows = iter(rows)
     out: list[ScaledInt] = []
-    for row in rows:
-        raw = sum(map(mul, row, packs), base).to_bytes(width * n_out, "little")
-        lanes = words(raw) if lane == 64 else [
+    while raw := b"".join([sum(map(mul, row, packs), base).to_bytes(size, "little")
+                           for row in islice(rows, per)]):
+        lanes = struct.unpack(f"<{len(raw) // 8}Q", raw) if lane == 64 else [
             int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
-        out += [box(fit(v - half, top, cfg, sat), cfg) for v in lanes]
+        for u in lanes:
+            t = u - half
+            k = t.bit_length() - p_bits
+            if k < least:
+                k = least
+            q = get((t >> k, top - k) if t > 0 else (-(-t >> k), top - k))
+            if q is None:
+                q = box(fit(t, top, cfg, sat), cfg)
+            out.append(q)
     return out
 
 
