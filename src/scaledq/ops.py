@@ -14,9 +14,11 @@ products: a dot plus its bias is T, ``fit``'s cut toward zero to P bits, of
 its exact value at the finest scale up to ``scale_max``, cut once.
 :func:`_lane_dots` makes every total of :func:`conv2d`, :func:`linear` and
 :func:`matmul`, the O outputs of an input row in L-bit lanes of one int,
-with L wide enough for the call's own operands; :func:`layer_norm`'s
-variance is the same cut of one exact self-dot.  Only this module reads the
-exact ints :func:`_fixed` makes.
+with L wide enough for the call's own operands, and cuts each lane inline
+by the one shift ``fit`` takes there, looking its pair up in the format's
+box table; ``fit`` itself, the rule's one statement, cuts every lane the
+table misses.  :func:`layer_norm`'s variance is the same cut of one exact
+self-dot.  Only this module reads the exact ints :func:`_fixed` makes.
 """
 
 from __future__ import annotations

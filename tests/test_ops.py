@@ -10,6 +10,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -26,7 +27,9 @@ from scaledq.core import (
     ScaleConfig,
     ScaledInt,
     ZERO,
+    box,
     dequantize,
+    fit,
     handle_overflow,
     negate,
     quantize,
@@ -57,7 +60,7 @@ from scaledq.ops import (
     sum_aligned,
     transpose,
 )
-from scaledq import ops, reference as ref
+from scaledq import core, ops, reference as ref
 from scaledq.bench import load_tensor
 
 CFG = ScaleConfig()
@@ -687,12 +690,13 @@ def test_every_output_element_is_the_tables_box(name, tmp_path):
     assert all(a is b for a, b in zip(out, again, strict=True))
 
 
-def test_conv_output_costs_a_pointer_per_element():
-    """A second conv2d on a seed-0 1x3x32x32 image retains at most 16 bytes
-    per output element: the output tuple's pointer and no box per element
-    (a fresh 2-tuple per element retained about 83 bytes)."""
+def _traced_second_conv(side):
+    """A seed-0 1x3xSIDExSIDE conv2d, 3 -> 9 channels, run twice, the second
+    time under tracemalloc: both outputs, and the bytes the second call
+    retained and its peak."""
     cfg, rng = ScaleConfig(), random.Random(0)
-    x = QTensor((1, 3, 32, 32), tuple(quantize(rng.random(), cfg) for _ in range(3 * 32 * 32)))
+    x = QTensor((1, 3, side, side), tuple(quantize(rng.random(), cfg)
+                                          for _ in range(3 * side * side)))
     w = QTensor((9, 3, 3, 3), tuple(quantize(rng.uniform(-1, 1), cfg) for _ in range(243)))
     b = QTensor((9,), tuple(quantize(rng.uniform(-1, 1), cfg) for _ in range(9)))
     spec = ConvSpec(3, 9, 3, padding=1)
@@ -702,11 +706,29 @@ def test_conv_output_costs_a_pointer_per_element():
     try:
         out = conv2d(x, w, b, spec, cfg)
         gc.collect()
-        retained, _ = tracemalloc.get_traced_memory()
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return first, out, retained, peak
+
+
+def test_conv_output_costs_a_pointer_per_element():
+    """A second conv2d on a seed-0 1x3x32x32 image retains at most 16 bytes
+    per output element: the output tuple's pointer and no box per element
+    (a fresh 2-tuple per element retained about 83 bytes)."""
+    first, out, retained, _ = _traced_second_conv(32)
     assert out == first
     assert retained / out.size <= 16
+
+
+def test_conv_read_back_holds_a_chunk_of_lanes():
+    """A second conv2d on a seed-0 1x3x64x64 image peaks at under 56 traced
+    bytes per output element: about 43 with the lanes read back a chunk of
+    rows at a time, and about 79 when a whole call's lanes were unpacked at
+    once (2836 KiB against 1536 KiB, beside an output tuple of 288 KiB)."""
+    first, out, _, peak = _traced_second_conv(64)
+    assert out == first
+    assert peak / out.size < 56
 
 
 @pytest.mark.parametrize("clone", [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy])
@@ -1185,28 +1207,59 @@ def test_out_of_format_bias_goes_through_the_cut():
 
 # --- ops._lane_dots at the edges of its lanes --------------------------------
 # conv2d, linear and matmul add the O dots of an input row in L-bit lanes of
-# one int, each offset by 2**(L-1).  The cases below put totals at a lane's
-# edges in every SPEC_FORMATS format and check them through the kernel and
-# the three ops against the spec, pairs and saturation counts.
+# one int, each offset by 2**(L-1), and cut each lane inline.  The cases below
+# put totals at a lane's edges in every SPEC_FORMATS format and check them
+# through the kernel, against box(fit(...)) lane for lane, and through the
+# three ops against the spec, pairs and saturation counts.
+
+def _lane_args(xs, ws, biases, cfg):
+    """``_lane_dots``'s arguments but the last two, for rows ``xs`` of n
+    pairs dotted with rows ``ws``, plus ``biases`` when given."""
+    n = len(xs[0])
+    ints, grid = ops._fixed([e for x in xs for e in x], cfg)
+    w_ints, g_w = ops._fixed([e for w in ws for e in w], cfg)
+    return ([ints[r * n:(r + 1) * n] for r in range(len(xs))], grid,
+            max(map(abs, ints), default=0),
+            ([w_ints[o * n:(o + 1) * n] for o in range(len(ws))], g_w), biases)
+
+
+def _fit_each_lane(xs, ws, biases, cfg, sat):
+    """``box(fit(t, G, cfg, sat), cfg)`` of each lane's exact total ``t``,
+    row by row: what the kernel's inline cut stands for, on the call's one
+    grid ``G``, the products' grid or a live bias's scale above it."""
+    rows, grid, _, (wrows, g_w), _ = _lane_args(xs, ws, biases, cfg)
+    top = max([grid + g_w] + [s for m, s in biases or () if m])
+    out = []
+    for row in rows:
+        for o, wrow in enumerate(wrows):
+            t = sum(map(mul, row, wrow)) << (top - grid - g_w)
+            if biases and biases[o][0]:
+                t += biases[o][0] << (top - biases[o][1])
+            out.append(box(fit(t, top, cfg, sat), cfg))
+    return out
+
 
 def _lanes_match_spec(xs, ws, biases, cfg):
     """Rows ``xs`` of n pairs dotted with rows ``ws``, plus ``biases`` when
     given, through ``_lane_dots``, ``linear``, ``matmul`` (without the
     biases) and, for n > 0, a 1x1 conv that reads the n terms as channels:
-    each gives the spec's pairs and saturation count.  Returns the
-    ``spec.dot`` pairs, row by row."""
+    each gives the spec's pairs and saturation count.  ``_lane_dots`` runs
+    on a cold box table, holding zero alone, and again on the warm one it
+    left; both give, lane for lane, the very boxes and the saturation count
+    of :func:`_fit_each_lane`.  Returns the ``spec.dot`` pairs, row by row."""
     n, n_rows, n_out = len(xs[0]), len(xs), len(ws)
     want_sat = SaturationCounter()
     want = [spec.dot(x, w, cfg, want_sat, b)
             for x in xs for w, b in zip(ws, biases or [(0, 0)] * n_out)]
-    ints, grid = ops._fixed([e for x in xs for e in x], cfg)
-    w_ints, g_w = ops._fixed([e for w in ws for e in w], cfg)
-    sat = SaturationCounter()
-    got = ops._lane_dots([ints[r * n:(r + 1) * n] for r in range(n_rows)], grid,
-                         max(map(abs, ints), default=0),
-                         ([w_ints[o * n:(o + 1) * n] for o in range(n_out)], g_w),
-                         biases, cfg, sat)
-    assert (got, sat.count) == (want, want_sat.count)
+    args = _lane_args(xs, ws, biases, cfg)
+    table = ScaleConfig(cfg.p_bits, cfg.scale_bits)
+    cold_sat, warm_sat, fit_sat = SaturationCounter(), SaturationCounter(), SaturationCounter()
+    cold = ops._lane_dots(*args, table, cold_sat)
+    warm = ops._lane_dots(*args, table, warm_sat)
+    fitted = _fit_each_lane(xs, ws, biases, table, fit_sat)
+    assert (cold, cold_sat.count) == (want, want_sat.count)
+    assert all(a is b is c for a, b, c in zip(cold, warm, fitted, strict=True))
+    assert warm_sat.count == fit_sat.count == want_sat.count
     x = QTensor((n_rows, n), tuple(e for r in xs for e in r))
     w = QTensor((n_out, n), tuple(e for r in ws for e in r))
     b = None if biases is None else QTensor((n_out,), tuple(biases))
@@ -1357,6 +1410,62 @@ def test_conv_lanes_match_spec(p_bits, scale_bits, conv):
         _lanes_match_spec(rows, ws, list(b.data[g * mult:(g + 1) * mult]), cfg)
 
 
+@pytest.mark.parametrize("p_bits,scale_bits", [(4, 3), (5, 3), (8, 5), (12, 10)])
+def test_inline_cut_is_fit_lane_for_lane(monkeypatch, p_bits, scale_bits):
+    """One call whose lanes hold every case the inline cut hands to ``fit``
+    beside ones it boxes itself: a zero total, a nonzero total the ceiling
+    flushes to zero, totals past the floor that saturate, negative lanes
+    beside positive ones and the widest lane, every term at max |x| * max |w|
+    plus the largest bias of one sign.  Cold, warm and with a full table,
+    each lane is ``box(fit(t, G, cfg, sat), cfg)``'s pair, and the
+    saturation count is its count."""
+    cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    rng = random.Random(p_bits * 100 + scale_bits + 25)
+    lo, top = cfg.scale_min, cfg.max_magnitude
+    tiny, huge = ScaledInt(1, cfg.scale_max), ScaledInt(top, lo)
+    mids = [tuple(rand_tensor(rng, (2,), cfg, zero_share=0).data) for _ in range(3)]
+    xs = [(tiny, tiny), (huge, huge)] + mids
+    ws = [(huge, huge), (negate(huge),) * 2, (tiny, tiny), (ONE, negate(ONE))] + mids
+    biases = [huge, negate(huge), ZERO, ZERO] + [e[0] for e in mids]
+    got = _lanes_match_spec(xs, ws, biases, cfg)
+    n_out = len(ws)
+    assert got[2] == got[3] == (0, 0)  # tiny * tiny flushes, a - a cancels
+    assert got[n_out:n_out + 2] == [(top, lo), (-top, lo)]  # the widest lanes saturate
+    assert any(m > 0 for m, _ in got) and any(m < 0 for m, _ in got)
+
+    monkeypatch.setattr(core, "MAX_BOXES", 1)
+    full = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    got_sat, want_sat = SaturationCounter(), SaturationCounter()
+    assert ops._lane_dots(*_lane_args(xs, ws, biases, full), full, got_sat) == got
+    assert _fit_each_lane(xs, ws, biases, full, want_sat) == got
+    assert got_sat.count == want_sat.count > 0 and full.boxes == {ZERO: ZERO}
+
+
+@pytest.mark.parametrize("p_bits,scale_bits", [(8, 5), (12, 10)])
+@pytest.mark.parametrize("n_out", [1, 9, 64])
+def test_rows_around_a_chunk_match_spec(p_bits, scale_bits, n_out):
+    """``_lane_dots`` reads lanes back a chunk of rows at a time; linear and
+    matmul give the spec's pairs and saturation count with no row, one, a
+    chunk less one, a chunk, a chunk and one, and two chunks and one, in
+    64-bit lanes at (8, 5) and wider ones at (12, 10).  Every workload's
+    row count is a multiple of 64, so none ends on a partial chunk."""
+    cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    rng = random.Random(p_bits * 1000 + n_out)
+
+    def t(*shape):
+        return QTensor(shape, tuple(quantize(rng.uniform(-2, 2), cfg)
+                                    for _ in range(math.prod(shape))))
+
+    chunk = max(1, ops._CHUNK_LANES // n_out)
+    w, b, cols = t(n_out, 3), t(n_out), t(3, n_out)
+    for n_rows in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        x = t(n_rows, 3)
+        for got, want in [(lambda s: linear(x, w, b, cfg, s), lambda s: spec_linear(x, w, b, cfg, s)),
+                          (lambda s: matmul(x, cols, cfg, s), lambda s: spec_matmul(x, cols, cfg, s))]:
+            got_sat, want_sat = SaturationCounter(), SaturationCounter()
+            assert (got(got_sat).data, got_sat.count) == (want(want_sat).data, want_sat.count), n_rows
+
+
 @pytest.mark.parametrize("order", ["big", "little"])
 @pytest.mark.parametrize("p_bits,scale_bits", [(8, 5), (12, 10)])
 def test_dot_ops_do_not_depend_on_the_host_byte_order(monkeypatch, order, p_bits, scale_bits):
@@ -1385,29 +1494,43 @@ def test_dot_ops_do_not_depend_on_the_host_byte_order(monkeypatch, order, p_bits
 
 @pytest.mark.parametrize("op", ["conv2d", "depthwise", "linear", "matmul"])
 def test_dot_ops_cut_each_output_once_without_dot(monkeypatch, op):
-    """conv2d, linear and matmul make exactly one ``fit`` per output: a
-    count, so it holds on any machine, and a per-output dot loop cannot come
-    back unseen."""
+    """Every output of conv2d, linear and matmul comes from ``_lane_dots``,
+    and on a warm box table ``fit`` runs only for the lanes the table
+    misses: the zero outputs and the saturations.  Counts, so they hold on
+    any machine, and a per-output dot loop, one ``fit`` per output, cannot
+    come back unseen."""
     rng = random.Random(22)
-    calls = {"fit": 0}
+    calls = {"fit": 0, "lanes": 0}
+    fit_, lane_dots = ops.fit, ops._lane_dots
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def counted_fit(*args):
+        calls["fit"] += 1
+        return fit_(*args)
 
-    monkeypatch.setattr(ops, "fit", counted("fit", ops.fit))
+    def counted_lanes(*args):
+        out = lane_dots(*args)
+        calls["lanes"] += len(out)
+        return out
+
+    monkeypatch.setattr(ops, "fit", counted_fit)
+    monkeypatch.setattr(ops, "_lane_dots", counted_lanes)
     x = rand_tensor(rng, (2, 3, 6, 5))
-    out = {
-        "conv2d": lambda: conv2d(x, rand_tensor(rng, (4, 3, 3, 3)), rand_tensor(rng, (4,)),
-                                 ConvSpec(3, 4, 3, stride=2, padding=1), CFG),
-        "depthwise": lambda: conv2d(x, rand_tensor(rng, (6, 1, 2, 2)), None,
-                                    ConvSpec(3, 6, 2, depthwise=True), CFG),
-        "linear": lambda: linear(x, rand_tensor(rng, (7, 5)), rand_tensor(rng, (7,)), CFG),
-        "matmul": lambda: matmul(rand_tensor(rng, (9, 5)), rand_tensor(rng, (5, 4)), CFG),
-    }[op]()
-    assert calls == {"fit": out.size}
+    fn, *operands = {
+        "conv2d": (conv2d, x, rand_tensor(rng, (4, 3, 3, 3)), rand_tensor(rng, (4,)),
+                   ConvSpec(3, 4, 3, stride=2, padding=1)),
+        "depthwise": (conv2d, x, rand_tensor(rng, (6, 1, 2, 2)), None,
+                      ConvSpec(3, 6, 2, depthwise=True)),
+        "linear": (linear, x, rand_tensor(rng, (7, 5)), rand_tensor(rng, (7,))),
+        "matmul": (matmul, rand_tensor(rng, (9, 5)), rand_tensor(rng, (5, 4))),
+    }[op]
+    cfg, sat = ScaleConfig(), SaturationCounter()
+    first = fn(*operands, cfg)
+    calls.update(fit=0, lanes=0)
+    out = fn(*operands, cfg, sat)
+    misses = sum(not m for m, _ in out.data) + sat.count
+    assert out == first
+    assert calls == {"fit": misses, "lanes": out.size}
+    assert misses < out.size
 
 
 # --- the pair-level non-linear operators against the spec and the primitives
