@@ -4,8 +4,10 @@ One rule, T (:func:`cut`), truncates an exact rational toward zero to P bits
 and clamps it to +/-``max_value``, recording a saturation on ``sat``.  ``fit``,
 ``quotient`` and ``dot`` are T and the primitives compose them:
 ``handle_overflow`` is ``fit``, ``shift_scale(q, d)`` is ``fit(q[0], q[1] + d)``
-and ``scale_sub(a, b)`` is ``scale_add(a, -b)``.  ``quantize`` rounds instead, and
-the Newton step (:func:`newton`) has a rule of its own.
+and ``scale_sub(a, b)`` is ``scale_add(a, -b)``.  Each fused stage is T of its
+exact value too (:func:`exact`): a dot plus its bias, ``layer_norm``'s
+variance and affine tail, and softmax's numerator.  ``quantize`` rounds
+instead, and the Newton step (:func:`newton`) has a rule of its own.
 """
 
 import math
@@ -57,14 +59,38 @@ def scale_div(a, b, cfg, sat):
     return quotient(a[0], b[0], a[1] - b[1], cfg, sat)
 
 
-def dot(xs, ws, cfg, sat, bias=(0, 0)):
-    """T of the exact ``sum(x * w) + bias`` at the finest scale up to
-    ``scale_max``: one cut, so the result's stored form depends only on its
-    value, as ``quotient``'s does."""
-    terms = [(x[0] * w[0], x[1] + w[1]) for x, w in zip(xs, ws)] + [bias]
+def exact(terms, den, cfg, sat):
+    """T of the exact sum of the pairs ``terms`` over the int ``den``, at the
+    finest scale up to ``scale_max``: one cut, so the result's stored form
+    depends only on its value, as ``quotient``'s does."""
     top = max([s for _, s in terms])
     num = sum([m << (top - s) for m, s in terms])
-    return cut(num << max(-top, 0), 1 << max(top, 0), cfg.scale_max, cfg, sat)
+    return cut(num << max(-top, 0), den << max(top, 0), cfg.scale_max, cfg, sat)
+
+
+def dot(xs, ws, cfg, sat, bias=(0, 0)):
+    """T of the exact ``sum(x * w) + bias``."""
+    return exact([(x[0] * w[0], x[1] + w[1]) for x, w in zip(xs, ws)] + [bias], 1, cfg, sat)
+
+
+def variance(ds, eps, cfg, sat):
+    """``layer_norm``'s variance: T of the exact ``(sum(d**2) + n*eps) / n``
+    over the ``n`` deviations ``ds``, with the pair ``eps`` added before the
+    one cut."""
+    n = len(ds)
+    return exact([(m * m, 2 * s) for m, s in ds] + [(n * eps[0], eps[1])], n, cfg, sat)
+
+
+def affine(d, inv, g, b, cfg, sat):
+    """``layer_norm``'s tail: T of the exact ``d * inv * g + b``."""
+    return exact([(d[0] * inv[0] * g[0], d[1] + inv[1] + g[1]), b], 1, cfg, sat)
+
+
+def softmax_numerator(x, cfg, sat):
+    """T of the exact ``1 + x + x**2/2``.  That is ``((x + 1)**2 + 1) / 2``,
+    at least 1/2, so its cut is positive on every input."""
+    m, s = x
+    return exact([(1, 0), x, (m * m, 2 * s + 1)], 1, cfg, sat)
 
 
 def quantize(value, cfg):

@@ -812,6 +812,23 @@ def _value(pair):
     return Fraction(pair[0]) / Fraction(2) ** pair[1]
 
 
+def _check_cut_once(got, exact, cfg):
+    """Assert that the pair ``got`` is one truncation of the ``Fraction``
+    ``exact``, and return whether it saturated.  A value of at least
+    ``2**(P - scale_min)`` saturates to +/-``max_value``.  Otherwise ``got``
+    has the exact value's sign, ``|got| <= |exact|`` and ``|exact| - |got| <
+    2**-s`` for its scale s (``scale_max`` for zero)."""
+    lo, top = cfg.scale_min, cfg.max_magnitude
+    if abs(exact) >= Fraction(2) ** (cfg.p_bits - lo):
+        assert got == ((top if exact > 0 else -top), lo)
+        return True
+    r = _value(got)
+    assert r == 0 or (r > 0) == (exact > 0)
+    step = Fraction(2) ** -(got[1] if got[0] else cfg.scale_max)
+    assert abs(r) <= abs(exact) and abs(exact) - abs(r) < step
+    return False
+
+
 @pytest.mark.parametrize("p_bits,scale_bits", SPEC_FORMATS)
 def test_dot_at_each_edge_of_the_product_cut_matches_spec(p_bits, scale_bits):
     """Each edge of a dot's one cut gives ``spec.dot``'s pair and count.  A
@@ -858,21 +875,13 @@ def test_dot_is_its_exact_value_cut_once(p_bits, scale_bits):
     r's scale s (``scale_max`` for zero): one truncation."""
     cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
     rng = random.Random(p_bits * 100 + scale_bits + 21)
-    lo, top = cfg.scale_min, cfg.max_magnitude
-    past_floor = Fraction(2) ** (p_bits - lo)
+    lo = cfg.scale_min
     counts = [0, 0]
 
     def check(got, exact):
-        saturated = abs(exact) >= past_floor
+        saturated = _check_cut_once(got, exact, cfg)
         counts[saturated] += 1
-        if saturated:
-            assert got == ((top if exact > 0 else -top), lo)
-            return True
-        r = _value(got)
-        assert r == 0 or (r > 0) == (exact > 0)
-        step = Fraction(2) ** -(got[1] if got[0] else cfg.scale_max)
-        assert abs(r) <= abs(exact) and abs(exact) - abs(r) < step
-        return False
+        return saturated
 
     def exact_dot(xs, ws, bias):
         return sum(_value(x) * _value(w) for x, w in zip(xs, ws)) + _value(bias)
@@ -906,6 +915,43 @@ def test_dot_is_its_exact_value_cut_once(p_bits, scale_bits):
                 check(got.data[o * 16 + pos], exact_dot(rows[pos * 18:(pos + 1) * 18],
                                                         w.data[o * 18:(o + 1) * 18], b.data[o]))
     assert counts[False] > 150 and counts[True] > 100
+
+
+@pytest.mark.parametrize("p_bits,scale_bits", SPEC_FORMATS)
+def test_fused_stages_are_their_exact_values_cut_once(p_bits, scale_bits):
+    """``spec.variance``, ``spec.affine`` and ``spec.softmax_numerator`` on
+    random operands against their exact values in ``Fraction``s: each is one
+    truncation, or one saturation, counted once.  Operands past the format
+    stand for the wide eps term and for inverse roots of any scale."""
+    cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+    rng = random.Random(p_bits * 100 + scale_bits + 26)
+    lo, hi = cfg.scale_min, cfg.scale_max
+    counts = [0, 0]
+
+    def pair(wide=0):
+        return (rng.choice((-1, 1)) * rng.randint(0, (1 << rng.randint(1, p_bits + wide)) - 1),
+                rng.randint(lo - wide, hi + wide))
+
+    def check(got, exact, sat):
+        saturated = _check_cut_once(got, exact, cfg)
+        assert sat.count == saturated
+        counts[saturated] += 1
+
+    for _ in range(300):
+        ds = [pair() for _ in range(rng.randint(1, 8))]
+        eps = (abs(pair(8)[0]), pair(8)[1])
+        sat = SaturationCounter()
+        var = spec.variance(ds, eps, cfg, sat)
+        check(var, (sum(_value(d) ** 2 for d in ds) + len(ds) * _value(eps)) / len(ds), sat)
+        d, inv, g, b = pair(), pair(4), pair(), pair()
+        sat = SaturationCounter()
+        check(spec.affine(d, inv, g, b, cfg, sat),
+              _value(d) * _value(inv) * _value(g) + _value(b), sat)
+        x, sat = pair(), SaturationCounter()
+        num = spec.softmax_numerator(x, cfg, sat)
+        check(num, 1 + _value(x) + _value(x) ** 2 / 2, sat)
+        assert num[0] > 0
+    assert counts[False] > 300 and counts[True] > 100
 
 
 def test_a_dot_result_has_one_stored_form_per_value():
