@@ -9,16 +9,16 @@ their :class:`ScaledInt` elements are, each step ending in ``core.fit`` or
 each output pair is boxed once with ``core.box``, so an output tensor holds
 pointers to its format's shared boxes rather than a fresh tuple per element.
 Every scalar rule they use, ``pair_add``, ``pair_mul``, ``pair_div`` and
-``pair_sum``, is stated once in ``core``.  The exception is a sum of
-products: a dot plus its bias is T, ``fit``'s cut toward zero to P bits, of
-its exact value at the finest scale up to ``scale_max``, cut once.
+``pair_sum``, is stated once in ``core``.  The exceptions are the fused
+stages, each T, ``fit``'s cut toward zero to P bits, of its exact value at
+the finest scale up to ``scale_max``, cut once: a dot plus its bias,
+:func:`layer_norm`'s variance and affine tail, and a softmax numerator.
 :func:`_lane_dots` makes every total of :func:`conv2d`, :func:`linear` and
 :func:`matmul`, the O outputs of an input row in L-bit lanes of one int,
 with L wide enough for the call's own operands, and cuts each lane inline
 by the one shift ``fit`` takes there, looking its pair up in the format's
 box table; ``fit`` itself, the rule's one statement, cuts every lane the
-table misses.  :func:`layer_norm`'s variance is the same cut of one exact
-self-dot.  Only this module reads the exact ints :func:`_fixed` makes.
+table misses.  Only this module reads the exact ints :func:`_fixed` makes.
 """
 
 from __future__ import annotations
@@ -368,16 +368,16 @@ def layer_norm(
     Each deviation ``d_i`` is that integer fitted once, at scale ``grid``:
     ``top``, or coarser where the row's largest deviation would leave no
     room to square and sum ``n`` of them below ``max_value``.  So
-    ``d_i = c * (x_i - mean)`` with ``c = n * 2**(top - grid)``, and
-    ``dot(d, d) / n`` is ``c**2`` times the (population) variance; the
-    self-dot is exact and cut once, as :func:`_lane_dots` cuts a dot.  The
-    quantized Newton iteration, seeded by
-    :func:`~scaledq.newton.exponent_seed`, runs on that plus
-    ``fit(eps_m * n**2, eps_s + 2*(grid - top))``, ``c**2 * eps``, so its
-    ``1/sqrt`` carries the ``1/c`` that standardizes each ``d_i``.  The
-    output is ``d_i * inv * gamma_i + beta_i``.  A row whose deviations all
-    vanish, such as one holding a single value in any of its stored forms,
-    short-circuits to beta and never consults eps.
+    ``d_i = c * (x_i - mean)`` with ``c = n * 2**(top - grid)``, and the
+    variance ``var``, ``c**2`` times the (population) variance plus
+    ``c**2 * eps``, is T of the exact ``(dot(d, d) + n * c**2 * eps) / n``,
+    one ``quotient``.  Its ``inv = 1/sqrt(var)``, by the quantized Newton
+    iteration from :func:`~scaledq.newton.exponent_seed`, carries the
+    ``1/c`` that standardizes each ``d_i``.  Each output is T of the exact
+    ``d_i * inv * gamma_i + beta_i``, the 3P-bit product aligned with beta
+    on a grid of at least ``scale_max``, one ``fit``.  A row whose
+    deviations all vanish, such as one holding a single value in any of its
+    stored forms, short-circuits to beta and never consults eps.
     """
     n = x.shape[-1] if x.shape else 0
     if n < 1:
@@ -388,7 +388,7 @@ def layer_norm(
     gamma, beta = params.gamma.data, [box(e, cfg) for e in params.beta.data]
     eps_m, eps_s = params.eps
     # n deviations below 2**room square and sum below 2**(P - 1 - scale_min),
-    # under max_value, so the variance numerator never saturates
+    # under max_value, so the variance, eps aside, never saturates
     room = (cfg.p_bits - 1 - cfg.scale_min - n.bit_length()) // 2
     out: list[ScaledInt] = []
     for r in range(0, x.size, n):
@@ -397,20 +397,21 @@ def layer_norm(
         aligned = [m << (top - s) for m, s in row]
         total = sum(aligned)
         exact = [n * a - total for a in aligned]
-        grid = max(max(exact), -min(exact)).bit_length() - room
-        if grid < top:
-            grid = top
+        grid = max(top, max(max(exact), -min(exact)).bit_length() - room)
         devs = [fit(v, grid, cfg, sat) for v in exact]
         ints, g = _fixed(devs, cfg)
         if not any(ints):
             out.extend(beta)
             continue
-        vm, vs = fit(sum(map(mul, ints, ints)), 2 * g, cfg, sat)
-        var = box(pair_add(quotient(vm, n, vs, cfg, sat),
-                           fit(eps_m * n * n, eps_s + 2 * (grid - top), cfg, sat), cfg, sat), cfg)
-        inv, _ = newton_inv_sqrt(var, exponent_seed(var, cfg), NEWTON_ITERS, cfg, sat)
-        out.extend(box(pair_add(pair_mul(pair_mul(d, inv, cfg, sat), gm, cfg, sat), b, cfg, sat),
-                       cfg) for d, gm, b in zip(devs, gamma, beta))
+        es = eps_s + 2 * (grid - top)  # the scale of c**2 * eps, at eps_m * n**2
+        vs = max(2 * g, es)
+        var = box(quotient((sum(map(mul, ints, ints)) << (vs - 2 * g))
+                           + (eps_m * n ** 3 << (vs - es)), n, vs, cfg, sat), cfg)
+        (im, i_s), _ = newton_inv_sqrt(var, exponent_seed(var, cfg), NEWTON_ITERS, cfg, sat)
+        for (dm, ds), (gm, gs), (bm, bs) in zip(devs, gamma, beta):
+            ps = ds + i_s + gs
+            t = max(ps, bs, cfg.scale_max)
+            out.append(box(fit((dm * im * gm << (t - ps)) + (bm << (t - bs)), t, cfg, sat), cfg))
     return QTensor(x.shape, tuple(out))
 
 
@@ -421,9 +422,11 @@ def softmax(
 ) -> list[ScaledInt]:
     """Quadratic-series softmax: ``(1 + x + x^2/2) / sum_j(...)``.
 
-    The numerator polynomial is positive for every real input, so the
-    denominator never vanishes.  Halving x^2 is a scale increment, and each
-    output is a scaled division of its numerator by the shared denominator.
+    Each numerator is T of its exact value, ``((x + 1)^2 + 1) / 2 >= 1/2``,
+    cut once, so it is positive on every input.  Their sum, cut once, is
+    the denominator, positive too; past the scale floor it saturates and
+    counts on ``sat``.  Each output is a scaled division of its numerator
+    by that shared denominator.
     Every element's numerator is evaluated here; :func:`softmax_tensor`
     shares the numerator and the normalization and evaluates each distinct
     input once per call.
@@ -435,9 +438,11 @@ def softmax(
 
 def _softmax_numerator(x, cfg: ScaleConfig,
                        sat: SaturationCounter | None) -> tuple[int, int]:
-    """``1 + x + x^2/2`` on one pair."""
-    m, s = pair_mul(x, x, cfg, sat)
-    return pair_sum((_ONE, x, fit(m, s + 1, cfg, sat)), cfg, sat)
+    """T of the exact ``1 + x + x^2/2`` on one pair: its three terms as ints
+    on one grid of at least ``scale_max``, where ``fit`` is T, cut once."""
+    m, s = x
+    g = max(cfg.scale_max, 2 * s + 1)
+    return fit((1 << g) + (m << (g - s)) + (m * m << (g - 2 * s - 1)), g, cfg, sat)
 
 
 def _normalize(nums, cfg: ScaleConfig,

@@ -236,6 +236,20 @@ class TestBench:
         assert code == 1
         assert err.startswith("scaledq: error:") and err.count("\n") == 1
 
+    def test_softmax_row_whose_cut_numerators_cancelled_exit_0(self, capsys, tmp_path):
+        """Every numerator of this default-format row is past the floor, and
+        two of them cancelled the others while each was cut step by step:
+        'scaled division by zero', exit 2.  Cut once, each is positive, and
+        four numerators and their sum saturate."""
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({"shape": [1, 4], "kind": "f64",
+                                    "data": [-15794176, -933888, -933888, -15794176]}))
+        code, out, err = run_cli(capsys, "bench", "softmax", "--width", "4", "--height", "1",
+                                 "--trials", "1", "--input-file", str(path))
+        assert (code, err) == (0, "")
+        row = dict(zip(*[line.split(",") for line in out.splitlines()]))
+        assert row["saturations"] == "5"
+
     @pytest.mark.parametrize("argv,named", [
         (["conv2d", "--kernel", "20", "--height", "4", "--width", "4"],
          "kernel 20 does not fit the 4x4 input"),

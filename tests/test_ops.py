@@ -1582,16 +1582,17 @@ def test_dot_ops_cut_each_output_once_without_dot(monkeypatch, op):
 # --- the pair-level non-linear operators against the spec and the primitives
 # layer_norm, softmax and gelu run on int pairs; the functions below are the
 # composition they must match bit for bit, saturations included: layer_norm's
-# from tests/spec.py, softmax's and gelu's from the scalar primitives.
+# and softmax's from tests/spec.py, gelu's from the scalar primitives.
 
 def spec_layer_norm(x, params, cfg, sat):
     """``layer_norm`` composed from the spec.  Each deviation is the exact
     ``n * (x_i - mean)`` on the row's largest scale ``top``, fitted once at
     the grid ``top``, or at the finest coarser one that keeps every
     deviation under ``2**room``, so their ``n`` squares sum below
-    ``2**(P - 1 - scale_min)``.  ``dot`` and ``quotient`` give ``c**2`` times
-    the variance, with ``c = n * 2**(top - grid)``, ``fit`` gives
-    ``c**2 * eps``, and the Newton rule runs from the exponent seed."""
+    ``2**(P - 1 - scale_min)``.  ``variance`` gives ``c**2`` times the
+    variance plus ``c**2 * eps``, with ``c = n * 2**(top - grid)``, in one
+    cut; the Newton rule runs from the exponent seed, and ``affine`` cuts
+    each output once."""
     n = x.shape[-1]
     (em, es), out = params.eps, []
     room = (cfg.p_bits - 1 - cfg.scale_min - n.bit_length()) // 2
@@ -1608,27 +1609,24 @@ def spec_layer_norm(x, params, cfg, sat):
         if not any(m for m, _ in devs):
             out.extend(params.beta.data)
             continue
-        vm, vs = spec.dot(devs, devs, cfg, sat)
-        var = spec.scale_add(spec.quotient(vm, n, vs, cfg, sat),
-                             spec.fit(em * n * n, es + 2 * (grid - top), cfg, sat), cfg, sat)
+        var = spec.variance(devs, (em * n * n, es + 2 * (grid - top)), cfg, sat)
         if var[0] <= 0:
             raise DomainError("inverse square root needs a positive input")
         inv = spec.newton(var, spec.exponent_seed(var, cfg), NEWTON_ITERS, cfg, sat)[-1]
-        out.extend(spec.scale_add(spec.scale_mul(spec.scale_mul(d, inv, cfg, sat), g, cfg, sat),
-                                  b, cfg, sat)
+        out.extend(spec.affine(d, inv, g, b, cfg, sat)
                    for d, g, b in zip(devs, params.gamma.data, params.beta.data))
     return QTensor(x.shape, tuple(out))
 
 
 def oracle_softmax_tensor(x, cfg, sat):
+    """Each numerator one cut, their sum one cut, and each output the
+    numerator's quotient by it."""
     n = x.shape[-1]
     out = []
     for r in range(x.size // n):
-        nums = [sum_aligned([ONE, e, shift_scale(scale_mul(e, e, cfg, sat), 1, cfg, sat)],
-                            cfg, sat)
-                for e in x.data[r * n:(r + 1) * n]]
-        den = sum_aligned(nums, cfg, sat)
-        out.extend(scale_div(num, den, cfg, sat) for num in nums)
+        nums = [spec.softmax_numerator(e, cfg, sat) for e in x.data[r * n:(r + 1) * n]]
+        den = spec.sum_aligned(nums, cfg, sat)
+        out.extend(spec.scale_div(num, den, cfg, sat) for num in nums)
     return QTensor(x.shape, tuple(out))
 
 
@@ -1682,6 +1680,51 @@ def test_pair_nonlinear_ops_match_scalar_oracle(p_bits, scale_bits):
             assert got == want, name
             saturations += want[1]
     assert saturations > 0
+
+
+def test_softmax_numerator_is_its_spec_cut_and_positive_on_every_value():
+    """Every in-format value at every format from (2, 2) to (8, 5), zero
+    included: ``_softmax_numerator`` is ``spec.softmax_numerator``, with the
+    same saturations, and positive, so no softmax denominator is zero.  With
+    a cut per step, the 2**(P - 1) values whose square saturated gave a
+    numerator <= 0."""
+    for p_bits in range(2, 9):
+        for scale_bits in range(2, 6):
+            cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+            got_sat, want_sat = SaturationCounter(), SaturationCounter()
+            values = [(0, 0)] + [(m, s) for m in range(1, cfg.max_magnitude + 1)
+                                 for s in range(cfg.scale_min, cfg.scale_max + 1)
+                                 for m in (m, -m)]
+            for x in values:
+                got = ops._softmax_numerator(x, cfg, got_sat)
+                assert got == spec.softmax_numerator(x, cfg, want_sat), (cfg, x)
+                assert got[0] > 0, (cfg, x)
+            assert got_sat.count == want_sat.count > 0
+
+
+# Rows that divided by zero while each numerator was cut step by step: their
+# squares saturated, and the numerators <= 0 cancelled the others.
+ZERO_SUM_ROWS = [((8, 5), (-15794176, -933888, -933888, -15794176)),
+                 ((2, 2), (2.0, -12.0)), ((2, 3), (-8.0, -48.0)), ((3, 2), (4.0, -28.0))]
+
+
+@pytest.mark.parametrize("fmt,row", ZERO_SUM_ROWS, ids=[str(f) for f, _ in ZERO_SUM_ROWS])
+def test_rows_whose_cut_numerators_cancelled_now_divide(fmt, row):
+    """Each row through ``softmax_tensor`` is the spec's, saturations
+    included.  As the keys of one feature, with unit queries and values and
+    ``d_m = 1``, whose ``1/sqrt`` is exactly 1, every score row is the row
+    itself, so both attentions give the sum of its probabilities in every
+    output."""
+    cfg, t = ScaleConfig(*fmt), len(row)
+    x = QTensor((1, t), tuple(quantize(v, cfg) for v in row))
+    probs = _outcome(lambda sat: softmax_tensor(x, cfg, sat))
+    assert probs == _outcome(lambda sat: oracle_softmax_tensor(x, cfg, sat))
+    assert all(m >= 0 for m, _ in probs[0])
+    keys, ones = QTensor((t, 1), x.data), QTensor((t, 1), (quantize(1.0, cfg),) * t)
+    assert dequantize(ops._inv_root(ones, ones, ones, 1, cfg, None)) == 1.0
+    want = QTensor((t, 1), matmul(softmax_tensor(x, cfg), ones, cfg).data * t)
+    assert attention(ones, keys, ones, 1, cfg) == want
+    assert factorized_attention(ones, keys, ones, 1, cfg) == want
 
 
 @pytest.mark.parametrize("variant", GELU_VARIANTS)
