@@ -21,8 +21,8 @@ import workloads  # noqa: E402
 
 SEED0_SHA256 = {
     "conv": "c39d3af3e35692f656a8527d94c114d37bd1cc3e61025fc4cb93a4a96d6aedda",
-    "encoder": "1c96fd925f10305b4582104ea19cd894209e1c1608737de72c79532b7c4cc7ca",
-    "norm": "0fd755f606dd27e51343c2abe74245f71d13843ad3edecce092c96cb91f28ee2",
+    "encoder": "1aa3d32c569b4051d6b14c865a44e7674ee9b1479fe46037bede382b770b165e",
+    "norm": "f0ed75e8d014ab1f5f1973af8cc03de53a4bbe8e0a79871963bf9602e359672d",
     "suite": "7c702bc81dcb566c62b488581d40f1b82c70aad0f9caaa1fb4625d9e3fb9ff93",
 }
 
