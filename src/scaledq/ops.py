@@ -403,7 +403,7 @@ def layer_norm(
         if not any(ints):
             out.extend(beta)
             continue
-        es = eps_s + 2 * (grid - top)  # the scale of c**2 * eps, at eps_m * n**2
+        es = eps_s + 2 * (grid - top)  # c**2 * eps is eps_m * n**2 at scale es
         vs = max(2 * g, es)
         var = box(quotient((sum(map(mul, ints, ints)) << (vs - 2 * g))
                            + (eps_m * n ** 3 << (vs - es)), n, vs, cfg, sat), cfg)

@@ -942,8 +942,8 @@ def test_fused_stages_are_their_exact_values_cut_once(p_bits, scale_bits):
 
     for _ in range(300):
         ds = [pair() for _ in range(rng.randint(1, 8))]
-        eps = (abs(pair(8)[0]), pair(8)[1])
-        sat = SaturationCounter()
+        em, es = pair(8)
+        eps, sat = (abs(em), es), SaturationCounter()
         var = spec.variance(ds, eps, cfg, sat)
         check(var, (sum(_value(d) ** 2 for d in ds) + len(ds) * _value(eps)) / len(ds), sat)
         d, inv, g, b = pair(), pair(4), pair(), pair()
