@@ -12,13 +12,14 @@ Every scalar rule they use, ``pair_add``, ``pair_mul``, ``pair_div`` and
 ``pair_sum``, is stated once in ``core``.  The exceptions are the fused
 stages, each T, ``fit``'s cut toward zero to P bits, of its exact value at
 the finest scale up to ``scale_max``, cut once: a dot plus its bias,
-:func:`layer_norm`'s variance and affine tail, and a softmax numerator.
-:func:`_lane_dots` makes every total of :func:`conv2d`, :func:`linear` and
-:func:`matmul`, the O outputs of an input row in L-bit lanes of one int,
-with L wide enough for the call's own operands, and cuts each lane inline
-by the one shift ``fit`` takes there, looking its pair up in the format's
-box table; ``fit`` itself, the rule's one statement, cuts every lane the
-table misses.  Only this module reads the exact ints :func:`_fixed` makes.
+:func:`layer_norm`'s variance and affine tail, and a softmax numerator and
+quotient.  :func:`_lane_dots` makes every total of :func:`conv2d`,
+:func:`linear` and :func:`matmul`, the O outputs of an input row in L-bit
+lanes of one int.  :func:`_cut_each` cuts each total of a dot row, a
+softmax row or a layer-norm tail on one grid for the row, inline by the one
+shift ``fit`` takes there, looking its pair up in the format's box table;
+``fit`` itself, the rule's one statement, cuts every total the table
+misses.  Only this module reads the exact ints :func:`_fixed` makes.
 """
 
 from __future__ import annotations
@@ -298,19 +299,8 @@ def _lane_dots(rows, grid: int, x_max: int, w, biases, cfg: ScaleConfig,
     bytes, lane 0 of the first row first, on any host: one ``struct``
     unpack of unsigned 64-bit words when L is 64, ``int.from_bytes`` per
     lane otherwise.  A chunk bounds the memory the read-back holds, which a
-    whole call's lanes would not.
-
-    Each lane's total ``t`` is cut inline, by the step ``fit`` takes for it:
-    since ``G - scale_max >= scale_max >= 1``, ``fit(t, G)`` always shifts,
-    by ``k = max(bitlen(|t|) - P, G - scale_max)``, to the pair
-    ``(+-(|t| >> k), G - k)``.  Where ``cfg.boxes`` holds that pair, it is
-    in the format, so ``fit`` returns it unchanged past the shift, and its
-    box is the one :func:`~scaledq.core.box` hands out.  Every other lane
-    takes ``box(fit(t, G, cfg, sat), cfg)``, which stays the rule's one
-    statement: a zero total or one the ceiling flushes, whose ``(0, s)``
-    with ``s = scale_max`` is never a key; a scale below the floor, where
-    ``fit`` saturates and records it; a pair not boxed yet; and any pair
-    once the table is full.
+    whole call's lanes would not.  Each lane, less ``2**(L-1)``, is cut at
+    ``G`` by :func:`_cut_each`.
     """
     wrows, g_w = w
     n_out = len(wrows)
@@ -327,22 +317,43 @@ def _lane_dots(rows, grid: int, x_max: int, w, biases, cfg: ScaleConfig,
     base = sum([(half + b) << a for b, a in zip(shifted, at)])
     width = lane // 8
     size, per = width * n_out, max(1, _CHUNK_LANES // (n_out or 1))
-    get, p_bits, least = cfg.boxes.get, cfg.p_bits, top - cfg.scale_max
     rows = iter(rows)
     out: list[ScaledInt] = []
     while raw := b"".join([sum(map(mul, row, packs), base).to_bytes(size, "little")
                            for row in islice(rows, per)]):
         lanes = struct.unpack(f"<{len(raw) // 8}Q", raw) if lane == 64 else [
             int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
-        for u in lanes:
-            t = u - half
-            k = t.bit_length() - p_bits
-            if k < least:
-                k = least
-            q = get((t >> k, top - k) if t > 0 else (-(-t >> k), top - k))
-            if q is None:
-                q = box(fit(t, top, cfg, sat), cfg)
-            out.append(q)
+        _cut_each(lanes, half, top, cfg, sat, out)
+    return out
+
+
+def _cut_each(values, offset: int, top: int, cfg: ScaleConfig,
+              sat: SaturationCounter | None, out: list) -> list:
+    """Append ``box(fit(u - offset, top, cfg, sat), cfg)`` to ``out`` for
+    each int ``u`` of ``values``, with ``top >= scale_max``, and return it.
+
+    Each total ``t = u - offset`` is cut inline, by the step ``fit`` takes
+    for it: since ``top >= scale_max``, ``fit(t, top)`` shifts by
+    ``k = max(bitlen(|t|) - P, top - scale_max) >= 0``, to the pair
+    ``(+-(|t| >> k), top - k)``.  Where ``cfg.boxes`` holds that pair, it
+    is in the format, so ``fit`` returns it unchanged past the shift, and
+    its box is the one :func:`~scaledq.core.box` hands out.  Every other
+    total takes ``box(fit(t, top, cfg, sat), cfg)``, which stays the rule's
+    one statement: a zero total or one the ceiling flushes, whose ``(0, s)``
+    with ``s = scale_max >= 1`` is never a key; a scale below the floor,
+    where ``fit`` saturates and records it; a pair not boxed yet; and any
+    pair once the table is full.
+    """
+    get, p_bits, least = cfg.boxes.get, cfg.p_bits, top - cfg.scale_max
+    for u in values:
+        t = u - offset
+        k = t.bit_length() - p_bits
+        if k < least:
+            k = least
+        q = get((t >> k, top - k) if t > 0 else (-(-t >> k), top - k))
+        if q is None:
+            q = box(fit(t, top, cfg, sat), cfg)
+        out.append(q)
     return out
 
 
@@ -374,10 +385,12 @@ def layer_norm(
     one ``quotient``.  Its ``inv = 1/sqrt(var)``, by the quantized Newton
     iteration from :func:`~scaledq.newton.exponent_seed`, carries the
     ``1/c`` that standardizes each ``d_i``.  Each output is T of the exact
-    ``d_i * inv * gamma_i + beta_i``, the 3P-bit product aligned with beta
-    on a grid of at least ``scale_max``, one ``fit``.  A row whose
-    deviations all vanish, such as one holding a single value in any of its
-    stored forms, short-circuits to beta and never consults eps.
+    ``d_i * inv * gamma_i + beta_i``: the 3P-bit products and beta, each on
+    its :func:`_fixed` grid, are aligned on the larger, ``t >= scale_max``,
+    where ``fit(m << j, s + j)`` is ``fit(m, s)``, so :func:`_cut_each` cuts
+    the row at ``t`` as at each output's own grid.  A row whose deviations
+    all vanish, such as one holding a single value in any of its stored
+    forms, short-circuits to beta and never consults eps.
     """
     n = x.shape[-1] if x.shape else 0
     if n < 1:
@@ -385,7 +398,8 @@ def layer_norm(
     if params.gamma.shape != (n,):
         raise ShapeError(f"gamma/beta must be ({n},), got {params.gamma.shape}")
     # beta is boxed once, so the rows that short-circuit to it hold shared boxes
-    gamma, beta = params.gamma.data, [box(e, cfg) for e in params.beta.data]
+    beta = [box(e, cfg) for e in params.beta.data]
+    (gamma, g_gamma), (betas, g_beta) = _fixed(params.gamma.data, cfg), _fixed(beta, cfg)
     eps_m, eps_s = params.eps
     # n deviations below 2**room square and sum below 2**(P - 1 - scale_min),
     # under max_value, so the variance, eps aside, never saturates
@@ -408,10 +422,10 @@ def layer_norm(
         var = box(quotient((sum(map(mul, ints, ints)) << (vs - 2 * g))
                            + (eps_m * n ** 3 << (vs - es)), n, vs, cfg, sat), cfg)
         (im, i_s), _ = newton_inv_sqrt(var, exponent_seed(var, cfg), NEWTON_ITERS, cfg, sat)
-        for (dm, ds), (gm, gs), (bm, bs) in zip(devs, gamma, beta):
-            ps = ds + i_s + gs
-            t = max(ps, bs, cfg.scale_max)
-            out.append(box(fit((dm * im * gm << (t - ps)) + (bm << (t - bs)), t, cfg, sat), cfg))
+        t = max(g + g_gamma + i_s, g_beta)
+        im, lift = im << (t - g - g_gamma - i_s), t - g_beta
+        _cut_each([d * c * im + (b << lift) for d, c, b in zip(ints, gamma, betas)],
+                  0, t, cfg, sat, out)
     return QTensor(x.shape, tuple(out))
 
 
@@ -425,8 +439,8 @@ def softmax(
     Each numerator is T of its exact value, ``((x + 1)^2 + 1) / 2 >= 1/2``,
     cut once, so it is positive on every input.  Their sum, cut once, is
     the denominator, positive too; past the scale floor it saturates and
-    counts on ``sat``.  Each output is a scaled division of its numerator
-    by that shared denominator.
+    counts on ``sat``.  Each output is T of its numerator over that shared
+    denominator, the whole row divided on one grid (see :func:`_normalize`).
     Every element's numerator is evaluated here; :func:`softmax_tensor`
     shares the numerator and the normalization and evaluates each distinct
     input once per call.
@@ -447,9 +461,15 @@ def _softmax_numerator(x, cfg: ScaleConfig,
 
 def _normalize(nums, cfg: ScaleConfig,
                sat: SaturationCounter | None) -> list[ScaledInt]:
-    """One softmax row from its numerators: each divided by their sum."""
-    den = pair_sum(nums, cfg, sat)
-    return [box(pair_div(num, den, cfg, sat), cfg) for num in nums]
+    """One softmax row from its positive numerators ``(m, s)``: with ``g``
+    their largest scale, each floor quotient ``(m << (g - s + e)) // dm`` by
+    their sum ``(dm, ds)`` is cut on the row's grid ``g - ds + e``.  ``e``
+    gives each more than P bits on a grid above ``scale_max``, and a floor
+    of a floor is the floor, so each is T of its value, as ``pair_div``."""
+    dm, ds = pair_sum(nums, cfg, sat)
+    g = max([s for _, s in nums])
+    e = cfg.p_bits + dm.bit_length() + max(0, cfg.scale_max + ds - g + 1)
+    return _cut_each([(m << (g - s + e)) // dm for m, s in nums], 0, g - ds + e, cfg, sat, [])
 
 
 def softmax_tensor(
@@ -493,8 +513,9 @@ def _each_distinct(fn, xs, cfg: ScaleConfig,
             own = None if sat is None else SaturationCounter()
             hit = memo[x] = (fn(x, cfg, own, *args), 0 if own is None else own.count)
         result, saturations = hit
-        for _ in range(saturations):
-            sat.record()
+        if saturations:
+            for _ in range(saturations):
+                sat.record()
         out.append(result)
     return out
 

@@ -1490,6 +1490,46 @@ def test_inline_cut_is_fit_lane_for_lane(monkeypatch, p_bits, scale_bits):
     assert got_sat.count == want_sat.count > 0 and full.boxes == {ZERO: ZERO}
 
 
+@pytest.mark.parametrize("fmt,full", [(f, False) for f in SPEC_FORMATS] + [((12, 6), True)],
+                         ids=[str(f) for f in SPEC_FORMATS] + ["(12, 6)-full"])
+def test_cut_each_is_box_of_fit_at_every_grid(fmt, full):
+    """``_cut_each`` at every grid from ``scale_max``, where its shift can
+    be 0, to ``2*scale_max + 2P``, on totals at the edges of its cut: 0,
+    +-1, +-max_magnitude, and +-2**k, +-(2**k - 1) and +-(2**k + 1) where
+    the P-bit cut starts, where the ceiling's cut gives way to it and past
+    the floor.  Each output is ``box(fit(t, top, cfg, sat), cfg)``: the
+    table's own box, or at (12, 6), whose table is filled to ``MAX_BOXES``
+    first, an equal fresh box for a pair the table does not hold; the
+    saturation counts are equal."""
+    cfg = ScaleConfig(*fmt)
+    p_bits, lo, hi = cfg.p_bits, cfg.scale_min, cfg.scale_max
+    if full:
+        fill = ((m, s) for s in range(hi, lo - 1, -1) for m in range(1, cfg.max_magnitude + 1))
+        while len(cfg.boxes) < core.MAX_BOXES:
+            box(next(fill), cfg)
+    fresh = saturated = 0
+    for top in range(hi, 2 * hi + 2 * p_bits + 1):
+        least = top - hi
+        ks = {0, 1} | {e + d for e in (p_bits, p_bits + least, p_bits + top - lo)
+                       for d in (-1, 0, 1, 2)}
+        ts = {0, 1, cfg.max_magnitude} | {(1 << k) + d for k in ks if k >= 0 for d in (-1, 0, 1)}
+        ts = sorted(ts | {-t for t in ts})
+        offset = 1 << (p_bits + top - lo + 3)
+        got, got_sat, want_sat = [], SaturationCounter(), SaturationCounter()
+        ops._cut_each([t + offset for t in ts], offset, top, cfg, got_sat, got)
+        for t, q in zip(ts, got, strict=True):
+            want = box(fit(t, top, cfg, want_sat), cfg)
+            assert type(q) is ScaledInt and q == want, (top, t)
+            if cfg.boxes.get(want) is want:
+                assert q is want, (top, t)
+            else:
+                fresh += 1
+        assert got_sat.count == want_sat.count
+        saturated += got_sat.count
+    assert saturated > 0
+    assert (fresh > 0) == full and len(cfg.boxes) <= core.MAX_BOXES
+
+
 @pytest.mark.parametrize("p_bits,scale_bits", [(8, 5), (12, 10)])
 @pytest.mark.parametrize("n_out", [1, 9, 64])
 def test_rows_around_a_chunk_match_spec(p_bits, scale_bits, n_out):
@@ -1728,6 +1768,109 @@ def test_rows_whose_cut_numerators_cancelled_now_divide(fmt, row):
     want = QTensor((t, 1), matmul(softmax_tensor(x, cfg), ones, cfg).data * t)
     assert attention(ones, keys, ones, 1, cfg) == want
     assert factorized_attention(ones, keys, ones, 1, cfg) == want
+
+
+def test_one_grid_rows_match_spec_at_their_edges(monkeypatch):
+    """softmax_tensor and layer_norm, each of whose rows is divided or cut on
+    one grid, against ``oracle_softmax_tensor`` and ``spec_layer_norm``, pair
+    for pair and count for count, at every format from (2, 2) to (8, 5).
+
+    Softmax rows: one whose numerators' scales run from ``scale_min`` (a
+    saturated square) to ``min(P, scale_max)`` (the numerator 1/2 at
+    x = -1), one that saturates nothing, a single saturating element, and
+    ``ZERO_SUM_ROWS`` at their formats.  layer_norm rows: 0 beside one
+    value at every scale, at the smallest and largest magnitude, so the
+    variance runs from the finest step, where ``inv``'s scale is negative
+    wherever ``scale_max >= 2P``, up to the largest, with eps at the finest
+    step and zero; and random full-range rows.  gamma and beta mix their
+    scales, and beta holds zeros.  Hand-built gamma and beta finer than the
+    ceiling put the tail on beta's grid, above the products'.  A tail's grid
+    stays above ``scale_max`` (``inv`` is at most about
+    ``2**(scale_max/2)``), so a shift of 0 is checked on ``_cut_each``
+    itself at ``top = scale_max``."""
+    inv_scales, newton = [], ops.newton_inv_sqrt
+
+    def recorded(*args):
+        result = newton(*args)
+        inv_scales.append(result[0][1])
+        return result
+
+    monkeypatch.setattr(ops, "newton_inv_sqrt", recorded)
+    rng = random.Random(27)
+    saturations = errors = 0
+
+    def same(op, oracle):
+        nonlocal saturations, errors
+        got, want = _outcome(op), _outcome(oracle)
+        assert got == want
+        saturations += want[1]
+        errors += isinstance(want[0], type)
+
+    for p_bits in range(2, 9):
+        for scale_bits in range(2, 6):
+            cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+            lo, hi, top = cfg.scale_min, cfg.scale_max, cfg.max_magnitude
+            span = [(m, s) for s in range(lo, hi + 1) for m in (1, -1, top, -top)]
+            scales = {spec.softmax_numerator(x, cfg, SaturationCounter())[1] for x in span}
+            assert (min(scales), max(scales)) == (lo, min(p_bits, hi))
+            rows = [span, [(-1, 0)] + [(m, s) for s in range(hi + 1) for m in (1, -1)],
+                    [(top, lo)]] + [[quantize(v, cfg) for v in row]
+                                    for fmt, row in ZERO_SUM_ROWS if fmt == (p_bits, scale_bits)]
+            for row in rows:
+                x = QTensor((1, len(row)), tuple(box(e, cfg) for e in row))
+                same(lambda sat: softmax_tensor(x, cfg, sat),
+                     lambda sat: oracle_softmax_tensor(x, cfg, sat))
+            affine = [(QTensor((2,), (ScaledInt(top, lo), ScaledInt(1, hi, True))),
+                       QTensor((2,), (ZERO, ScaledInt(top // 2 + 1, hi)))),
+                      (QTensor((2,), (ScaledInt(top, hi + 3), ScaledInt(1, lo))),
+                       QTensor((2,), (ScaledInt(1, 3 * hi + p_bits), ScaledInt(3, hi + 1, True))))]
+            x = nonlinear_rows(rng, 5, cfg)
+            rows = [(ZERO, ScaledInt(m, s)) for s in range(lo, hi + 1) for m in (1, top)]
+            rows += [x.data[r:r + 5] for r in range(0, x.size, 5)]
+            wide = [rand_tensor(rng, (5,), cfg).data for _ in range(2)]
+            wide[1] = (ZERO,) + wide[1][1:]
+            for eps in (ScaledInt(1, hi), ZERO):
+                for row in rows:
+                    x = QTensor((1, len(row)), tuple(row))
+                    for g, b in affine if len(row) == 2 else [[QTensor((5,), t) for t in wide]]:
+                        params = LayerNormParams(g, b, eps)
+                        same(lambda sat: layer_norm(x, params, cfg, sat),
+                             lambda sat: spec_layer_norm(x, params, cfg, sat))
+    assert saturations > 0 and 0 < errors
+    assert min(inv_scales) < 0 < max(inv_scales)
+
+
+def test_norm_ops_make_no_division_or_cut_per_output(monkeypatch):
+    """On a warm box table softmax_tensor calls no ``quotient`` or
+    ``pair_div``, and ``fit`` once per distinct input (its numerator) and
+    once per output the table misses, the zero outputs here; layer_norm
+    calls ``quotient`` once per row that does not short-circuit, and ``fit``
+    once per deviation and once per output the table misses.  Counts, so
+    they hold on any machine, and a per-output division or cut cannot come
+    back unseen."""
+    calls = dict.fromkeys(("fit", "quotient", "pair_div"), 0)
+    for name in calls:
+        fn = getattr(ops, name)
+        monkeypatch.setattr(ops, name, lambda *args, fn=fn, name=name: calls.update(
+            {name: calls[name] + 1}) or fn(*args))
+    rng, n, cfg = random.Random(27), 16, ScaleConfig()
+    x = QTensor((9, n), tuple(quantize(rng.uniform(-2, 2), cfg) for _ in range(8 * n))
+                + (quantize(0.75, cfg),) * n)
+    params = LayerNormParams(QTensor((n,), tuple(quantize(rng.uniform(-2, 2), cfg)
+                                                 for _ in range(n))),
+                             QTensor((n,), tuple(quantize(rng.uniform(-1, 1), cfg)
+                                                 for _ in range(n - 1)) + (ZERO,)),
+                             ScaledInt(1, cfg.scale_max))
+    for op, extra in [(lambda sat: softmax_tensor(x, cfg, sat),
+                       lambda out: {"fit": len(set(x.data)) + out.data.count(ZERO)}),
+                      (lambda sat: layer_norm(x, params, cfg, sat),
+                       lambda out: {"fit": x.size + out.data[:8 * n].count(ZERO),
+                                    "quotient": 8})]:
+        first, sat = op(None), SaturationCounter()
+        calls.update(dict.fromkeys(calls, 0))
+        out = op(sat)
+        assert out == first and sat.count == 0
+        assert calls == {"fit": 0, "quotient": 0, "pair_div": 0, **extra(out)}
 
 
 @pytest.mark.parametrize("variant", GELU_VARIANTS)
