@@ -1849,10 +1849,15 @@ def test_norm_ops_make_no_division_or_cut_per_output(monkeypatch):
     they hold on any machine, and a per-output division or cut cannot come
     back unseen."""
     calls = dict.fromkeys(("fit", "quotient", "pair_div"), 0)
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
     for name in calls:
-        fn = getattr(ops, name)
-        monkeypatch.setattr(ops, name, lambda *args, fn=fn, name=name: calls.update(
-            {name: calls[name] + 1}) or fn(*args))
+        monkeypatch.setattr(ops, name, counted(name, getattr(ops, name)))
     rng, n, cfg = random.Random(27), 16, ScaleConfig()
     x = QTensor((9, n), tuple(quantize(rng.uniform(-2, 2), cfg) for _ in range(8 * n))
                 + (quantize(0.75, cfg),) * n)
