@@ -25,10 +25,12 @@ GELU_SERIES_LINEAR = "series-linear"
 GELU_SERIES_CUBED = "series-cubed"
 GELU_SERIES_CUBED_CORRECTED = "series-cubed-corrected"
 GELU_VARIANTS = (GELU_SERIES_LINEAR, GELU_SERIES_CUBED, GELU_SERIES_CUBED_CORRECTED)
-# Most boxes one format's table holds.  The default format has 16 321 stored
-# pairs, all of which fit; a wide format stops growing here, and a result
-# boxed past it is a fresh, value-equal ScaledInt.
-MAX_BOXES = 1 << 15
+# Most slots one format's box table holds, over all its rows of 2**(P+1)
+# slots: 8 MiB of row lists.  The default format's 32 rows take 2**14 and
+# (12, 6)'s 64 rows 2**19; (12, 10) gets 128 rows of its 1024 scales.  Past
+# the cap no scale gets a row, and a result at a scale without one is a
+# fresh, value-equal ScaledInt.
+MAX_SLOTS = 1 << 20
 
 
 class RangeError(ValueError):
@@ -60,10 +62,16 @@ class ScaleConfig:
     specialize a load that a class descriptor shadows and ``fit`` reads them
     on every call.
 
-    ``boxes`` is derived too, empty but for zero, and filled by :func:`box`:
-    the table of this format's shared :class:`ScaledInt` boxes, keyed by
-    pair.  Copies and pickles rebuild the config from its three fields, so
-    each config, a copy included, has a table of its own.
+    ``boxes`` is derived too, the table of this format's shared
+    :class:`ScaledInt` boxes that :func:`box` fills: one entry per scale,
+    ``boxes[s - scale_min]``, ``None`` until the first box at ``s`` makes
+    it a row of ``2**(P+1)`` slots, slot ``m`` holding the box of
+    ``(m, s)`` for ``-2**P < m < 2**P``, a negative ``m`` in the upper half
+    as a negative list index reads it.  Slot 0 stays empty: zero is
+    :data:`ZERO`.  Once one more row would pass ``MAX_SLOTS``, every scale
+    without a row reads ``False``, and none gets one.  Copies and pickles
+    rebuild the config from its three fields, so each config, a copy
+    included, has a table of its own.
     """
 
     p_bits: int = 8
@@ -87,7 +95,7 @@ class ScaleConfig:
         put(self, "scale_max", (1 << (self.scale_bits - 1)) - 1)
         put(self, "max_value", math.ldexp(self.max_magnitude, -self.scale_min))
         put(self, "zero_below", math.ldexp(1, -self.scale_max - 1))
-        put(self, "boxes", {ZERO: ZERO})
+        put(self, "boxes", [None] * (1 << self.scale_bits))
 
     def __reduce__(self):
         return type(self), (self.p_bits, self.scale_bits, self.gelu_variant)
@@ -179,18 +187,34 @@ def box(pair, cfg: ScaleConfig = DEFAULT_CONFIG) -> ScaledInt:
     ``cfg.boxes``.
 
     An in-format pair, as :func:`fit`, :func:`quotient` and :func:`quantize`
-    return, is boxed once per config and handed out again on every later
-    call; zero is :data:`ZERO`.  Only a miss checks the format and the
-    table's size: a pair outside the format, such as an operand a kernel
-    passes through unchanged, or one past ``MAX_BOXES``, is boxed fresh.
+    return, is boxed once per config, in slot ``m`` of its scale's row, and
+    handed out again on every later call: two list indexes, no key built or
+    hashed.  Zero is :data:`ZERO`.  The format is checked before the row is
+    indexed, since a negative index would wrap: a pair outside it, such as
+    an operand a kernel passes through unchanged, is boxed fresh and stored
+    nowhere.  So is a pair whose scale has no row when making one would
+    take the table past ``MAX_SLOTS``, a cap checked before the row is
+    allocated.
     """
-    q = cfg.boxes.get(pair)
+    m, s = pair
+    if not m:
+        return ZERO
+    if not (-cfg.max_magnitude <= m <= cfg.max_magnitude and cfg.scale_min <= s <= cfg.scale_max):
+        return ScaledInt.from_signed(m, s)
+    rows = cfg.boxes
+    row = rows[s - cfg.scale_min]
+    if row is None:
+        size = 2 << cfg.p_bits
+        if (len(rows) + 1 - rows.count(None)) * size > MAX_SLOTS:
+            # rows are all one size, so none fits: close every scale without one
+            rows[:] = [r or False for r in rows]
+        else:
+            row = rows[s - cfg.scale_min] = [None] * size
+    if not row:
+        return ScaledInt.from_signed(m, s)
+    q = row[m]
     if q is None:
-        q = ScaledInt.from_signed(*pair)
-        m, s = q
-        if (len(cfg.boxes) < MAX_BOXES and -cfg.max_magnitude <= m <= cfg.max_magnitude
-                and cfg.scale_min <= s <= cfg.scale_max):
-            cfg.boxes[q] = q
+        q = row[m] = tuple.__new__(ScaledInt, (m, s))
     return q
 
 

@@ -17,9 +17,10 @@ quotient.  :func:`_lane_dots` makes every total of :func:`conv2d`,
 :func:`linear` and :func:`matmul`, the O outputs of an input row in L-bit
 lanes of one int.  :func:`_cut_each` cuts each total of a dot row, a
 softmax row or a layer-norm tail on one grid for the row, inline by the one
-shift ``fit`` takes there, looking its pair up in the format's box table;
-``fit`` itself, the rule's one statement, cuts every total the table
-misses.  Only this module reads the exact ints :func:`_fixed` makes.
+shift ``fit`` takes there, and finds its box in the format's box table by
+two list indexes, the row of its scale and the slot of its signed
+magnitude; ``fit`` itself, the rule's one statement, cuts every total the
+table misses.  Only this module reads the exact ints :func:`_fixed` makes.
 """
 
 from __future__ import annotations
@@ -335,22 +336,27 @@ def _cut_each(values, offset: int, top: int, cfg: ScaleConfig,
     Each total ``t = u - offset`` is cut inline, by the step ``fit`` takes
     for it: since ``top >= scale_max``, ``fit(t, top)`` shifts by
     ``k = max(bitlen(|t|) - P, top - scale_max) >= 0``, to the pair
-    ``(+-(|t| >> k), top - k)``.  Where ``cfg.boxes`` holds that pair, it
-    is in the format, so ``fit`` returns it unchanged past the shift, and
-    its box is the one :func:`~scaledq.core.box` hands out.  Every other
-    total takes ``box(fit(t, top, cfg, sat), cfg)``, which stays the rule's
-    one statement: a zero total or one the ceiling flushes, whose ``(0, s)``
-    with ``s = scale_max >= 1`` is never a key; a scale below the floor,
-    where ``fit`` saturates and records it; a pair not boxed yet; and any
-    pair once the table is full.
+    ``(+-(|t| >> k), top - k)``, whose magnitude is under ``2**P``.  When
+    ``top - k`` is at least ``scale_min``, that pair is in the format, so
+    ``fit`` returns it unchanged past the shift, and where its scale's row
+    of ``cfg.boxes`` holds a box in slot ``+-(|t| >> k)``, that box is the
+    one :func:`~scaledq.core.box` hands out.  Every other total takes
+    ``box(fit(t, top, cfg, sat), cfg)``, which stays the rule's one
+    statement: a zero total or one the ceiling flushes, whose slot 0 is
+    always empty; a scale below the floor, where ``fit`` saturates and
+    records it; a scale with no row, as past ``MAX_SLOTS``; and a pair not
+    boxed yet.
     """
-    get, p_bits, least = cfg.boxes.get, cfg.p_bits, top - cfg.scale_max
+    rows, p_bits, least = cfg.boxes, cfg.p_bits, top - cfg.scale_max
+    first = top - cfg.scale_min
     for u in values:
         t = u - offset
         k = t.bit_length() - p_bits
         if k < least:
             k = least
-        q = get((t >> k, top - k) if t > 0 else (-(-t >> k), top - k))
+        q = None
+        if k <= first and (row := rows[first - k]):
+            q = row[t >> k if t > 0 else -(-t >> k)]
         if q is None:
             q = box(fit(t, top, cfg, sat), cfg)
         out.append(q)

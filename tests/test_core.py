@@ -242,21 +242,41 @@ def _primitive_results(cfg, rng, n):
     return out
 
 
+def table_box(cfg, pair):
+    """The box ``cfg.boxes`` holds for the in-format ``pair``: :data:`ZERO`
+    for zero, else slot ``m`` of scale ``s``'s row, or ``None`` where that
+    scale has no row or the slot is empty."""
+    m, s = pair
+    assert abs(m) <= cfg.max_magnitude and cfg.scale_min <= s <= cfg.scale_max
+    row = cfg.boxes[s - cfg.scale_min]
+    return ZERO if not m else row[m] if row else None
+
+
+def slots_used(cfg):
+    """Slots in the rows ``cfg.boxes`` has made."""
+    return sum(1 for row in cfg.boxes if row) * (2 << cfg.p_bits)
+
+
 class TestBox:
     """Every primitive boxes its result through ``core.box``: one shared
     ``ScaledInt`` per stored pair and config, held in ``cfg.boxes``."""
 
     def test_zero_is_the_canonical_box(self):
         cfg = ScaleConfig()
-        assert core.box((0, 0), cfg) is ZERO and cfg.boxes[(0, 0)] is ZERO
+        assert core.box((0, 0), cfg) is ZERO and core.box((0, 7), cfg) is ZERO
         assert quantize(0.0, cfg) is ZERO and scale_sub(ONE, ONE, cfg) is ZERO
         assert handle_overflow(0, 7, cfg) is ZERO
+        # zero makes no row, and no row ever holds it: slot 0 stays empty
+        assert cfg.boxes == [None] * (1 << cfg.scale_bits)
+        _primitive_results(cfg, random.Random(0), 300)
+        rows = [row for row in cfg.boxes if row is not None]
+        assert rows and all(row[0] is None for row in rows)
 
     @pytest.mark.parametrize("p_bits,scale_bits", [(8, 5), (4, 3), (12, 6)])
     def test_every_primitive_result_is_the_tables_box(self, p_bits, scale_bits):
         cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
         results = _primitive_results(cfg, random.Random(p_bits), 300)
-        assert all(type(q) is ScaledInt and q is cfg.boxes[q] for q in results)
+        assert all(type(q) is ScaledInt and q is table_box(cfg, q) for q in results)
         again = _primitive_results(cfg, random.Random(p_bits), 300)
         assert all(a is b for a, b in zip(results, again))
         assert len({id(q) for q in results}) == len(set(results))
@@ -264,26 +284,41 @@ class TestBox:
     def test_table_holds_only_in_format_pairs(self):
         cfg = ScaleConfig()
         _primitive_results(cfg, random.Random(3), 300)
+        held = [list(row) if row else row for row in cfg.boxes]
         wide = (-300, 16)
-        assert core.box(wide, cfg) == wide and wide not in cfg.boxes
-        assert all(abs(m) <= cfg.max_magnitude and cfg.scale_min <= s <= cfg.scale_max
-                   and (m or not s) for m, s in cfg.boxes)
+        assert core.box(wide, cfg) == wide and cfg.boxes == held
+        # each row is indexed by scale and each slot by signed magnitude, a
+        # negative one in the row's upper half; slot 0 is empty
+        size, stored = 2 << cfg.p_bits, 0
+        for s, row in zip(range(cfg.scale_min, cfg.scale_max + 1), cfg.boxes):
+            if row is None:
+                continue
+            assert len(row) == size and row[0] is None
+            for slot, q in enumerate(row):
+                if q is not None:
+                    m = slot if slot < size // 2 else slot - size
+                    assert type(q) is ScaledInt and q == (m, s) and m
+                    assert abs(m) <= cfg.max_magnitude
+                    stored += 1
+        assert stored > 100
 
     def test_table_stops_at_its_cap(self):
         cfg, twin = ScaleConfig(p_bits=12, scale_bits=10), ScaleConfig(p_bits=12, scale_bits=10)
         rng = random.Random(10)
-        values = [rng.uniform(1, 2) * 2.0 ** rng.randint(-500, 500)
-                  for _ in range(core.MAX_BOXES + 8000)]
+        values = [rng.uniform(1, 2) * 2.0 ** rng.randint(-500, 500) for _ in range(4000)]
         first = [quantize(v, cfg) for v in values]
-        assert len(set(first)) > core.MAX_BOXES
-        assert len(cfg.boxes) == core.MAX_BOXES
+        rows = core.MAX_SLOTS // (2 << cfg.p_bits)
+        assert len({q[1] for q in first}) > rows
+        assert slots_used(cfg) == rows * (2 << cfg.p_bits) == core.MAX_SLOTS
         # past the cap a result is boxed fresh: equal in value to the box the
         # twin table, filled in the opposite order, holds for the same input
         last = [quantize(v, twin) for v in reversed(values)][::-1]
-        assert len(twin.boxes) == core.MAX_BOXES
+        assert slots_used(twin) == core.MAX_SLOTS
         assert first == last
-        assert any(a is not cfg.boxes.get(a) for a in first)
-        assert any(b is not twin.boxes.get(b) for b in last)
+        assert any(a is not table_box(cfg, a) for a in first)
+        assert any(b is not table_box(twin, b) for b in last)
+        # a scale with a row still hands out its one box
+        assert all(q is quantize(v, cfg) for v, q in zip(values, first) if table_box(cfg, q))
 
     def test_equal_configs_have_tables_of_their_own(self):
         fresh = ScaleConfig()
@@ -302,7 +337,7 @@ class TestBox:
         _primitive_results(cfg, random.Random(6), 200)
         got = clone(cfg)
         assert got == cfg and hash(got) == hash(cfg)
-        assert got.boxes == {ZERO: ZERO} and got.boxes is not cfg.boxes
+        assert got.boxes == [None] * (1 << cfg.scale_bits) and got.boxes is not cfg.boxes
         assert quantize(0.3, got) == quantize(0.3, cfg)
         assert len(pickle.dumps(cfg)) < 200
 

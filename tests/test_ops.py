@@ -10,11 +10,13 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
-from operator import mul
+from itertools import repeat
+from operator import is_, mul
 
 import pytest
 
 import spec
+from test_core import slots_used, table_box
 from scaledq.core import (
     GELU_SERIES_CUBED,
     GELU_SERIES_CUBED_CORRECTED,
@@ -689,7 +691,7 @@ def test_every_output_element_is_the_tables_box(name, tmp_path):
     same objects; inputs built with ``ScaledInt(...)`` included."""
     case = _boxed_cases()[name]
     out, again = case(tmp_path), case(tmp_path)
-    assert all(e is CFG.boxes[e] for e in out)
+    assert all(e is table_box(CFG, e) for e in out)
     assert all(a is b for a, b in zip(out, again, strict=True))
 
 
@@ -1482,31 +1484,23 @@ def test_inline_cut_is_fit_lane_for_lane(monkeypatch, p_bits, scale_bits):
     assert got[n_out:n_out + 2] == [(top, lo), (-top, lo)]  # the widest lanes saturate
     assert any(m > 0 for m, _ in got) and any(m < 0 for m, _ in got)
 
-    monkeypatch.setattr(core, "MAX_BOXES", 1)
+    monkeypatch.setattr(core, "MAX_SLOTS", 0)
     full = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
     got_sat, want_sat = SaturationCounter(), SaturationCounter()
     assert ops._lane_dots(*_lane_args(xs, ws, biases, full), full, got_sat) == got
     assert _fit_each_lane(xs, ws, biases, full, want_sat) == got
-    assert got_sat.count == want_sat.count > 0 and full.boxes == {ZERO: ZERO}
+    assert got_sat.count == want_sat.count > 0 and slots_used(full) == 0
 
 
-@pytest.mark.parametrize("fmt,full", [(f, False) for f in SPEC_FORMATS] + [((12, 6), True)],
-                         ids=[str(f) for f in SPEC_FORMATS] + ["(12, 6)-full"])
-def test_cut_each_is_box_of_fit_at_every_grid(fmt, full):
+def _cut_at_every_grid(cfg):
     """``_cut_each`` at every grid from ``scale_max``, where its shift can
     be 0, to ``2*scale_max + 2P``, on totals at the edges of its cut: 0,
     +-1, +-max_magnitude, and +-2**k, +-(2**k - 1) and +-(2**k + 1) where
     the P-bit cut starts, where the ceiling's cut gives way to it and past
-    the floor.  Each output is ``box(fit(t, top, cfg, sat), cfg)``: the
-    table's own box, or at (12, 6), whose table is filled to ``MAX_BOXES``
-    first, an equal fresh box for a pair the table does not hold; the
-    saturation counts are equal."""
-    cfg = ScaleConfig(*fmt)
+    the floor.  Each output is ``box(fit(t, top, cfg, sat), cfg)``, the
+    table's own box where its scale's row holds it, and the saturation
+    counts are equal.  Returns the outputs boxed fresh and the saturations."""
     p_bits, lo, hi = cfg.p_bits, cfg.scale_min, cfg.scale_max
-    if full:
-        fill = ((m, s) for s in range(hi, lo - 1, -1) for m in range(1, cfg.max_magnitude + 1))
-        while len(cfg.boxes) < core.MAX_BOXES:
-            box(next(fill), cfg)
     fresh = saturated = 0
     for top in range(hi, 2 * hi + 2 * p_bits + 1):
         least = top - hi
@@ -1520,14 +1514,122 @@ def test_cut_each_is_box_of_fit_at_every_grid(fmt, full):
         for t, q in zip(ts, got, strict=True):
             want = box(fit(t, top, cfg, want_sat), cfg)
             assert type(q) is ScaledInt and q == want, (top, t)
-            if cfg.boxes.get(want) is want:
+            if table_box(cfg, want) is want:
                 assert q is want, (top, t)
             else:
                 fresh += 1
         assert got_sat.count == want_sat.count
         saturated += got_sat.count
+    return fresh, saturated
+
+
+@pytest.mark.parametrize("fmt,full", [(f, False) for f in SPEC_FORMATS] + [((12, 6), True)],
+                         ids=[str(f) for f in SPEC_FORMATS] + ["(12, 6)-full"])
+def test_cut_each_is_box_of_fit_at_every_grid(monkeypatch, fmt, full):
+    """:func:`_cut_at_every_grid` at every ``SPEC_FORMATS`` format, where
+    each output is the table's own box, and at (12, 6), whose table first
+    makes rows for its upper half of scales up to a cap of that many slots,
+    so a pair at a scale with no row is an equal fresh box."""
+    cfg = ScaleConfig(*fmt)
+    if full:
+        monkeypatch.setattr(core, "MAX_SLOTS", len(cfg.boxes) // 2 * (2 << cfg.p_bits))
+        for s in range(cfg.scale_max, cfg.scale_min - 1, -1):
+            box((1, s), cfg)
+        assert slots_used(cfg) == core.MAX_SLOTS
+    fresh, saturated = _cut_at_every_grid(cfg)
     assert saturated > 0
-    assert (fresh > 0) == full and len(cfg.boxes) <= core.MAX_BOXES
+    assert (fresh > 0) == full and slots_used(cfg) <= core.MAX_SLOTS
+
+
+def test_cut_each_past_the_cap_is_box_of_fit():
+    """At (14, 6) a row is 2**15 slots, so ``MAX_SLOTS`` holds rows for
+    half of the 64 scales: boxing one pair at every scale, from
+    ``scale_min`` up, makes rows until the cap and no further, and
+    :func:`_cut_at_every_grid` then gives each output at a scale without
+    one as an equal fresh box, with equal saturation counts."""
+    cfg = ScaleConfig(p_bits=14, scale_bits=6)
+    assert core.MAX_SLOTS // (2 << cfg.p_bits) == len(cfg.boxes) // 2
+    for s in range(cfg.scale_min, cfg.scale_max + 1):
+        box((1, s), cfg)
+    assert slots_used(cfg) == core.MAX_SLOTS
+    assert [bool(row) for row in cfg.boxes] == [True] * 32 + [False] * 32
+    fresh, saturated = _cut_at_every_grid(cfg)
+    assert fresh > 0 and saturated > 0
+    assert slots_used(cfg) == core.MAX_SLOTS
+
+
+def test_a_row_past_the_cap_is_never_allocated():
+    """At P = 1000 one row would be 2**1001 slots, past ``MAX_SLOTS``, so
+    the cap is checked before any row is allocated: ``box`` and
+    ``_cut_each`` hand out equal fresh boxes, make no row, and the whole
+    check stays within a few KiB."""
+    cfg = ScaleConfig(p_bits=1000, scale_bits=2)
+    lo, hi, top = cfg.scale_min, cfg.scale_max, cfg.max_magnitude
+    tracemalloc.start()
+    try:
+        for pair in [(1, 0), (-1, lo), (top, hi), (-top, lo), (12345, 1)]:
+            q = box(pair, cfg)
+            assert type(q) is ScaledInt and q == pair and box(pair, cfg) is not q
+        ts = [0, 1, -1, top, -top, 1 << 1000, -(1 << 1000) - 1, 1 << 1010, -(1 << 1010)]
+        offset = 1 << 1100
+        for grid in (hi, hi + 1, hi + 20):
+            got, got_sat, want_sat = [], SaturationCounter(), SaturationCounter()
+            ops._cut_each([t + offset for t in ts], offset, grid, cfg, got_sat, got)
+            assert got == [box(fit(t, grid, cfg, want_sat), cfg) for t in ts]
+            assert got_sat.count == want_sat.count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert slots_used(cfg) == 0 and peak < 64 * 1024
+
+
+@pytest.mark.parametrize("fmt", SPEC_FORMATS, ids=str)
+def test_every_in_format_pair_is_its_one_box(fmt):
+    """``box`` of every in-format pair, 16 321 at the default format with
+    zero: each equals ``ScaledInt.from_signed(m, s)``, and boxing it again
+    gives the same object wherever its scale has a row, which is every
+    scale until the table reaches ``MAX_SLOTS``; past that, only at (12,
+    10), a pair is an equal fresh box on each call.  (12, 10) has 8.4
+    million pairs, so there every magnitude is boxed at every 16th scale
+    and ``scale_max``, and then, once single boxes have filled the cap,
+    at the two scales next to ``scale_max``.  Out-of-format pairs,
+    ``|m| = 2**P`` or a scale one past either edge, come back as equal
+    fresh boxes and make no row."""
+    cfg = ScaleConfig(*fmt)
+    lo, hi, top = cfg.scale_min, cfg.scale_max, cfg.max_magnitude
+    ms = [m for m in range(-top, top + 1) if m]
+
+    def boxed_at(s):
+        pairs = [(m, s) for m in ms]
+        got = list(map(box, pairs, repeat(cfg)))
+        # ScaledInt.from_signed(m, s) == (m, s) for every m != 0
+        assert got == pairs and {type(q) for q in got} == {ScaledInt}
+        assert box((0, s), cfg) is ZERO
+        return got, list(map(box, pairs, repeat(cfg)))
+
+    out = ScaleConfig(*fmt)
+    for pair in [(top + 1, 0), (-top - 1, hi), (1, lo - 1), (-top, lo - 1), (-1, hi + 1),
+                 (top, hi + 1)]:
+        q = box(pair, out)
+        assert type(q) is ScaledInt and q == pair and box(pair, out) is not q
+    assert slots_used(out) == 0
+
+    step = 16 if fmt == (12, 10) else 1
+    scales = sorted({*range(lo, hi + 1, step), hi})
+    for s in scales:
+        got, again = boxed_at(s)
+        assert all(map(is_, got, again)), s
+    if fmt == (8, 5):
+        assert len(scales) * len(ms) + 1 == 16321
+    assert slots_used(cfg) == len(scales) * (2 << cfg.p_bits)
+    if step > 1:
+        for s in range(lo, hi + 1):
+            box((1, s), cfg)
+        assert slots_used(cfg) == core.MAX_SLOTS
+        for s in (hi - 1, hi - 2):
+            assert not cfg.boxes[s - lo]
+            got, again = boxed_at(s)
+            assert not any(map(is_, got, again)), s
 
 
 @pytest.mark.parametrize("p_bits,scale_bits", [(8, 5), (12, 10)])
