@@ -269,7 +269,7 @@ class TestBox:
         # zero makes no row, and no row ever holds it: slot 0 stays empty
         assert cfg.boxes == [None] * (1 << cfg.scale_bits)
         _primitive_results(cfg, random.Random(0), 300)
-        rows = [row for row in cfg.boxes if row is not None]
+        rows = [row for row in cfg.boxes if row]
         assert rows and all(row[0] is None for row in rows)
 
     @pytest.mark.parametrize("p_bits,scale_bits", [(8, 5), (4, 3), (12, 6)])
@@ -291,7 +291,7 @@ class TestBox:
         # negative one in the row's upper half; slot 0 is empty
         size, stored = 2 << cfg.p_bits, 0
         for s, row in zip(range(cfg.scale_min, cfg.scale_max + 1), cfg.boxes):
-            if row is None:
+            if not row:
                 continue
             assert len(row) == size and row[0] is None
             for slot, q in enumerate(row):
