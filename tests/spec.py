@@ -6,7 +6,8 @@ and clamps it to +/-``max_value``, recording a saturation on ``sat``.  ``fit``,
 ``handle_overflow`` is ``fit``, ``shift_scale(q, d)`` is ``fit(q[0], q[1] + d)``
 and ``scale_sub(a, b)`` is ``scale_add(a, -b)``.  Each fused stage is T of its
 exact value too (:func:`exact`): a dot plus its bias, ``layer_norm``'s
-variance and affine tail, and softmax's numerator.  ``quantize`` rounds
+variance and affine tail, and softmax's numerator.  ``layer_norm``'s
+deviations are exact, as its mean is, and never cut.  ``quantize`` rounds
 instead, and the Newton step (:func:`newton`) has a rule of its own.
 """
 

@@ -1730,30 +1730,28 @@ def test_dot_ops_cut_each_output_once_without_dot(monkeypatch, op):
 # and softmax's from tests/spec.py, gelu's from the scalar primitives.
 
 def spec_layer_norm(x, params, cfg, sat):
-    """``layer_norm`` composed from the spec.  Each deviation is the exact
-    ``n * (x_i - mean)`` on the row's largest scale ``top``, fitted once at
-    the grid ``top``, or at the finest coarser one that keeps every
-    deviation under ``2**room``, so their ``n`` squares sum below
-    ``2**(P - 1 - scale_min)``.  ``variance`` gives ``c**2`` times the
-    variance plus ``c**2 * eps``, with ``c = n * 2**(top - grid)``, in one
-    cut; the Newton rule runs from the exponent seed, and ``affine`` cuts
-    each output once."""
+    """``layer_norm`` composed from the spec.  Each deviation is exact, as
+    the mean is: the integer ``n * (x_i - mean)`` on the row's largest scale
+    ``top``, taken as the pair ``(n * a_i - A, grid)`` at the grid ``top``,
+    or at the finest coarser one that keeps every deviation under
+    ``2**room``, so their ``n`` squares sum below ``2**(P - 1 - scale_min)``.
+    A row whose deviations are all zero is beta.  ``variance`` gives ``c**2``
+    times the variance plus ``c**2 * eps``, with ``c = n * 2**(top - grid)``,
+    in one cut; the Newton rule runs from the exponent seed, and ``affine``
+    cuts each output once."""
     n = x.shape[-1]
     (em, es), out = params.eps, []
     room = (cfg.p_bits - 1 - cfg.scale_min - n.bit_length()) // 2
     for r in range(x.size // n):
         row = x.data[r * n:(r + 1) * n]
-        if all(e == row[0] for e in row[1:]):
-            out.extend(params.beta.data)
-            continue
         top = max(s for _, s in row)
         total = sum(m << (top - s) for m, s in row)
         exact = [n * (m << (top - s)) - total for m, s in row]
-        grid = max(top, max(abs(v) for v in exact).bit_length() - room)
-        devs = [spec.fit(v, grid, cfg, sat) for v in exact]
-        if not any(m for m, _ in devs):
+        if not any(exact):
             out.extend(params.beta.data)
             continue
+        grid = max(top, max(abs(v) for v in exact).bit_length() - room)
+        devs = [(v, grid) for v in exact]
         var = spec.variance(devs, (em * n * n, es + 2 * (grid - top)), cfg, sat)
         if var[0] <= 0:
             raise DomainError("inverse square root needs a positive input")
