@@ -379,23 +379,24 @@ def layer_norm(
 ) -> QTensor:
     """Standardize each trailing-axis vector, then apply the affine pair.
 
-    The mean is never cut.  With ``top`` the row's largest scale, each
-    element is the integer ``a_i = m_i << (top - s_i)`` on that grid and
-    ``A`` is their sum, so ``n*a_i - A`` is ``n * (x_i - mean)``, exact.
-    Each deviation ``d_i`` is that integer fitted once, at scale ``grid``:
-    ``top``, or coarser where the row's largest deviation would leave no
-    room to square and sum ``n`` of them below ``max_value``.  So
-    ``d_i = c * (x_i - mean)`` with ``c = n * 2**(top - grid)``, and the
+    Neither the mean nor a deviation is cut.  Each row is read through
+    :func:`_fixed`, each element the integer ``a_i`` on its grid ``top``,
+    and ``A`` is their sum, so ``n*a_i - A`` is ``n * (x_i - mean)``, exact.
+    That integer at scale ``g`` is the deviation ``d_i``, with ``g`` the
+    grid ``top``, or a coarser one where the row's largest deviation would
+    leave no room to square and sum ``n`` of them below ``max_value``.  So
+    ``d_i = c * (x_i - mean)`` with ``c = n * 2**(top - g)``, and the
     variance ``var``, ``c**2`` times the (population) variance plus
     ``c**2 * eps``, is T of the exact ``(dot(d, d) + n * c**2 * eps) / n``,
     one ``quotient``.  Its ``inv = 1/sqrt(var)``, by the quantized Newton
     iteration from :func:`~scaledq.newton.exponent_seed`, carries the
     ``1/c`` that standardizes each ``d_i``.  Each output is T of the exact
-    ``d_i * inv * gamma_i + beta_i``: the 3P-bit products and beta, each on
-    its :func:`_fixed` grid, are aligned on the larger, ``t >= scale_max``,
-    where ``fit(m << j, s + j)`` is ``fit(m, s)``, so :func:`_cut_each` cuts
-    the row at ``t`` as at each output's own grid.  A row whose deviations
-    all vanish, such as one holding a single value in any of its stored
+    ``d_i * inv * gamma_i + beta_i``: the products and beta, each on its
+    grid, are aligned on the larger, ``t >= scale_max``, where
+    ``fit(m << j, s + j)`` is ``fit(m, s)``, so :func:`_cut_each` cuts the
+    row at ``t`` as at each output's own grid.  So the variance and the
+    outputs are the row's only cuts, besides Newton's steps.  A row whose
+    deviations all vanish, one holding a single value in any of its stored
     forms, short-circuits to beta and never consults eps.
     """
     n = x.shape[-1] if x.shape else 0
@@ -412,18 +413,14 @@ def layer_norm(
     room = (cfg.p_bits - 1 - cfg.scale_min - n.bit_length()) // 2
     out: list[ScaledInt] = []
     for r in range(0, x.size, n):
-        row = x.data[r:r + n]
-        top = max([s for _, s in row])
-        aligned = [m << (top - s) for m, s in row]
+        aligned, top = _fixed(x.data[r:r + n], cfg)
         total = sum(aligned)
-        exact = [n * a - total for a in aligned]
-        grid = max(top, max(max(exact), -min(exact)).bit_length() - room)
-        devs = [fit(v, grid, cfg, sat) for v in exact]
-        ints, g = _fixed(devs, cfg)
+        ints = [n * a - total for a in aligned]
         if not any(ints):
             out.extend(beta)
             continue
-        es = eps_s + 2 * (grid - top)  # c**2 * eps is eps_m * n**2 at scale es
+        g = max(top, max(max(ints), -min(ints)).bit_length() - room)
+        es = eps_s + 2 * (g - top)  # c**2 * eps is eps_m * n**2 at scale es
         vs = max(2 * g, es)
         var = box(quotient((sum(map(mul, ints, ints)) << (vs - 2 * g))
                            + (eps_m * n ** 3 << (vs - es)), n, vs, cfg, sat), cfg)

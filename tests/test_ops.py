@@ -286,7 +286,7 @@ class TestLayerNorm:
     def test_per_row_error_bound_across_spreads(self, log_spread):
         """64 rows of 16 with means in [-1, 1) and spread 2**log_spread: each
         row is within 2**-5 of the FP64 layer norm of its quantized values
-        (the worst measured, 0.021, is at spread 4)."""
+        (the worst measured, 0.0158, is at spread 2**-4)."""
         rng, n, rows = random.Random(1000 + log_spread), 16, 64
         values = []
         for _ in range(rows):
@@ -301,9 +301,11 @@ class TestLayerNorm:
     @pytest.mark.parametrize("n", [64, 256, 768])
     def test_wide_rows_keep_headroom(self, n):
         """Transformer widths at spreads up to 2**18: no saturation, and each
-        row within 2**-5 of FP64.  Deviations of ``n * (x - mean)`` on the
-        row's scale would overflow the variance numerator here (n = 256 at
-        spread 8 was off by 6.4); the coarser grid keeps them in range."""
+        row within 2**-6 of FP64 (the worst measured, 0.0112, is at n = 768;
+        0.0180 while each deviation was cut to P bits).  Deviations of
+        ``n * (x - mean)`` on the row's scale would overflow the variance
+        numerator here (n = 256 at spread 8 was off by 6.4); the coarser grid
+        keeps them in range."""
         rng = random.Random(n)
         for log_spread in (3, 6, 10, 14, 18):
             spread = 2.0 ** log_spread
@@ -314,7 +316,7 @@ class TestLayerNorm:
             want = ref.ref_layer_norm(ref.dequantize_tensor(x), [1.0] * n, [0.0] * n,
                                       2.0 ** -15).data
             assert sat.count == 0, log_spread
-            assert max(abs(g - w) for g, w in zip(got, want)) <= 2 ** -5, log_spread
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 2 ** -6, log_spread
 
 
 class TestSoftmax:
@@ -1945,9 +1947,9 @@ def test_norm_ops_make_no_division_or_cut_per_output(monkeypatch):
     ``pair_div``, and ``fit`` once per distinct input (its numerator) and
     once per output the table misses, the zero outputs here; layer_norm
     calls ``quotient`` once per row that does not short-circuit, and ``fit``
-    once per deviation and once per output the table misses.  Counts, so
-    they hold on any machine, and a per-output division or cut cannot come
-    back unseen."""
+    only for the outputs the table misses, none per deviation, not even in
+    the row that short-circuits.  Counts, so they hold on any machine, and a
+    per-output division or cut cannot come back unseen."""
     calls = dict.fromkeys(("fit", "quotient", "pair_div"), 0)
 
     def counted(name, fn):
@@ -1969,7 +1971,7 @@ def test_norm_ops_make_no_division_or_cut_per_output(monkeypatch):
     for op, extra in [(lambda sat: softmax_tensor(x, cfg, sat),
                        lambda out: {"fit": len(set(x.data)) + out.data.count(ZERO)}),
                       (lambda sat: layer_norm(x, params, cfg, sat),
-                       lambda out: {"fit": x.size + out.data[:8 * n].count(ZERO),
+                       lambda out: {"fit": out.data[:8 * n].count(ZERO),
                                     "quotient": 8})]:
         first, sat = op(None), SaturationCounter()
         calls.update(dict.fromkeys(calls, 0))
