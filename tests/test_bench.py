@@ -287,9 +287,9 @@ class TestTensorFiles:
 # SHA-256 of CLI reports, pinned so a refactor that changes any byte fails.
 GOLDEN = [
     (("bench", "suite"),
-     "39842cfd7f53d2e95f81e523a750175c338984263e2a44176b4655a3e5153190"),
+     "81561f8efc2e807ce3b0a4ca48594251ce743931861e88f4d7a6fff69c415e50"),
     (("bench", "suite", "--trials", "3", "--height", "8"),
-     "65d7f3dc2f36af7b379104271c999f3c2e5d72d534c3929823f774a75ed7cb7a"),
+     "ce09b2901f18dfb5dee6a76c8edc99ff94b946d97c7de2e64fec81eba4a236e1"),
     (("div-sweep",),
      "105aef91e8579d92e89f9cedb3c01764404fae44d42c2a5b18c85153ce3cf286"),
     (("div-sweep", "--json"),
