@@ -21,9 +21,9 @@ import workloads  # noqa: E402
 
 SEED0_SHA256 = {
     "conv": "c39d3af3e35692f656a8527d94c114d37bd1cc3e61025fc4cb93a4a96d6aedda",
-    "encoder": "1aa3d32c569b4051d6b14c865a44e7674ee9b1479fe46037bede382b770b165e",
-    "norm": "f0ed75e8d014ab1f5f1973af8cc03de53a4bbe8e0a79871963bf9602e359672d",
-    "suite": "7c702bc81dcb566c62b488581d40f1b82c70aad0f9caaa1fb4625d9e3fb9ff93",
+    "encoder": "e2994ede58f30a9f91dd17c7cfb242a0965ef40657d5f132c810efcb5d70efec",
+    "norm": "3e630d6cf266334d1819e0f156509e54f46b5385b30d95554330cfe1d508f04d",
+    "suite": "2f2afbd5422cd082c8003f0650dc2761aba02e67f7d24eca84f4dbe33c486b58",
 }
 
 
