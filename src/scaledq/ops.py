@@ -444,13 +444,11 @@ def softmax(
     the denominator, positive too; past the scale floor it saturates and
     counts on ``sat``.  Each output is T of its numerator over that shared
     denominator, the whole row divided on one grid (see :func:`_normalize`).
-    Every element's numerator is evaluated here; :func:`softmax_tensor`
-    shares the numerator and the normalization and evaluates each distinct
-    input once per call.
+    It is one row of :func:`softmax_tensor`.
     """
     if len(xs) < 1:
         raise ShapeError(f"softmax needs at least one element, got {len(xs)}")
-    return _normalize([_softmax_numerator(x, cfg, sat) for x in xs], cfg, sat)
+    return list(softmax_tensor(QTensor((len(xs),), tuple(xs)), cfg, sat).data)
 
 
 def _softmax_numerator(x, cfg: ScaleConfig,
@@ -480,8 +478,7 @@ def softmax_tensor(
     cfg: ScaleConfig,
     sat: SaturationCounter | None = None,
 ) -> QTensor:
-    """Row-wise softmax over the trailing axis, bit-identical to
-    :func:`softmax` on each row.
+    """Row-wise :func:`softmax` over the trailing axis.
 
     Each distinct input's numerator is evaluated once per call and reused
     for its repeats, which replay its saturations (see :func:`_each_distinct`).
