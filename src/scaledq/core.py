@@ -29,7 +29,8 @@ GELU_VARIANTS = (GELU_SERIES_LINEAR, GELU_SERIES_CUBED, GELU_SERIES_CUBED_CORREC
 # slots: 8 MiB of row lists.  The default format's 32 rows take 2**14 and
 # (12, 6)'s 64 rows 2**19; (12, 10) gets 128 rows of its 1024 scales.  Past
 # the cap no scale gets a row, and a result at a scale without one is a
-# fresh, value-equal ScaledInt.
+# fresh, value-equal ScaledInt.  The cap bounds slots, not boxes: a table
+# with every slot boxed held about 104 MiB, measured at (16, 6).
 MAX_SLOTS = 1 << 20
 
 

@@ -13,7 +13,8 @@ Every scalar rule they use, ``pair_add``, ``pair_mul``, ``pair_div`` and
 stages, each T, ``fit``'s cut toward zero to P bits, of its exact value at
 the finest scale up to ``scale_max``, cut once: a dot plus its bias,
 :func:`layer_norm`'s variance and affine tail, and a softmax numerator and
-quotient.  :func:`_lane_dots` makes every total of :func:`conv2d`,
+quotient.  :func:`layer_norm`'s mean and deviations are exact ints, never
+cut.  :func:`_lane_dots` makes every total of :func:`conv2d`,
 :func:`linear` and :func:`matmul`, the O outputs of an input row in L-bit
 lanes of one int.  :func:`_cut_each` cuts each total of a dot row, a
 softmax row or a layer-norm tail on one grid for the row, inline by the one
