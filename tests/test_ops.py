@@ -301,11 +301,10 @@ class TestLayerNorm:
     @pytest.mark.parametrize("n", [64, 256, 768])
     def test_wide_rows_keep_headroom(self, n):
         """Transformer widths at spreads up to 2**18: no saturation, and each
-        row within 2**-6 of FP64 (the worst measured, 0.0112, is at n = 768;
-        0.0180 while each deviation was cut to P bits).  Deviations of
-        ``n * (x - mean)`` on the row's scale would overflow the variance
-        numerator here (n = 256 at spread 8 was off by 6.4); the coarser grid
-        keeps them in range."""
+        row within 2**-6 of FP64 (the worst measured, 0.0112, is at
+        n = 768).  Deviations of ``n * (x - mean)`` on the row's scale would
+        overflow the variance numerator here (n = 256 at spread 8 was off by
+        6.4); the coarser grid keeps them in range."""
         rng = random.Random(n)
         for log_spread in (3, 6, 10, 14, 18):
             spread = 2.0 ** log_spread
