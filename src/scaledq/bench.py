@@ -201,8 +201,9 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class BenchReport:
-    """One result row; ``wall_time_s`` is excluded from CSV so reports stay
-    byte-identical across runs."""
+    """One result row.  ``wall_time_s``, the whole row's time, and ``op_s``,
+    the integer op's own time summed over the trials, are excluded from CSV
+    so reports stay byte-identical across runs."""
 
     spec: ExperimentSpec
     mse: float
@@ -211,6 +212,7 @@ class BenchReport:
     bits_per_element: int
     reduction_factor: float
     wall_time_s: float
+    op_s: float
 
     @property
     def operator_label(self) -> str:
@@ -250,7 +252,7 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 
 def _qtensor(shape: tuple[int, ...], values: Sequence[float], cfg: ScaleConfig) -> QTensor:
-    return QTensor(shape, tuple(quantize(v, cfg) for v in values))
+    return QTensor(shape, tuple([quantize(v, cfg) for v in values]))
 
 
 def run_bench(spec: ExperimentSpec, cfg: ScaleConfig,
@@ -267,20 +269,19 @@ def run_bench(spec: ExperimentSpec, cfg: ScaleConfig,
         fixed = _qtensor(shape, fixed_input.data, cfg)
     variant = gelu_variant or cfg.gelu_variant
     sat = SaturationCounter()
-    sq_sum = 0.0
+    sq_sum = worst = op_s = 0.0
     count = 0
-    worst = 0.0
     for t in range(spec.trials):
         rng = random.Random(_trial_seed(spec.seed, t))
         x = fixed if fixed_input is not None else _random_tensor(
             rng, shape, cfg, INPUT_LOW, INPUT_HIGH)
         args = op.operands(spec, cfg, rng, x)
+        op_start = time.perf_counter()
         q_out = op.quantized(args, cfg, sat, variant)
+        op_s += time.perf_counter() - op_start
         f_out = op.fp64(tuple(ref.dequantize_tensor(a) if isinstance(a, QTensor) else a
                               for a in args))
-        for diff in ref.errors(q_out, f_out):
-            sq_sum += diff * diff
-            worst = max(worst, abs(diff))
+        sq_sum, worst = ref.error_sums(q_out, f_out, sq_sum, worst)
         count += f_out.size
     return BenchReport(
         spec=spec,
@@ -290,6 +291,7 @@ def run_bench(spec: ExperimentSpec, cfg: ScaleConfig,
         bits_per_element=cfg.bits_per_element,
         reduction_factor=cfg.reduction_factor,
         wall_time_s=time.perf_counter() - start,
+        op_s=op_s,
     )
 
 

@@ -214,7 +214,8 @@ def _cmd_bench(args, out) -> int:
         else:
             reports = [run_bench(spec, cfg, fixed_input=fixed)]
         rows = [r.row() for r in reports]
-        docs = [{**row, "wall_time_s": r.wall_time_s} for row, r in zip(rows, reports)]
+        docs = [{**row, "wall_time_s": r.wall_time_s, "op_s": r.op_s}
+                for row, r in zip(rows, reports)]
         return _emit(args, sink, rows, docs if args.operator == "suite" else docs[0])
 
 

@@ -255,6 +255,11 @@ def quantize(value: float, cfg: ScaleConfig = DEFAULT_CONFIG) -> ScaledInt:
     if abs(magnitude) > cfg.max_magnitude:
         scale -= 1
         magnitude = round(math.ldexp(value, scale))
+    # av <= max_value keeps the scale at or above scale_min, so the pair is
+    # in the format and its row indexes directly; a miss, zero included, boxes
+    row = cfg.boxes[scale - cfg.scale_min]
+    if row and (q := row[magnitude]) is not None:
+        return q
     return box((magnitude, scale), cfg)
 
 

@@ -11,7 +11,7 @@ operators use, isolating rounding error from approximation error;
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import GELU_SERIES_CUBED, GELU_SERIES_CUBED_CORRECTED, GELU_SERIES_LINEAR, dequantize
 from .ops import GELU_SERIES, ConvSpec, QTensor, ShapeError, Tensor
@@ -25,7 +25,7 @@ class FTensor(Tensor):
 
 
 def dequantize_tensor(q: QTensor) -> FTensor:
-    return FTensor(q.shape, tuple(dequantize(e) for e in q.data))
+    return FTensor(q.shape, tuple(map(dequantize, q.data)))
 
 
 def ref_conv2d(x: FTensor, weight: FTensor, bias: FTensor | None,
@@ -175,25 +175,27 @@ def ref_factorized_attention(q: FTensor, k: FTensor, v: FTensor, d_m: int) -> FT
     return ref_matmul(_scaled_by_inv_root(q, d_m), context)
 
 
-def errors(quantized: QTensor, reference: FTensor) -> Iterator[float]:
-    """Signed error of each dequantized element against the reference, in
-    row-major order; the one place quantized outputs are scored."""
+def error_sums(quantized: QTensor, reference: FTensor, sq: float = 0.0,
+               worst: float = 0.0) -> tuple[float, float]:
+    """``sq`` plus the squared error of each dequantized element against the
+    reference, added left to right, and the larger of ``worst`` and the
+    largest absolute error; the one place quantized outputs are scored.  A
+    NaN error never replaces ``worst``, as in ``max(worst, abs(diff))``."""
     if quantized.shape != reference.shape:
         raise ShapeError(f"shape mismatch: {quantized.shape} vs {reference.shape}")
-    return (dequantize(qe) - re for qe, re in zip(quantized.data, reference.data))
+    for q, r in zip(quantized.data, reference.data):
+        diff = math.ldexp(q[0], -q[1]) - r
+        sq += diff * diff
+        if abs(diff) > worst:
+            worst = abs(diff)
+    return sq, worst
 
 
 def mse(quantized: QTensor, reference: FTensor) -> float:
     """Mean squared error between dequantized outputs and the reference,
     averaged over every element."""
-    total = 0.0
-    for diff in errors(quantized, reference):
-        total += diff * diff
-    return total / reference.size
+    return error_sums(quantized, reference)[0] / reference.size
 
 
 def max_abs_error(quantized: QTensor, reference: FTensor) -> float:
-    worst = 0.0
-    for diff in errors(quantized, reference):
-        worst = max(worst, abs(diff))
-    return worst
+    return error_sums(quantized, reference)[1]

@@ -331,7 +331,13 @@ def test_bench_json_keys_are_csv_columns_plus_wall_time(capsys, operator):
     assert main(argv + ["--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     for row in payload if isinstance(payload, list) else [payload]:
-        assert sorted(row) == sorted(header + ["wall_time_s"])
+        assert sorted(row) == sorted(header + ["wall_time_s", "op_s"])
+
+
+def test_suite_op_time_is_within_wall_time():
+    reports = bench.run_suite(CFG, trials=2, side=4)
+    assert len(reports) == 12
+    assert all(0.0 <= r.op_s <= r.wall_time_s for r in reports)
 
 
 class TestMemoryReport:

@@ -320,6 +320,33 @@ class TestBox:
         # a scale with a row still hands out its one box
         assert all(q is quantize(v, cfg) for v, q in zip(values, first) if table_box(cfg, q))
 
+    @pytest.mark.parametrize("p_bits,scale_bits", [(8, 5), (4, 3)])
+    def test_quantize_hands_out_the_table_box(self, p_bits, scale_bits):
+        """Every in-format value quantizes to its pair's one table box, first
+        through ``box``, then by ``quantize``'s own row lookup."""
+        cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
+        pairs = [(m, s) for s in range(cfg.scale_min, cfg.scale_max + 1)
+                 for m in range(-cfg.max_magnitude, cfg.max_magnitude + 1) if m]
+        first = [quantize(dequantize(core.box(p, cfg)), cfg) for p in pairs]
+        again = [quantize(dequantize(core.box(p, cfg)), cfg) for p in pairs]
+        assert all(a is b is core.box(a, cfg) for a, b in zip(first, again))
+        # a pair already in quantize's form, top bit set or at the ceiling,
+        # comes back as its own box
+        own = [core.box(p, cfg) for p in pairs
+               if abs(p[0]) >> (p_bits - 1) or p[1] == cfg.scale_max]
+        assert all(quantize(dequantize(q), cfg) is q for q in own)
+
+    def test_quantize_without_rows_boxes_fresh(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_SLOTS", 0)
+        cfg = ScaleConfig()
+        a, b = quantize(0.3, cfg), quantize(0.3, cfg)
+        assert a == b == (154, 9) and a is not b and type(a) is ScaledInt
+        # the first box closed every scale: rows read False, none was made
+        assert cfg.boxes == [False] * (1 << cfg.scale_bits) and slots_used(cfg) == 0
+        c = quantize(-0.3, cfg)
+        assert c == (-154, 9) and c is not quantize(-0.3, cfg)
+        assert slots_used(cfg) == 0
+
     def test_equal_configs_have_tables_of_their_own(self):
         fresh = ScaleConfig()
         assert fresh == CFG and hash(fresh) == hash(CFG) and repr(fresh) == repr(CFG)

@@ -2,11 +2,13 @@
 
 import math
 import random
+import struct
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from scaledq.core import GELU_SERIES_CUBED, GELU_SERIES_LINEAR, ScaledInt, quantize
+from scaledq.core import GELU_SERIES_CUBED, GELU_SERIES_LINEAR, ZERO, ScaledInt, dequantize, quantize
 from scaledq.ops import ConvSpec, QTensor, ShapeError
 from scaledq import reference as ref
 
@@ -249,3 +251,86 @@ class TestMetrics:
         q = QTensor((4,), tuple(quantize(v) for v in vals))
         f = ref.dequantize_tensor(q)
         assert list(f.data) == vals
+
+
+def plain_error_sums(q, f, sq=0.0, worst=0.0):
+    """The scoring rule as a plain per-element loop: each ``dequantize(q) - r``
+    added squared, left to right, and ``max(worst, abs(diff))``."""
+    for qe, re in zip(q.data, f.data):
+        diff = dequantize(qe) - re
+        sq += diff * diff
+        worst = max(worst, abs(diff))
+    return sq, worst
+
+
+def bits(*xs):
+    """The floats' IEEE bytes, so equality is bit-equality, NaN and -0.0 included."""
+    return struct.pack(f"<{len(xs)}d", *xs)
+
+
+NAN = float("nan")
+HALF, NEG_HALF = ScaledInt(1, 1), ScaledInt(1, 1, True)
+SCORE_CASES = {
+    "zeros": ((ZERO, ZERO), (0.0, -0.0)),
+    "both signs": ((HALF, NEG_HALF, ScaledInt(3, 2), ScaledInt(200, 9, True)),
+                   (0.25, -0.75, 0.7, -0.3)),
+    "equal and opposite": ((HALF, HALF, NEG_HALF), (0.25, 0.75, -0.25)),
+    "leading nan": ((HALF, HALF, NEG_HALF), (NAN, 0.1, 0.2)),
+    "later nan": ((HALF, HALF, NEG_HALF), (0.1, NAN, 0.2)),
+    "nan only": ((HALF,), (NAN,)),
+    "empty": ((), ()),
+}
+
+
+class TestErrorSums:
+    """``error_sums`` is bit-equal to the plain loop it replaced."""
+
+    @pytest.mark.parametrize("carried", [(0.0, 0.0), (0.125, 0.3), (1e-3, 2.0)])
+    @pytest.mark.parametrize("case", SCORE_CASES)
+    def test_matches_plain_loop(self, case, carried):
+        data, refs = SCORE_CASES[case]
+        q, f = QTensor((len(data),), data), ref.FTensor((len(refs),), refs)
+        want = plain_error_sums(q, f, *carried)
+        assert bits(*ref.error_sums(q, f, *carried)) == bits(*want)
+        if data:
+            fresh_sq, fresh_worst = plain_error_sums(q, f)
+            assert bits(ref.mse(q, f)) == bits(fresh_sq / len(data))
+            assert bits(ref.max_abs_error(q, f)) == bits(fresh_worst)
+
+    def test_nan_never_becomes_worst(self):
+        q = QTensor((3,), (HALF, HALF, HALF))
+        assert ref.max_abs_error(q, ref.FTensor((3,), (NAN, 0.0, 0.25))) == 0.5
+        sq, worst = ref.error_sums(q, ref.FTensor((3,), (NAN,) * 3), 1.0, 0.75)
+        assert math.isnan(sq) and worst == 0.75
+
+    def test_random_tensor_across_calls(self):
+        rng = random.Random(30)
+        vals = [rng.uniform(-4, 4) for _ in range(600)]
+        q = QTensor((600,), tuple(quantize(v) for v in vals))
+        f = ref.FTensor((600,), tuple(v + rng.uniform(-1e-2, 1e-2) for v in vals))
+        got = want = (0.0, 0.0)
+        for _ in range(3):
+            got, want = ref.error_sums(q, f, *got), plain_error_sums(q, f, *want)
+        assert bits(*got) == bits(*want) and got[0] > 0.0
+
+    def test_shape_mismatch(self):
+        q = QTensor((2,), (ScaledInt(1, 0),) * 2)
+        for f in (ref.FTensor((3,), (1.0,) * 3), ref.FTensor((2, 1), (1.0,) * 2)):
+            with pytest.raises(ShapeError):
+                ref.error_sums(q, f)
+            with pytest.raises(ShapeError):
+                ref.max_abs_error(q, f)
+
+    def test_scoring_memory_is_constant(self):
+        """A list of diffs over 2**20 elements would take over 8 MiB."""
+        n = 1 << 20
+        q = QTensor((n,), (HALF, NEG_HALF, ScaledInt(3, 2), ZERO) * (n // 4))
+        f = ref.FTensor((n,), (0.25, 0.5, -1.0, 0.125) * (n // 4))
+        tracemalloc.start()
+        try:
+            sq, worst = ref.error_sums(q, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert worst == 1.75 and sq > 0.0
+        assert peak < 64 * 1024, peak
