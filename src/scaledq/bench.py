@@ -17,6 +17,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -252,7 +253,7 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 
 def _qtensor(shape: tuple[int, ...], values: Sequence[float], cfg: ScaleConfig) -> QTensor:
-    return QTensor(shape, tuple([quantize(v, cfg) for v in values]))
+    return QTensor(shape, tuple(map(quantize, values, repeat(cfg))))
 
 
 def run_bench(spec: ExperimentSpec, cfg: ScaleConfig,
