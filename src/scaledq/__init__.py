@@ -18,7 +18,6 @@ from .core import (
     ScaledInt,
     dequantize,
     handle_overflow,
-    negate,
     quantize,
     scale_add,
     scale_div,
@@ -41,7 +40,6 @@ from .ops import (
     linear,
     matmul,
     relu,
-    relu_map,
     softmax,
     softmax_tensor,
     sum_aligned,

@@ -219,10 +219,6 @@ def box(pair, cfg: ScaleConfig = DEFAULT_CONFIG) -> ScaledInt:
     return q
 
 
-def negate(q: ScaledInt) -> ScaledInt:
-    return tuple.__new__(ScaledInt, (-q[0], q[1]))
-
-
 def dequantize(q: ScaledInt) -> float:
     """Exact conversion back to FP64.  Boundary/reference use only; nothing in
     the integer compute path calls this."""

@@ -573,10 +573,6 @@ def relu(x: ScaledInt) -> ScaledInt:
     return ZERO if x[0] < 0 else x
 
 
-def relu_map(x: QTensor) -> QTensor:
-    return QTensor(x.shape, tuple(relu(e) for e in x.data))
-
-
 def _inv_root(q: QTensor, k: QTensor, v: QTensor, d_m: int, cfg: ScaleConfig,
               sat: SaturationCounter | None) -> ScaledInt:
     """Both attentions' front end: their shape check and ``1/sqrt(d_m)``,

@@ -137,10 +137,6 @@ def ref_gelu_series(x: float, variant: str = GELU_SERIES_LINEAR) -> float:
     return 0.5 * x * gate
 
 
-def ref_relu(x: float) -> float:
-    return x if x > 0.0 else 0.0
-
-
 def ref_newton_inv_sqrt(x: float, y0: float, iters: int) -> tuple[float, list[float]]:
     """Float shadow of the quantized iteration: ``y <- (3y - x*y^3) / 2``."""
     y = y0
@@ -193,8 +189,11 @@ def error_sums(quantized: QTensor, reference: FTensor, sq: float = 0.0,
 
 def mse(quantized: QTensor, reference: FTensor) -> float:
     """Mean squared error between dequantized outputs and the reference,
-    averaged over every element."""
-    return error_sums(quantized, reference)[0] / reference.size
+    averaged over every element; an empty tensor has no mean."""
+    sq = error_sums(quantized, reference)[0]
+    if not reference.size:
+        raise ShapeError(f"mean squared error of an empty tensor, shape {reference.shape}")
+    return sq / reference.size
 
 
 def max_abs_error(quantized: QTensor, reference: FTensor) -> float:

@@ -9,11 +9,22 @@ exact value too (:func:`exact`): a dot plus its bias, ``layer_norm``'s
 variance and affine tail, and softmax's numerator.  ``layer_norm``'s
 deviations are exact, as its mean is, and never cut.  ``quantize`` rounds
 instead, and the Newton step (:func:`newton`) has a rule of its own.
+
+Every operator is composed from these rules here too: ``conv2d``, ``linear``
+and ``matmul`` are one ``dot`` per output; ``layer_norm`` is ``variance``, the
+Newton rule from ``exponent_seed`` and ``affine``; ``softmax_tensor`` is each
+row's numerators, their ``sum_aligned`` and one ``scale_div`` per output; and
+``gelu`` is its series, one ``scale_mul``, ``scale_add``, ``sum_aligned``,
+``scale_div`` or ``fit`` per step.  From ``scaledq`` this file takes only the
+exception types, ``QTensor`` and ``NEWTON_ITERS``, so no rule is borrowed
+from the code it checks.
 """
 
 import math
 
-from scaledq.core import DivisionByZero, RangeError
+from scaledq.core import DivisionByZero, DomainError, RangeError
+from scaledq.newton import NEWTON_ITERS
+from scaledq.ops import QTensor
 
 
 def cut(num, den, grid, cfg, sat):
@@ -140,3 +151,119 @@ def newton(x, y, iters, cfg, sat):
                 y = fit(d, s + 1, cfg, sat) if j == 0 else fit((d + 1) >> 1, s, cfg, sat)
         ys.append(y)
     return ys
+
+
+# --- the operators, composed from the rules above --------------------------
+# Each takes and returns ``QTensor``s (or a pair, for ``gelu``) and must match
+# the library's operator bit for bit, saturations included.
+
+def conv2d(x, w, bias, conv, cfg, sat):
+    """``conv2d`` composed from the spec: each output is one ``dot`` over the
+    in-range taps of the channels it reads, in channel, ky, kx order, plus
+    the bias."""
+    batch, in_ch, height, width = x.shape
+    out_ch, k, s, p = conv.out_channels, conv.kernel, conv.stride, conv.padding
+    w_ch = 1 if conv.depthwise else in_ch
+    h_out, w_out = (height + 2 * p - k) // s + 1, (width + 2 * p - k) // s + 1
+    out = []
+    for b in range(batch):
+        for o in range(out_ch):
+            chans = [o // (out_ch // in_ch)] if conv.depthwise else range(in_ch)
+            for oh in range(h_out):
+                for ow in range(w_out):
+                    xs, ws = [], []
+                    for ci, i in enumerate(chans):
+                        for ky in range(k):
+                            for kx in range(k):
+                                ih, iw = oh * s - p + ky, ow * s - p + kx
+                                if 0 <= ih < height and 0 <= iw < width:
+                                    xs.append(x.data[((b * in_ch + i) * height + ih) * width + iw])
+                                    ws.append(w.data[((o * w_ch + ci) * k + ky) * k + kx])
+                    out.append(dot(xs, ws, cfg, sat, (0, 0) if bias is None else bias.data[o]))
+    return QTensor((batch, out_ch, h_out, w_out), tuple(out))
+
+
+def linear(x, w, bias, cfg, sat):
+    """``linear`` composed from the spec: each output is one ``dot`` of an
+    input row with a weight row, plus the bias.  Rows are counted from the
+    shape, so an empty trailing axis gives each output its bias alone."""
+    out_f, in_f = w.shape
+    out = []
+    for r in range(math.prod(x.shape[:-1])):
+        for o in range(out_f):
+            out.append(dot(x.data[r * in_f:(r + 1) * in_f],
+                           w.data[o * in_f:(o + 1) * in_f], cfg, sat,
+                           (0, 0) if bias is None else bias.data[o]))
+    return QTensor(x.shape[:-1] + (out_f,), tuple(out))
+
+
+def matmul(a, b, cfg, sat):
+    """``matmul`` composed from the spec: one ``dot`` per row and column."""
+    (m, k), (_, n) = a.shape, b.shape
+    return QTensor((m, n), tuple(
+        dot(a.data[i * k:(i + 1) * k], b.data[j::n], cfg, sat)
+        for i in range(m) for j in range(n)))
+
+
+def layer_norm(x, params, cfg, sat):
+    """``layer_norm`` composed from the spec.  Each deviation is exact, as
+    the mean is: the integer ``n * (x_i - mean)`` on the row's largest scale
+    ``top``, taken as the pair ``(n * a_i - A, grid)`` at the grid ``top``,
+    or at the finest coarser one that keeps every deviation under
+    ``2**room``, so their ``n`` squares sum below ``2**(P - 1 - scale_min)``.
+    A row whose deviations are all zero is beta.  ``variance`` gives ``c**2``
+    times the variance plus ``c**2 * eps``, with ``c = n * 2**(top - grid)``,
+    in one cut; the Newton rule runs from the exponent seed, and ``affine``
+    cuts each output once."""
+    n = x.shape[-1]
+    (em, es), out = params.eps, []
+    room = (cfg.p_bits - 1 - cfg.scale_min - n.bit_length()) // 2
+    for r in range(x.size // n):
+        row = x.data[r * n:(r + 1) * n]
+        top = max(s for _, s in row)
+        total = sum(m << (top - s) for m, s in row)
+        ints = [n * (m << (top - s)) - total for m, s in row]
+        if not any(ints):
+            out.extend(params.beta.data)
+            continue
+        grid = max(top, max(abs(v) for v in ints).bit_length() - room)
+        devs = [(v, grid) for v in ints]
+        var = variance(devs, (em * n * n, es + 2 * (grid - top)), cfg, sat)
+        if var[0] <= 0:
+            raise DomainError("inverse square root needs a positive input")
+        inv = newton(var, exponent_seed(var, cfg), NEWTON_ITERS, cfg, sat)[-1]
+        out.extend(affine(d, inv, g, b, cfg, sat)
+                   for d, g, b in zip(devs, params.gamma.data, params.beta.data))
+    return QTensor(x.shape, tuple(out))
+
+
+def softmax_tensor(x, cfg, sat):
+    """Softmax over the trailing axis: each numerator one cut, their sum
+    one cut, and each output the numerator's quotient by it."""
+    n = x.shape[-1]
+    out = []
+    for r in range(x.size // n):
+        nums = [softmax_numerator(e, cfg, sat) for e in x.data[r * n:(r + 1) * n]]
+        den = sum_aligned(nums, cfg, sat)
+        out.extend(scale_div(num, den, cfg, sat) for num in nums)
+    return QTensor(x.shape, tuple(out))
+
+
+def gelu(x, cfg, sat, variant):
+    """The series GELU ``x/2 * gate``, each step its own cut: ``A`` is
+    ``102/2**7 * x + 18/2**9 * x**3``, and the gate is ``1 + A``
+    (``series-linear``), ``1 + A + A**3`` (``series-cubed``) or
+    ``1 + A - A**3/3`` (``series-cubed-corrected``); a cubed gate's three
+    terms are one aligned sum, and halving is one ``fit`` a scale finer."""
+    x3 = scale_mul(scale_mul(x, x, cfg, sat), x, cfg, sat)
+    a = scale_add(scale_mul((102, 7), x, cfg, sat), scale_mul((18, 9), x3, cfg, sat), cfg, sat)
+    if variant == "series-linear":
+        gate = scale_add((1, 0), a, cfg, sat)
+    else:
+        a3 = scale_mul(scale_mul(a, a, cfg, sat), a, cfg, sat)
+        if variant == "series-cubed-corrected":
+            m, s = scale_div(a3, (3, 0), cfg, sat)
+            a3 = (-m, s)
+        gate = sum_aligned([(1, 0), a, a3], cfg, sat)
+    m, s = scale_mul(x, gate, cfg, sat)
+    return fit(m, s + 1, cfg, sat)

@@ -6,8 +6,10 @@ Derived expectations are checked against exact rational arithmetic
 ``tests/spec.py``, never against the code under test.
 """
 
+import ast
 import copy
 import dataclasses
+import importlib
 import math
 import pickle
 import random
@@ -30,7 +32,6 @@ from scaledq.core import (
     dequantize,
     fit,
     handle_overflow,
-    negate,
     quantize,
     quotient,
     scale_add,
@@ -466,7 +467,7 @@ class TestMul:
     def test_sign_group(self):
         a, b = ScaledInt(3, 0, True), ScaledInt(5, 0, True)
         assert not scale_mul(a, b, CFG).negative
-        assert scale_mul(a, negate(b), CFG).negative
+        assert scale_mul(a, ScaledInt.from_signed(-b[0], b[1]), CFG).negative
 
 
 class TestAddSub:
@@ -618,6 +619,27 @@ def test_determinism_bit_identical():
 # same (magnitude, scale) pair, or the same error, and the same running
 # saturation count on every call
 # ---------------------------------------------------------------------------
+
+def test_spec_takes_no_rule_from_the_library():
+    """``tests/spec.py`` states every rule itself: from ``scaledq`` it imports
+    only exception types, ``QTensor`` and ``NEWTON_ITERS``, so no rule can be
+    restated through the code under test."""
+    with open(spec.__file__) as f:
+        tree = ast.parse(f.read())
+    taken = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.split(".")[0] == "scaledq"]
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.level, "a relative import"
+            if node.module.split(".")[0] == "scaledq":
+                taken += [(node.module, a.name) for a in node.names]
+    assert taken
+    for module, name in taken:
+        value = getattr(importlib.import_module(module), name)
+        assert name in ("QTensor", "NEWTON_ITERS") or (
+            isinstance(value, type) and issubclass(value, Exception)), f"{module}.{name}"
+
 
 def _with_counts(fn, cases, cfg):
     """``fn(*case, cfg, sat)`` over ``cases``, each result with the running
@@ -776,7 +798,7 @@ def test_primitive_matches_spec_on_every_value_pair(name, p_bits, scale_bits):
     assert _with_counts(getattr(core, name), cases, cfg) == want
     if name == "scale_add":
         # a - b is a + (-b), and negation maps the stored values onto themselves
-        negated = [negate(b) for b in values]
+        negated = [ScaledInt.from_signed(-m, s) for m, s in values]
         assert _with_counts(scale_sub, [(a, b) for a in values for b in negated], cfg) == want
 
 

@@ -33,7 +33,6 @@ from scaledq.core import (
     dequantize,
     fit,
     handle_overflow,
-    negate,
     quantize,
     scale_add,
     scale_div,
@@ -41,7 +40,7 @@ from scaledq.core import (
     scale_sub,
     shift_scale,
 )
-from scaledq.newton import NEWTON_ITERS, exponent_seed, newton_inv_sqrt
+from scaledq.newton import exponent_seed, newton_inv_sqrt
 from scaledq.ops import (
     ConvSpec,
     LayerNormParams,
@@ -56,7 +55,6 @@ from scaledq.ops import (
     linear,
     matmul,
     relu,
-    relu_map,
     softmax,
     softmax_tensor,
     sum_aligned,
@@ -417,10 +415,6 @@ class TestRelu:
             q = ScaledInt(rng.randint(0, 255), rng.randint(-16, 15), rng.random() < 0.5)
             assert relu(relu(q)) == relu(q)
 
-    def test_map(self):
-        t = QTensor((3,), (ScaledInt(1, 0), ScaledInt(1, 0, True), ZERO))
-        assert relu_map(t).data == (ScaledInt(1, 0), ZERO, ZERO)
-
 
 class TestAttention:
     def test_single_token_returns_values(self):
@@ -645,7 +639,6 @@ def _output_cases():
     return {
         **{name: (lambda _, case=case: case(None).data)
            for name, case in _pinned_cases().items()},
-        "relu-map": lambda _: relu_map(x).data,
         "softmax": lambda _: softmax(x.data[:6], CFG),
         **{f"gelu-{variant}": (lambda _, variant=variant:
                                [gelu(e, CFG, variant=variant) for e in x.data])
@@ -653,13 +646,14 @@ def _output_cases():
         "sum-aligned-0-live": lambda _: [sum_aligned([ZERO, ZERO], CFG), sum_aligned([], CFG)],
         "sum-aligned-1-live": lambda _: [sum_aligned([ZERO, a], CFG)],
         "sum-aligned-3-live": lambda _: [sum_aligned([a, b, ScaledInt(1, -2)], CFG),
-                                         sum_aligned([a, b, negate(b), negate(a)], CFG)],
-        "negate": lambda _: [negate(a), negate(ZERO)],
+                                         sum_aligned([a, b, ScaledInt.from_signed(-b[0], b[1]),
+                                                      ScaledInt.from_signed(-a[0], a[1])], CFG)],
         "handle-overflow": lambda _: [handle_overflow(1020, 0, CFG),
                                       handle_overflow(7, 18, CFG),
                                       handle_overflow(-200, -20, CFG)],
         "scale-mul": lambda _: [scale_mul(a, b, CFG), scale_mul(a, ZERO, CFG)],
-        "scale-add": lambda _: [scale_add(a, b, CFG), scale_add(a, negate(a), CFG)],
+        "scale-add": lambda _: [scale_add(a, b, CFG),
+                                scale_add(a, ScaledInt.from_signed(-a[0], a[1]), CFG)],
         "scale-sub": lambda _: [scale_sub(a, b, CFG), scale_sub(a, a, CFG)],
         "scale-div": lambda _: [scale_div(a, b, CFG), scale_div(ZERO, b, CFG)],
         "shift-scale": lambda _: [shift_scale(a, 2, CFG), shift_scale(a, 40, CFG)],
@@ -974,7 +968,7 @@ def test_a_dot_result_has_one_stored_form_per_value():
     for row in ((two, ScaledInt(5, 4)), (one, ScaledInt(10, 5))):
         x = QTensor((1, 2), row)
         outs.append(linear(x, w, None, CFG).data)
-        assert outs[-1] == spec_linear(x, w, None, CFG, SaturationCounter()).data
+        assert outs[-1] == spec.linear(x, w, None, CFG, SaturationCounter()).data
     assert outs[0] == outs[1]
     assert linear(QTensor((1, 2), (two, ZERO)), w, None, CFG).data == (unit,)
 
@@ -1008,11 +1002,11 @@ def test_operands_above_the_scale_ceiling_match_spec(op):
     rows, flat_w, cols = QTensor((6, 8), x.data), QTensor((3, 8), w.data), QTensor((8, 3), off)
     calls = {
         "conv2d": (lambda sat: conv2d(x, w, None, ConvSpec(2, 3, 2, padding=1), CFG, sat),
-                   lambda sat: spec_conv2d(x, w, None, ConvSpec(2, 3, 2, padding=1), CFG, sat)),
+                   lambda sat: spec.conv2d(x, w, None, ConvSpec(2, 3, 2, padding=1), CFG, sat)),
         "linear": (lambda sat: linear(rows, flat_w, None, CFG, sat),
-                   lambda sat: spec_linear(rows, flat_w, None, CFG, sat)),
+                   lambda sat: spec.linear(rows, flat_w, None, CFG, sat)),
         "matmul": (lambda sat: matmul(rows, cols, CFG, sat),
-                   lambda sat: spec_matmul(rows, cols, CFG, sat)),
+                   lambda sat: spec.matmul(rows, cols, CFG, sat)),
     }
     fused, composed = calls[op]
     got_sat, want_sat = SaturationCounter(), SaturationCounter()
@@ -1023,57 +1017,9 @@ def test_operands_above_the_scale_ceiling_match_spec(op):
 
 # --- the fused kernel against the spec --------------------------------------
 # conv2d, linear and matmul run a fused multiply-accumulate on fixed-point
-# ints; the functions below are the composition from tests/spec.py they must
-# match bit for bit: one spec.dot per output, with the bias inside it.
-
-def spec_conv2d(x, w, bias, conv, cfg, sat):
-    """``conv2d`` composed from the spec: each output is one ``dot`` over the
-    in-range taps of the channels it reads, in channel, ky, kx order, plus
-    the bias."""
-    batch, in_ch, height, width = x.shape
-    out_ch, k, s, p = conv.out_channels, conv.kernel, conv.stride, conv.padding
-    w_ch = 1 if conv.depthwise else in_ch
-    h_out, w_out = (height + 2 * p - k) // s + 1, (width + 2 * p - k) // s + 1
-    out = []
-    for b in range(batch):
-        for o in range(out_ch):
-            chans = [o // (out_ch // in_ch)] if conv.depthwise else range(in_ch)
-            for oh in range(h_out):
-                for ow in range(w_out):
-                    xs, ws = [], []
-                    for ci, i in enumerate(chans):
-                        for ky in range(k):
-                            for kx in range(k):
-                                ih, iw = oh * s - p + ky, ow * s - p + kx
-                                if 0 <= ih < height and 0 <= iw < width:
-                                    xs.append(x.data[((b * in_ch + i) * height + ih) * width + iw])
-                                    ws.append(w.data[((o * w_ch + ci) * k + ky) * k + kx])
-                    out.append(spec.dot(xs, ws, cfg, sat,
-                                        (0, 0) if bias is None else bias.data[o]))
-    return QTensor((batch, out_ch, h_out, w_out), tuple(out))
-
-
-def spec_linear(x, w, bias, cfg, sat):
-    """``linear`` composed from the spec: each output is one ``dot`` of an
-    input row with a weight row, plus the bias.  Rows are counted from the
-    shape, so an empty trailing axis gives each output its bias alone."""
-    out_f, in_f = w.shape
-    out = []
-    for r in range(math.prod(x.shape[:-1])):
-        for o in range(out_f):
-            out.append(spec.dot(x.data[r * in_f:(r + 1) * in_f],
-                                w.data[o * in_f:(o + 1) * in_f], cfg, sat,
-                                (0, 0) if bias is None else bias.data[o]))
-    return QTensor(x.shape[:-1] + (out_f,), tuple(out))
-
-
-def spec_matmul(a, b, cfg, sat):
-    """``matmul`` composed from the spec: one ``dot`` per row and column."""
-    (m, k), (_, n) = a.shape, b.shape
-    return QTensor((m, n), tuple(
-        spec.dot(a.data[i * k:(i + 1) * k], b.data[j::n], cfg, sat)
-        for i in range(m) for j in range(n)))
-
+# ints; spec.conv2d, spec.linear and spec.matmul are the composition from
+# tests/spec.py they must match bit for bit: one spec.dot per output, with the
+# bias inside it.
 
 def _differential_cases(cfg, rng):
     """(name, fused call, oracle call) triples on fresh random tensors."""
@@ -1093,21 +1039,21 @@ def _differential_cases(cfg, rng):
     w_point, w_point_depth = t(3, 2, 1, 1), t(4, 1, 1, 1)
     return [
         ("pointwise", lambda sat: conv2d(x, w_point, b3, point, cfg, sat),
-         lambda sat: spec_conv2d(x, w_point, b3, point, cfg, sat)),
+         lambda sat: spec.conv2d(x, w_point, b3, point, cfg, sat)),
         ("depthwise-pointwise", lambda sat: conv2d(x, w_point_depth, None, point_depth, cfg, sat),
-         lambda sat: spec_conv2d(x, w_point_depth, None, point_depth, cfg, sat)),
+         lambda sat: spec.conv2d(x, w_point_depth, None, point_depth, cfg, sat)),
         ("conv2d", lambda sat: conv2d(x, w_dense, b3, dense, cfg, sat),
-         lambda sat: spec_conv2d(x, w_dense, b3, dense, cfg, sat)),
+         lambda sat: spec.conv2d(x, w_dense, b3, dense, cfg, sat)),
         ("conv2d-nobias", lambda sat: conv2d(x, w_dense, None, dense, cfg, sat),
-         lambda sat: spec_conv2d(x, w_dense, None, dense, cfg, sat)),
+         lambda sat: spec.conv2d(x, w_dense, None, dense, cfg, sat)),
         ("depthwise", lambda sat: conv2d(x, w_depth, b4, depth, cfg, sat),
-         lambda sat: spec_conv2d(x, w_depth, b4, depth, cfg, sat)),
+         lambda sat: spec.conv2d(x, w_depth, b4, depth, cfg, sat)),
         ("linear", lambda sat: linear(rows, w_lin, b_lin, cfg, sat),
-         lambda sat: spec_linear(rows, w_lin, b_lin, cfg, sat)),
+         lambda sat: spec.linear(rows, w_lin, b_lin, cfg, sat)),
         ("linear-nobias", lambda sat: linear(rows, w_lin, None, cfg, sat),
-         lambda sat: spec_linear(rows, w_lin, None, cfg, sat)),
+         lambda sat: spec.linear(rows, w_lin, None, cfg, sat)),
         ("matmul", lambda sat: matmul(a, b, cfg, sat),
-         lambda sat: spec_matmul(a, b, cfg, sat)),
+         lambda sat: spec.matmul(a, b, cfg, sat)),
     ]
 
 
@@ -1317,13 +1263,13 @@ def _lanes_match_spec(xs, ws, biases, cfg):
     w = QTensor((n_out, n), tuple(e for r in ws for e in r))
     b = None if biases is None else QTensor((n_out,), tuple(biases))
     cols = QTensor((n, n_out), tuple(ws[o][i] for i in range(n) for o in range(n_out)))
-    calls = [(lambda s: linear(x, w, b, cfg, s), lambda s: spec_linear(x, w, b, cfg, s)),
-             (lambda s: matmul(x, cols, cfg, s), lambda s: spec_matmul(x, cols, cfg, s))]
+    calls = [(lambda s: linear(x, w, b, cfg, s), lambda s: spec.linear(x, w, b, cfg, s)),
+             (lambda s: matmul(x, cols, cfg, s), lambda s: spec.matmul(x, cols, cfg, s))]
     if n:
         image = QTensor((1, n, 1, n_rows), tuple(xs[r][i] for i in range(n) for r in range(n_rows)))
         kernel, conv = QTensor((n_out, n, 1, 1), w.data), ConvSpec(n, n_out, 1)
         calls.append((lambda s: conv2d(image, kernel, b, conv, cfg, s),
-                      lambda s: spec_conv2d(image, kernel, b, conv, cfg, s)))
+                      lambda s: spec.conv2d(image, kernel, b, conv, cfg, s)))
     for fused, composed in calls:
         got_sat, want_sat = SaturationCounter(), SaturationCounter()
         got, wanted = fused(got_sat), composed(want_sat)
@@ -1388,7 +1334,7 @@ def test_terms_that_cancel_match_spec(p_bits, scale_bits):
     for _ in range(12):
         n = rng.randint(1, 4)
         a, b = _one_sign(rng, n, cfg, 1), tuple(rand_tensor(rng, (n,), cfg).data)
-        cancel = b + tuple(negate(e) for e in b)
+        cancel = b + tuple(ScaledInt.from_signed(-m, s) for m, s in b)
         ws = [cancel, _one_sign(rng, 2 * n, cfg, -1), cancel, _one_sign(rng, 2 * n, cfg, 1)]
         biases = [ZERO, _one_sign(rng, 1, cfg, -1)[0], ZERO, _one_sign(rng, 1, cfg, 1)[0]]
         for got in (_lanes_match_spec([a + a], ws, None, cfg),
@@ -1436,7 +1382,7 @@ def test_conv_lanes_match_spec(p_bits, scale_bits, conv):
     """A depthwise conv with multiplier 3 and a stride-2 dense conv on
     positive inputs, one of them the format's largest value, with each
     output channel's weights and bias of one sign, alternating, so negative
-    lanes sit beside positive ones: conv2d gives ``spec_conv2d``'s pairs and
+    lanes sit beside positive ones: conv2d gives ``spec.conv2d``'s pairs and
     count, and each channel group's im2col patches do through the kernel,
     linear, matmul and a 1x1 conv."""
     cfg = ScaleConfig(p_bits=p_bits, scale_bits=scale_bits)
@@ -1452,7 +1398,7 @@ def test_conv_lanes_match_spec(p_bits, scale_bits, conv):
     b = QTensor((out_ch,), tuple(_one_sign(rng, 1, cfg, (-1) ** o)[0] for o in range(out_ch)))
     got_sat, want_sat = SaturationCounter(), SaturationCounter()
     got = conv2d(x, w, b, conv, cfg, got_sat)
-    assert (got.data, got_sat.count) == (spec_conv2d(x, w, b, conv, cfg, want_sat).data,
+    assert (got.data, got_sat.count) == (spec.conv2d(x, w, b, conv, cfg, want_sat).data,
                                          want_sat.count)
     groups = conv.in_channels // w_ch
     mult = out_ch // groups
@@ -1478,8 +1424,9 @@ def test_inline_cut_is_fit_lane_for_lane(monkeypatch, p_bits, scale_bits):
     tiny, huge = ScaledInt(1, cfg.scale_max), ScaledInt(top, lo)
     mids = [tuple(rand_tensor(rng, (2,), cfg, zero_share=0).data) for _ in range(3)]
     xs = [(tiny, tiny), (huge, huge)] + mids
-    ws = [(huge, huge), (negate(huge),) * 2, (tiny, tiny), (ONE, negate(ONE))] + mids
-    biases = [huge, negate(huge), ZERO, ZERO] + [e[0] for e in mids]
+    neg_huge, neg_one = (ScaledInt.from_signed(-q[0], q[1]) for q in (huge, ONE))
+    ws = [(huge, huge), (neg_huge,) * 2, (tiny, tiny), (ONE, neg_one)] + mids
+    biases = [huge, neg_huge, ZERO, ZERO] + [e[0] for e in mids]
     got = _lanes_match_spec(xs, ws, biases, cfg)
     n_out = len(ws)
     assert got[2] == got[3] == (0, 0)  # tiny * tiny flushes, a - a cancels
@@ -1653,8 +1600,8 @@ def test_rows_around_a_chunk_match_spec(p_bits, scale_bits, n_out):
     w, b, cols = t(n_out, 3), t(n_out), t(3, n_out)
     for n_rows in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
         x = t(n_rows, 3)
-        for got, want in [(lambda s: linear(x, w, b, cfg, s), lambda s: spec_linear(x, w, b, cfg, s)),
-                          (lambda s: matmul(x, cols, cfg, s), lambda s: spec_matmul(x, cols, cfg, s))]:
+        for got, want in [(lambda s: linear(x, w, b, cfg, s), lambda s: spec.linear(x, w, b, cfg, s)),
+                          (lambda s: matmul(x, cols, cfg, s), lambda s: spec.matmul(x, cols, cfg, s))]:
             got_sat, want_sat = SaturationCounter(), SaturationCounter()
             assert (got(got_sat).data, got_sat.count) == (want(want_sat).data, want_sat.count), n_rows
 
@@ -1677,10 +1624,10 @@ def test_dot_ops_do_not_depend_on_the_host_byte_order(monkeypatch, order, p_bits
     x, w, b, cols = t(4, 6), t(5, 6), t(5), t(6, 3)
     image, kernel, k_bias = t(1, 2, 4, 4), t(3, 2, 3, 3), t(3)
     conv = ConvSpec(2, 3, 3, padding=1)
-    for got, want in [(lambda s: linear(x, w, b, cfg, s), lambda s: spec_linear(x, w, b, cfg, s)),
-                      (lambda s: matmul(x, cols, cfg, s), lambda s: spec_matmul(x, cols, cfg, s)),
+    for got, want in [(lambda s: linear(x, w, b, cfg, s), lambda s: spec.linear(x, w, b, cfg, s)),
+                      (lambda s: matmul(x, cols, cfg, s), lambda s: spec.matmul(x, cols, cfg, s)),
                       (lambda s: conv2d(image, kernel, k_bias, conv, cfg, s),
-                       lambda s: spec_conv2d(image, kernel, k_bias, conv, cfg, s))]:
+                       lambda s: spec.conv2d(image, kernel, k_bias, conv, cfg, s))]:
         got_sat, want_sat = SaturationCounter(), SaturationCounter()
         assert (got(got_sat).data, got_sat.count) == (want(want_sat).data, want_sat.count)
 
@@ -1726,68 +1673,10 @@ def test_dot_ops_cut_each_output_once_without_dot(monkeypatch, op):
     assert misses < out.size
 
 
-# --- the pair-level non-linear operators against the spec and the primitives
-# layer_norm, softmax and gelu run on int pairs; the functions below are the
-# composition they must match bit for bit, saturations included: layer_norm's
-# and softmax's from tests/spec.py, gelu's from the scalar primitives.
-
-def spec_layer_norm(x, params, cfg, sat):
-    """``layer_norm`` composed from the spec.  Each deviation is exact, as
-    the mean is: the integer ``n * (x_i - mean)`` on the row's largest scale
-    ``top``, taken as the pair ``(n * a_i - A, grid)`` at the grid ``top``,
-    or at the finest coarser one that keeps every deviation under
-    ``2**room``, so their ``n`` squares sum below ``2**(P - 1 - scale_min)``.
-    A row whose deviations are all zero is beta.  ``variance`` gives ``c**2``
-    times the variance plus ``c**2 * eps``, with ``c = n * 2**(top - grid)``,
-    in one cut; the Newton rule runs from the exponent seed, and ``affine``
-    cuts each output once."""
-    n = x.shape[-1]
-    (em, es), out = params.eps, []
-    room = (cfg.p_bits - 1 - cfg.scale_min - n.bit_length()) // 2
-    for r in range(x.size // n):
-        row = x.data[r * n:(r + 1) * n]
-        top = max(s for _, s in row)
-        total = sum(m << (top - s) for m, s in row)
-        exact = [n * (m << (top - s)) - total for m, s in row]
-        if not any(exact):
-            out.extend(params.beta.data)
-            continue
-        grid = max(top, max(abs(v) for v in exact).bit_length() - room)
-        devs = [(v, grid) for v in exact]
-        var = spec.variance(devs, (em * n * n, es + 2 * (grid - top)), cfg, sat)
-        if var[0] <= 0:
-            raise DomainError("inverse square root needs a positive input")
-        inv = spec.newton(var, spec.exponent_seed(var, cfg), NEWTON_ITERS, cfg, sat)[-1]
-        out.extend(spec.affine(d, inv, g, b, cfg, sat)
-                   for d, g, b in zip(devs, params.gamma.data, params.beta.data))
-    return QTensor(x.shape, tuple(out))
-
-
-def oracle_softmax_tensor(x, cfg, sat):
-    """Each numerator one cut, their sum one cut, and each output the
-    numerator's quotient by it."""
-    n = x.shape[-1]
-    out = []
-    for r in range(x.size // n):
-        nums = [spec.softmax_numerator(e, cfg, sat) for e in x.data[r * n:(r + 1) * n]]
-        den = spec.sum_aligned(nums, cfg, sat)
-        out.extend(spec.scale_div(num, den, cfg, sat) for num in nums)
-    return QTensor(x.shape, tuple(out))
-
-
-def oracle_gelu(x, cfg, sat, variant):
-    x3 = scale_mul(scale_mul(x, x, cfg, sat), x, cfg, sat)
-    a = scale_add(scale_mul(ScaledInt(102, 7), x, cfg, sat),
-                  scale_mul(ScaledInt(18, 9), x3, cfg, sat), cfg, sat)
-    if variant == GELU_SERIES_LINEAR:
-        gate = scale_add(ONE, a, cfg, sat)
-    else:
-        a3 = scale_mul(scale_mul(a, a, cfg, sat), a, cfg, sat)
-        if variant == GELU_SERIES_CUBED_CORRECTED:
-            a3 = negate(scale_div(a3, ScaledInt(3, 0), cfg, sat))
-        gate = sum_aligned([ONE, a, a3], cfg, sat)
-    return shift_scale(scale_mul(x, gate, cfg, sat), 1, cfg, sat)
-
+# --- the pair-level non-linear operators against the spec -------------------
+# layer_norm, softmax and gelu run on int pairs; spec.layer_norm,
+# spec.softmax_tensor and spec.gelu are the composition from tests/spec.py
+# they must match bit for bit, saturations included.
 
 def _outcome(op):
     """``op``'s output elements, or the type of the error it raised, and the
@@ -1813,13 +1702,13 @@ def test_pair_nonlinear_ops_match_scalar_oracle(p_bits, scale_bits):
         params = LayerNormParams(rand_tensor(rng, (n,), cfg), rand_tensor(rng, (n,), cfg),
                                  ScaledInt(eps.magnitude, eps.scale))
         cases = [("layer_norm", lambda sat: layer_norm(x, params, cfg, sat),
-                  lambda sat: spec_layer_norm(x, params, cfg, sat)),
+                  lambda sat: spec.layer_norm(x, params, cfg, sat)),
                  ("softmax_tensor", lambda sat: softmax_tensor(x, cfg, sat),
-                  lambda sat: oracle_softmax_tensor(x, cfg, sat))]
+                  lambda sat: spec.softmax_tensor(x, cfg, sat))]
         for variant in GELU_VARIANTS:
             cases.append((variant, lambda sat, v=variant: gelu_map(x, cfg, sat, v),
                           lambda sat, v=variant: QTensor(x.shape, tuple(
-                              oracle_gelu(e, cfg, sat, v) for e in x.data))))
+                              spec.gelu(e, cfg, sat, v) for e in x.data))))
         for name, pair_op, oracle in cases:
             got, want = _outcome(pair_op), _outcome(oracle)
             assert got == want, name
@@ -1863,7 +1752,7 @@ def test_rows_whose_cut_numerators_cancelled_now_divide(fmt, row):
     cfg, t = ScaleConfig(*fmt), len(row)
     x = QTensor((1, t), tuple(quantize(v, cfg) for v in row))
     probs = _outcome(lambda sat: softmax_tensor(x, cfg, sat))
-    assert probs == _outcome(lambda sat: oracle_softmax_tensor(x, cfg, sat))
+    assert probs == _outcome(lambda sat: spec.softmax_tensor(x, cfg, sat))
     assert all(m >= 0 for m, _ in probs[0])
     keys, ones = QTensor((t, 1), x.data), QTensor((t, 1), (quantize(1.0, cfg),) * t)
     assert dequantize(ops._inv_root(ones, ones, ones, 1, cfg, None)) == 1.0
@@ -1874,7 +1763,7 @@ def test_rows_whose_cut_numerators_cancelled_now_divide(fmt, row):
 
 def test_one_grid_rows_match_spec_at_their_edges(monkeypatch):
     """softmax_tensor and layer_norm, each of whose rows is divided or cut on
-    one grid, against ``oracle_softmax_tensor`` and ``spec_layer_norm``, pair
+    one grid, against ``spec.softmax_tensor`` and ``spec.layer_norm``, pair
     for pair and count for count, at every format from (2, 2) to (8, 5).
 
     Softmax rows: one whose numerators' scales run from ``scale_min`` (a
@@ -1921,7 +1810,7 @@ def test_one_grid_rows_match_spec_at_their_edges(monkeypatch):
             for row in rows:
                 x = QTensor((1, len(row)), tuple(box(e, cfg) for e in row))
                 same(lambda sat: softmax_tensor(x, cfg, sat),
-                     lambda sat: oracle_softmax_tensor(x, cfg, sat))
+                     lambda sat: spec.softmax_tensor(x, cfg, sat))
             affine = [(QTensor((2,), (ScaledInt(top, lo), ScaledInt(1, hi, True))),
                        QTensor((2,), (ZERO, ScaledInt(top // 2 + 1, hi)))),
                       (QTensor((2,), (ScaledInt(top, hi + 3), ScaledInt(1, lo))),
@@ -1937,7 +1826,7 @@ def test_one_grid_rows_match_spec_at_their_edges(monkeypatch):
                     for g, b in affine if len(row) == 2 else [[QTensor((5,), t) for t in wide]]:
                         params = LayerNormParams(g, b, eps)
                         same(lambda sat: layer_norm(x, params, cfg, sat),
-                             lambda sat: spec_layer_norm(x, params, cfg, sat))
+                             lambda sat: spec.layer_norm(x, params, cfg, sat))
     assert saturations > 0 and 0 < errors
     assert min(inv_scales) < 0 < max(inv_scales)
 
@@ -1987,7 +1876,7 @@ def test_gelu_exhaustive_matches_scalar_oracle(variant):
                        for s in range(CFG.scale_min, CFG.scale_max + 1) for neg in (False, True)]
     got_sat, want_sat = SaturationCounter(), SaturationCounter()
     got = [gelu(e, CFG, got_sat, variant) for e in values]
-    want = [oracle_gelu(e, CFG, want_sat, variant) for e in values]
+    want = [spec.gelu(e, CFG, want_sat, variant) for e in values]
     assert got == want
     assert got_sat.count == want_sat.count > 0
 
