@@ -310,6 +310,12 @@ GOLDEN = [
      "8b83a3a4fe73050c314fbaca3aa7e335f2062723153c4020f30f2d1815f3f584"),
     (("invsqrt", "15.25", "--int", "122", "--scale", "3", "--iters", "8", "--json"),
      "72686086ea008f572dac08377ca9f6a78b8b5d81fa74b9684646a3ec8780b401"),
+    # 3.25 ends in a 2-cycle, so the odd budget ends on magnitude 143; 15.25
+    # stops after 3 computed values and pads the other 4094 rows with the last
+    (("invsqrt", "3.25", "--iters", "21"),
+     "f5890df672624a701632d3d7ded0a0918677c45dcb9c974fa14f9ec33ded4f04"),
+    (("invsqrt", "15.25", "--iters", "4096"),
+     "a455fbc29206decfd875145545d1489168cdf8222a27a5ec1aaf9b1c25d451d6"),
     (("gelu-curve",),
      "4d0ea3dc40daad853d4d61c7ac2cfae50564e885d93bdce343464c1b20c1c827"),
     (("gelu-curve", "--gelu-variant", "series-cubed", "--steps", "9"),
