@@ -8,8 +8,9 @@ half-up.  The very first update instead folds its halving into the scale
 the iteration can grow.  After the first step the stored scale only moves
 when a magnitude outgrows P bits.  Once a halved update equals the iterate's
 magnitude, or the iterate is zero, every later step would return the same
-value, so the rest of the trace is filled with it and no further step is
-computed.
+value, so no further step is computed.  The trace holds only the iterates
+computed; its ``entries`` repeat the last one for the remaining steps when
+they are read.
 
 Every Newton setting lives here: the seed rule :func:`exponent_seed`, the
 step budget ``NEWTON_ITERS`` that the library's callers run, and the cap
@@ -18,7 +19,7 @@ step budget ``NEWTON_ITERS`` that the library's callers run, and the cap
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (
     DomainError,
@@ -42,18 +43,26 @@ NEWTON_ITERS = 20
 MAX_NEWTON_ITERS = 1 << 12
 
 
-@dataclass(frozen=True)
-class NewtonTrace:
-    """Per-iteration record: ``entries[j] == (j, Y_j)`` with ``entries[0]``
-    holding the seed, so the trace has ``iters + 1`` rows."""
+class NewtonTrace(namedtuple("NewtonTrace", "input iters values")):
+    """Record of one run: its ``input``, its step budget ``iters`` and
+    ``values``, the iterates the loop computed, seed first.  A run that stops
+    at a fixed point holds fewer than ``iters + 1`` values, since every later
+    step would return the last one; :attr:`entries` fills those in when read,
+    so a run that nobody reads never builds them."""
 
-    input: ScaledInt
-    iters: int
-    entries: tuple[tuple[int, ScaledInt], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.entries) != self.iters + 1:
-            raise ValueError("trace must hold iters + 1 entries")
+    def __new__(cls, input: ScaledInt, iters: int, values: tuple[ScaledInt, ...]):
+        if not 0 < len(values) <= iters + 1:
+            raise ValueError("trace must hold 1 to iters + 1 values")
+        return tuple.__new__(cls, (input, iters, values))
+
+    @property
+    def entries(self) -> tuple[tuple[int, ScaledInt], ...]:
+        """``entries[j] == (j, Y_j)`` for every step ``j`` from 0 to
+        ``iters``, with ``entries[0]`` holding the seed."""
+        values = self.values
+        return tuple(enumerate(values + (values[-1],) * (self.iters + 1 - len(values))))
 
 
 def exponent_seed(x: ScaledInt, cfg: ScaleConfig) -> ScaledInt:
@@ -89,8 +98,8 @@ def newton_inv_sqrt(
     ``y0 < sqrt(3/x)``, which :func:`exponent_seed` satisfies wherever it
     is not the finest step.  A step whose update is not positive (the bound
     was violated) pins the iterate to zero without any signal.  ``iters`` is
-    at most ``MAX_NEWTON_ITERS``.  Returns the final iterate plus the full
-    trace.
+    at most ``MAX_NEWTON_ITERS``.  Returns the final iterate and the trace of
+    the iterates computed, whose ``entries`` give all ``iters + 1`` steps.
     """
     xm, xe = x
     if xm <= 0:
@@ -127,7 +136,6 @@ def newton_inv_sqrt(
             break
     # An early stop leaves y at a fixed point: in format with a halved update
     # equal to its magnitude, or zero, whose update pins it at zero.  Every
-    # later step returns y unchanged and cannot saturate, so y fills the rest.
-    ys += [y] * (iters + 1 - len(ys))
-    trace = NewtonTrace(input=x, iters=iters, entries=tuple(enumerate(ys)))
-    return y, trace
+    # later step returns y unchanged and cannot saturate, so the trace's
+    # entries repeat y for the steps not computed.
+    return y, NewtonTrace(x, iters, tuple(ys))

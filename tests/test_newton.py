@@ -13,7 +13,7 @@ import pytest
 import spec
 from scaledq.core import (DomainError, SaturationCounter, ScaleConfig, ScaledInt, dequantize,
                           handle_overflow)
-from scaledq.newton import NewtonTrace, exponent_seed, newton_inv_sqrt
+from scaledq.newton import MAX_NEWTON_ITERS, NewtonTrace, exponent_seed, newton_inv_sqrt
 from scaledq.reference import ref_newton_inv_sqrt
 
 CFG = ScaleConfig()
@@ -85,8 +85,21 @@ class TestTrace:
         assert trace.input == GOLDEN_X
 
     def test_bad_length_rejected(self):
-        with pytest.raises(ValueError):
-            NewtonTrace(input=GOLDEN_X, iters=2, entries=((0, SEED),))
+        for values in ((), (SEED,) * 4):
+            with pytest.raises(ValueError, match="1 to iters \\+ 1 values"):
+                NewtonTrace(input=GOLDEN_X, iters=2, values=values)
+
+    def test_tail_padded_only_when_read(self):
+        """15.25 from its exponent seed stops after 3 computed values; the
+        other 4094 of its 4097 entries repeat the last and are built only
+        when ``entries`` is read."""
+        x = ScaledInt(122, 3)
+        seed = exponent_seed(x, CFG)
+        _, trace = newton_inv_sqrt(x, seed, MAX_NEWTON_ITERS, CFG)
+        assert len(trace.values) == 3
+        assert len(trace.entries) == MAX_NEWTON_ITERS + 1
+        assert [y for _, y in trace.entries] == spec.newton(
+            x, seed, MAX_NEWTON_ITERS, CFG, SaturationCounter())
 
     def test_deterministic(self):
         a = newton_inv_sqrt(GOLDEN_X, SEED, 12, CFG)
