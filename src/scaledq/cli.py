@@ -17,6 +17,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 from typing import Iterable
 
@@ -349,7 +350,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, sys.stdout)
+        code = _COMMANDS[args.command](args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``).  Point stdout at devnull, so
+        # the flush at exit drops the unwritten bytes instead of reporting them.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("scaledq: error: stdout was closed before the report was written",
+              file=sys.stderr)
+        return 1
     except UsageError as exc:
         print(f"scaledq: error: {exc}", file=sys.stderr)
         return 1

@@ -691,3 +691,18 @@ def test_module_run_failure_is_one_line_and_its_exit_code(tmp_path, argv, code):
     err = done.stderr.decode()
     assert (done.returncode, done.stdout) == (code, b"")
     assert err.startswith("scaledq: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_closed_stdout_is_one_line_and_exit_1():
+    """A reader that closes the pipe after one line (``| head -1``) leaves a
+    report larger than the pipe's buffer unwritten: exit 1 with one line on
+    stderr, not a ``BrokenPipeError`` traceback."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    with subprocess.Popen([sys.executable, "-m", "scaledq.cli", "invsqrt", "15.25",
+                           "--iters", "4096"], env={**os.environ, "PYTHONPATH": path},
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"iteration,fp64,int,scale,quantized\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    assert err.startswith("scaledq: ") and err.count("\n") == 1 and "Traceback" not in err
