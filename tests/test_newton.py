@@ -93,13 +93,12 @@ class TestTrace:
         """15.25 from its exponent seed stops after 3 computed values; the
         other 4094 of its 4097 entries repeat the last and are built only
         when ``entries`` is read."""
-        x = ScaledInt(122, 3)
-        seed = exponent_seed(x, CFG)
-        _, trace = newton_inv_sqrt(x, seed, MAX_NEWTON_ITERS, CFG)
+        seed = exponent_seed(GOLDEN_X, CFG)
+        _, trace = newton_inv_sqrt(GOLDEN_X, seed, MAX_NEWTON_ITERS, CFG)
         assert len(trace.values) == 3
         assert len(trace.entries) == MAX_NEWTON_ITERS + 1
         assert [y for _, y in trace.entries] == spec.newton(
-            x, seed, MAX_NEWTON_ITERS, CFG, SaturationCounter())
+            GOLDEN_X, seed, MAX_NEWTON_ITERS, CFG, SaturationCounter())
 
     def test_deterministic(self):
         a = newton_inv_sqrt(GOLDEN_X, SEED, 12, CFG)
